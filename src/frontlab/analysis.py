@@ -42,6 +42,7 @@ class ErrorReport:
                 "meta": self.meta,
             },
             sort_keys=True,
+            allow_nan=False,
         )
 
 
@@ -63,6 +64,7 @@ class RateFit:
                 "r_squared": self.r_squared,
             },
             sort_keys=True,
+            allow_nan=False,
         )
 
     @staticmethod
@@ -101,6 +103,12 @@ def _lattice(solutions, time_samples: int, space_samples: int):
     return ts, xs
 
 
+def _eps_or_none(sol) -> float | None:
+    """The solution's eps, or None (JSON null) for a local solution."""
+    eps = getattr(sol, "eps", None)
+    return None if eps is None else float(eps)
+
+
 def sup_error(
     a,
     b,
@@ -118,8 +126,8 @@ def sup_error(
         "horizon": float(a.horizon),
         "time_samples": time_samples,
         "space_samples": space_samples,
-        "eps_a": float(getattr(a, "eps", float("nan"))),
-        "eps_b": float(getattr(b, "eps", float("nan"))),
+        "eps_a": _eps_or_none(a),
+        "eps_b": _eps_or_none(b),
         "dt_a": float(a.dt),
         "dt_b": float(b.dt),
     }

@@ -14,6 +14,7 @@ and the boundary-flux weight W(w) = integral_w^1 J(z) dz.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -160,16 +161,25 @@ def moment(kernel: KernelSpec, k: int) -> float:
     return integrate_against(kernel, 0.0, 1.0, lambda z: z**k)
 
 
+@lru_cache(maxsize=64)
 def c_star(kernel: KernelSpec) -> float:
-    """Inverse second half-moment; scales the dispersal operator."""
+    """Inverse second half-moment; scales the dispersal operator.
+
+    Cached per kernel like the solver's stencils; a DegenerateKernel is an
+    exception, so it is raised again on every call rather than cached.
+    """
     m2 = moment(kernel, 2)
     if m2 <= 1e-12:
         raise DegenerateKernel("second moment vanishes; kernel concentrated at 0")
     return 1.0 / m2
 
 
+@lru_cache(maxsize=64)
 def c_zero(kernel: KernelSpec) -> float:
-    """Inverse first half-moment; scales the boundary flux. Always < c_star."""
+    """Inverse first half-moment; scales the boundary flux. Always < c_star.
+
+    Cached per kernel, with the same error semantics as :func:`c_star`.
+    """
     m1 = moment(kernel, 1)
     if m1 <= 1e-12:
         raise DegenerateKernel("first moment vanishes; kernel concentrated at 0")

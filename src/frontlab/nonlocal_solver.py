@@ -23,11 +23,19 @@ profile reproduces the Fubini identity to rounding.
 
 Left-boundary quantities are evaluated by reflecting the state and reusing
 the right-boundary code path; with the kernel even this is exact, and it
-makes symmetric data evolve symmetrically to the last bit.
+makes symmetric data evolve symmetrically to the last bit.  The convolution
+keeps that property by folding the even stencil, so every node sums the same
+pair sums u_{j-m} + u_{j+m} in the same order.
+
+A step touches only the nodes strictly inside (g, h).  The flux weights are
+nonnegative, so the fronts never retreat, and f(t, x, 0) = 0, so every node
+outside the interval keeps its exact zero; the grid's extent costs memory,
+not time per step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -188,15 +196,46 @@ def flux_weights(kernel: kmod.KernelSpec, n_sub: int) -> np.ndarray:
     return out
 
 
-def _convolve_symmetric(values: np.ndarray, stencil: np.ndarray) -> np.ndarray:
-    """Discrete convolution averaged with its reflection.
+def _active_window(state: EulerianState) -> tuple[int, int]:
+    """Index range [lo, hi) of the nodes strictly inside (g, h).
 
-    The average commutes with index reversal exactly in floating point, so a
-    symmetric state has an exactly symmetric image.
+    The floor/ceil guesses are corrected with the comparisons active_mask
+    makes, x_j > g and x_j < h, so the window is exactly that mask.
     """
-    forward = np.convolve(values, stencil, mode="same")
-    backward = np.convolve(values[::-1], stencil, mode="same")[::-1]
-    return 0.5 * (forward + backward)
+    dx = state.dx
+    j_lo = math.floor(state.g / dx)
+    while j_lo * dx <= state.g:
+        j_lo += 1
+    while (j_lo - 1) * dx > state.g:
+        j_lo -= 1
+    j_hi = math.ceil(state.h / dx)
+    while j_hi * dx >= state.h:
+        j_hi -= 1
+    while (j_hi + 1) * dx < state.h:
+        j_hi += 1
+    lo = max(j_lo - state.j_min, 0)
+    hi = min(j_hi - state.j_min + 1, state.values.size)
+    return lo, max(lo, hi)
+
+
+def _convolve_symmetric(values: np.ndarray, stencil: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Zero-extended convolution with an even stencil at nodes lo..hi-1.
+
+    The stencil is folded: node j gets s_0 u_j + sum_m s_m (u_{j-m} + u_{j+m}),
+    summed over m = 1..n in the same order at every node.  Each pair sum is
+    commutative, so a mirror-symmetric state has an exactly mirror-symmetric
+    image.
+    """
+    n = stencil.size // 2
+    a, b = lo - n, hi + n
+    u = values[max(a, 0) : min(b, values.size)]
+    if a < 0 or b > values.size:
+        u = np.concatenate([np.zeros(max(-a, 0)), u, np.zeros(max(b - values.size, 0))])
+    width = hi - lo
+    out = stencil[n] * u[n : n + width]
+    for m in range(1, n + 1):
+        out += stencil[n + m] * (u[n - m : n - m + width] + u[n + m : n + m + width])
+    return out
 
 
 def _require_resolution(dx: float, eps: float, t: float):
@@ -215,10 +254,11 @@ def apply_nonlocal_operator(
     _require_resolution(state.dx, eps, state.t)
     n_sub = int(round(eps / state.dx))
     stencil = operator_stencil(kernel, n_sub)
-    conv = _convolve_symmetric(state.values, stencil)
+    lo, hi = _active_window(state)
+    conv = _convolve_symmetric(state.values, stencil, lo, hi)
     scale = d * kmod.c_star(kernel) / (eps * eps)
-    out = scale * (conv - state.values)
-    out[~state.active_mask()] = 0.0
+    out = np.zeros_like(state.values)
+    out[lo:hi] = scale * (conv - state.values[lo:hi])
     return out
 
 
@@ -321,7 +361,8 @@ def step(
 
     Under dt * d * c_star / eps^2 <= 1 the value update is a convex
     combination of nonnegative terms plus dt * f, so positivity only depends
-    on the reaction respecting its Lipschitz bound.
+    on the reaction respecting its Lipschitz bound.  Only the nodes strictly
+    inside (g, h) are updated; the others keep their exact zeros.
     """
     _require_resolution(state.dx, eps, state.t)
     lam = dt * vconf.d * kmod.c_star(kernel) / (eps * eps)
@@ -336,15 +377,17 @@ def step(
     h_new = state.h + dt * h_dot
 
     rate = apply_nonlocal_operator(state, kernel, eps, vconf.d)
-    x = state.grid()
-    new_values = state.values + dt * (
-        rate + eval_reaction(vconf.reaction, state.t, x, np.maximum(state.values, 0.0))
-    )
-    low = float(np.min(new_values))
+    lo, hi = _active_window(state)
+    u = state.values[lo:hi]
+    x = (state.j_min + np.arange(lo, hi)) * state.dx
+    new_values = state.values.copy()
+    window = new_values[lo:hi]
+    window += dt * (rate[lo:hi] + eval_reaction(vconf.reaction, state.t, x, np.maximum(u, 0.0)))
+    low = float(np.min(window, initial=0.0))
     if low < POSITIVITY_FLOOR:
         raise PositivityLoss(f"value {low:.3e} below positivity floor", state.t + dt)
-    np.maximum(new_values, 0.0, out=new_values)
-    new_values[(x <= g_new) | (x >= h_new)] = 0.0
+    np.maximum(window, 0.0, out=window)
+    window[(x <= g_new) | (x >= h_new)] = 0.0
 
     out = EulerianState(state.t + dt, g_new, h_new, state.dx, state.j_min, new_values)
     return _grow_if_needed(out, variant.offset(eps) + eps + 2.0 * state.dx)

@@ -190,8 +190,9 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
     """Check every admissibility hypothesis; collect violations by rule id."""
     violations: list[str] = []
     for name in ("d", "mu", "h0", "T"):
-        if getattr(config, name) <= 0.0:
-            violations.append(f"(config): {name} must be positive")
+        value = getattr(config, name)
+        if not (np.isfinite(value) and value > 0.0):
+            violations.append(f"(config): {name} must be positive and finite")
     if abs(config.initial.h0 - config.h0) > 1e-14 * max(1.0, config.h0):
         violations.append("(config): initial.h0 differs from problem h0")
 

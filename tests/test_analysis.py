@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frontlab import analysis as A
@@ -93,12 +93,18 @@ def test_fit_rate_exact_power_laws():
     gamma=st.floats(-2.0, 2.0),
     c=st.floats(1e-3, 1e3),
 )
+@example(gamma=1e-10, c=2.0)
 def test_fit_rate_recovers_synthetic_exponent(gamma, c):
     eps = np.array([0.4, 0.2, 0.1, 0.05])
     pairs = list(zip(eps, c * eps**gamma))
     fit = A.fit_rate(pairs)
     assert fit.gamma_hat == pytest.approx(gamma, abs=1e-9)
-    assert fit.r_squared >= 1.0 - 1e-12
+    # For |gamma| below about 1e-9 the log errors are nearly constant and the
+    # rounding of log(c * eps**gamma) alone (about 1e-16) leaves the data's
+    # true R^2 below 1 - 1e-12, whatever the fit does; the bound only holds
+    # where the spread of the data dwarfs that rounding.
+    if abs(gamma) >= 1e-6:
+        assert fit.r_squared >= 1.0 - 1e-12
 
 
 def test_fit_rate_degenerate_inputs():
@@ -126,12 +132,23 @@ def test_rate_fit_csv_round_trip():
 def test_error_report_json(local_sol, nonlocal_sol):
     import json
 
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
     rep = A.sup_error(local_sol, nonlocal_sol, 8, 128)
-    data = json.loads(rep.to_json())
+    data = json.loads(rep.to_json(), parse_constant=reject)
     assert data["overall_sup"] == rep.overall_sup
     assert data["boundary_sup_g"] == rep.boundary_sup[0]
     assert len(data["per_time_sup"]) == 8
     assert data["meta"]["eps_b"] == 0.1
+    assert data["meta"]["eps_a"] is None  # the local solution has no eps
+    swapped = json.loads(A.sup_error(nonlocal_sol, local_sol, 8, 128).to_json(), parse_constant=reject)
+    assert swapped["meta"]["eps_b"] is None
+    fit = A.fit_rate([(0.2, 0.11), (0.1, 0.06), (0.05, 0.028)])
+    json.loads(fit.to_json(), parse_constant=reject)
+    bad = A.ErrorReport(rep.times, rep.per_time_sup, float("nan"), rep.boundary_sup, rep.meta)
+    with pytest.raises(ValueError):
+        bad.to_json()
 
 
 def test_mass_residual_zero_at_t0(local_sol, vconf):

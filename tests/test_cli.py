@@ -53,6 +53,23 @@ def test_solve_invalid_config_exit_2(tmp_path):
     assert "(1.2a)" in err["message"]
 
 
+@pytest.mark.parametrize("solver", ["local", "nonlocal"])
+def test_solve_nan_parameter_exit_2(tmp_path, solver):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(
+        "d = nan\nmu = 1\nh0 = 1\nT = 0.1\n"
+        "reaction.family = zero\ninitial.family = quadratic_bump\ninitial.V = 1\n"
+    )
+    assert not problem.validate(problem.load_config(cfg)).ok
+    out = tmp_path / "run"
+    code = cli.main(["solve", "--config", str(cfg), "--solver", solver, "--out", str(out)])
+    assert code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["code"] == "invalid_config"
+    assert "d must be positive and finite" in err["message"]
+    assert not (out / "boundary.csv").exists()
+
+
 def test_solve_nonlocal_coarse_grid_exit_3(stefan_cfg, tmp_path):
     out = tmp_path / "run"
     code = cli.main(

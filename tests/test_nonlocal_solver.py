@@ -76,6 +76,78 @@ def test_operator_sine_consistency_improves_with_eps():
     assert errs[0.05] < errs[0.1]
 
 
+def full_grid_operator(state, kernel, eps, d):
+    """Reference: zero-extended full-grid np.convolve, masked to (g, h)."""
+    stencil = NL.operator_stencil(kernel, int(round(eps / state.dx)))
+    conv = np.convolve(state.values, stencil, mode="same")
+    out = d * K.c_star(kernel) / eps**2 * (conv - state.values)
+    out[~state.active_mask()] = 0.0
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    u=hnp.arrays(dtype=float, shape=121, elements=st.floats(0.0, 1.0)),
+    ends=st.tuples(st.integers(-60, -9), st.integers(9, 60)),
+    fracs=st.tuples(st.sampled_from([0.0, 0.5, 0.999]), st.sampled_from([0.0, 0.25, 1e-9])),
+    pad=st.integers(0, 12),
+)
+def test_operator_matches_full_grid_convolution(u, ends, fracs, pad):
+    # The window may sit closer to the grid's ends than the stencil's reach
+    # (pad < 8), which the full-grid reference handles by zero extension.
+    eps, dx = 0.1, 0.1 / 8
+    g, h = (ends[0] - fracs[0]) * dx, (ends[1] + fracs[1]) * dx
+    j_min = ends[0] - pad - 1
+    size = ends[1] - j_min + pad + 2
+    x = (j_min + np.arange(size)) * dx
+    vals = np.where((x > g) & (x < h), np.resize(u, size), 0.0)
+    state = NL.EulerianState(0.0, g, h, dx, j_min, vals)
+    out = NL.apply_nonlocal_operator(state, EPAN, eps, d=0.7)
+    ref = full_grid_operator(state, EPAN, eps, d=0.7)
+    scale = 0.7 * K.c_star(EPAN) / eps**2 * max(1.0, float(np.max(vals)))
+    assert np.max(np.abs(out - ref)) <= 1e-14 * scale
+    assert np.all(out[~state.active_mask()] == 0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(u=hnp.arrays(dtype=float, shape=70, elements=st.floats(0.0, 1.0)))
+def test_operator_symmetric_state_exact_mirror(u):
+    eps, dx = 0.1, 0.1 / 16
+    jm = 90
+    x = np.arange(-jm, jm + 1) * dx
+    half = 0.4321
+    sym = np.concatenate([u[::-1], u[:1], u])  # length 141, centred on x = 0
+    vals = np.zeros(x.size)
+    vals[jm - 70 : jm + 71] = sym
+    vals[(x <= -half) | (x >= half)] = 0.0
+    state = NL.EulerianState(0.0, -half, half, dx, -jm, vals)
+    assert np.array_equal(state.values, state.values[::-1])
+    out = NL.apply_nonlocal_operator(state, EPAN, eps, d=1.0)
+    assert np.array_equal(out, out[::-1])
+
+
+def test_kernel_quadratures_do_not_grow_with_steps(monkeypatch):
+    kernel = K.KernelSpec("epanechnikov")
+    variant = NL.NonlocalVariant("modified", beta=0.5)
+    vc = {T: P.validate(P.symmetric_stefan(T=T)) for T in (0.05, 0.1)}
+    NL.solve(vc[0.05], kernel, eps=0.1, variant=variant, dx=0.1 / 8)  # warm the caches
+    calls = []
+    original = K.integrate_against
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(K, "integrate_against", counting)
+    counts = {}
+    for T in (0.05, 0.1):
+        calls.clear()
+        sol = NL.solve(vc[T], kernel, eps=0.1, variant=variant, dx=0.1 / 8)
+        counts[T] = len(calls)
+        assert len(sol.boundary_times) > 1
+    assert counts[0.1] == counts[0.05]
+
+
 def test_operator_resolution_guard():
     st_coarse = make_state(lambda x: np.ones_like(x), dx=0.1 / 4)
     with pytest.raises(ResolutionTooCoarse):

@@ -50,6 +50,14 @@ def test_validate_negative_parameter_rejected():
     assert any("d must be positive" in v for v in vc.violations)
 
 
+@pytest.mark.parametrize("name", ["d", "mu", "T"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_validate_non_finite_parameter_rejected(name, value):
+    vc = P.validate(P.ProblemConfig(**{name: value}))
+    assert not vc.ok
+    assert any(f"{name} must be positive and finite" in v for v in vc.violations)
+
+
 def test_validate_mismatched_h0_rejected():
     cfg = P.ProblemConfig(h0=2.0, initial=P.InitialDataSpec(h0=1.0))
     vc = P.validate(cfg)
