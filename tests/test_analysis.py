@@ -142,8 +142,8 @@ def test_error_report_json(local_sol, nonlocal_sol):
     assert len(data["per_time_sup"]) == 8
     assert data["meta"]["eps_b"] == 0.1
     assert data["meta"]["eps_a"] is None  # the local solution has no eps
-    swapped = json.loads(A.sup_error(nonlocal_sol, local_sol, 8, 128).to_json(), parse_constant=reject)
-    assert swapped["meta"]["eps_b"] is None
+    swapped = A.sup_error(nonlocal_sol, local_sol, 8, 128)
+    assert json.loads(swapped.to_json(), parse_constant=reject)["meta"]["eps_b"] is None
     fit = A.fit_rate([(0.2, 0.11), (0.1, 0.06), (0.05, 0.028)])
     json.loads(fit.to_json(), parse_constant=reject)
     bad = A.ErrorReport(rep.times, rep.per_time_sup, float("nan"), rep.boundary_sup, rep.meta)

@@ -104,7 +104,7 @@ def test_operator_matches_full_grid_convolution(u, ends, fracs, pad):
     state = NL.EulerianState(0.0, g, h, dx, j_min, vals)
     out = NL.apply_nonlocal_operator(state, EPAN, eps, d=0.7)
     ref = full_grid_operator(state, EPAN, eps, d=0.7)
-    scale = 0.7 * K.c_star(EPAN) / eps**2 * max(1.0, float(np.max(vals)))
+    scale = 0.7 * K.c_star(EPAN) / eps**2  # times max(u) <= 1
     assert np.max(np.abs(out - ref)) <= 1e-14 * scale
     assert np.all(out[~state.active_mask()] == 0.0)
 
@@ -139,13 +139,12 @@ def test_kernel_quadratures_do_not_grow_with_steps(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(K, "integrate_against", counting)
-    counts = {}
+    counts = []
     for T in (0.05, 0.1):
         calls.clear()
-        sol = NL.solve(vc[T], kernel, eps=0.1, variant=variant, dx=0.1 / 8)
-        counts[T] = len(calls)
-        assert len(sol.boundary_times) > 1
-    assert counts[0.1] == counts[0.05]
+        NL.solve(vc[T], kernel, eps=0.1, variant=variant, dx=0.1 / 8)
+        counts.append(len(calls))
+    assert counts[1] == counts[0]
 
 
 def test_operator_resolution_guard():
