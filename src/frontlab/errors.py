@@ -40,7 +40,7 @@ class DegenerateDomain(SolverError):
 
 
 class PositivityLoss(SolverError):
-    """A solution value dropped below -1e-10; the run is aborted."""
+    """A solution value dropped below -1e-10 or is NaN; the run is aborted."""
 
     code = "positivity_loss"
 

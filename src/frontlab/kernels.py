@@ -49,6 +49,8 @@ class KernelSpec:
             tab = np.asarray(self.table, dtype=float)
             if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
                 raise ValueError("table must have shape (n, 2) with n >= 2")
+            if not np.all(np.isfinite(tab)):
+                raise ValueError("table entries must be finite")
             z = tab[:, 0]
             if z[0] < 0.0 or z[-1] > 1.0 or np.any(np.diff(z) <= 0.0):
                 raise ValueError("table abscissae must ascend within [0, 1]")

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import CflViolation, DegenerateDomain, OutOfHorizon, PositivityLoss
+from .errors import CflViolation, DegenerateDomain
 from .problem import ValidatedConfig, eval_initial, eval_reaction, require_valid
+from .trajectory import Trajectory, check_positivity, march, plan_steps
 
 MIN_GAP = 1e-6
-POSITIVITY_FLOOR = -1e-10
 
 
 @dataclass(frozen=True)
@@ -94,26 +94,10 @@ class FixedDomainState:
 
 
 @dataclass(frozen=True, eq=False)
-class LocalSolution:
-    """Trajectory of (v, g, h): dense boundary track plus timed snapshots."""
+class LocalSolution(Trajectory):
+    """Trajectory of (v, g, h) on the front-fixed grid of n_cells cells."""
 
-    snapshots: tuple[FixedDomainState, ...]
-    boundary_times: np.ndarray
-    boundary_g: np.ndarray
-    boundary_h: np.ndarray
     n_cells: int
-    dt: float
-    horizon: float
-
-    @property
-    def snapshot_times(self) -> np.ndarray:
-        return np.array([s.t for s in self.snapshots])
-
-    def g_of(self, t):
-        return np.interp(t, self.boundary_times, self.boundary_g)
-
-    def h_of(self, t):
-        return np.interp(t, self.boundary_times, self.boundary_h)
 
     def snapshot_nodes(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Physical node positions and values of snapshot k."""
@@ -130,28 +114,6 @@ class LocalSolution:
         grid = np.arange(state.values.size) / state.n_cells
         vals = np.interp(xi, grid, state.values)
         vals[(xi <= 0.0) | (xi >= 1.0)] = 0.0
-        return vals
-
-    def sample(self, t: float, x) -> np.ndarray | float:
-        """Linear interpolation in t between snapshots and xi within them."""
-        if t > self.horizon * (1.0 + 1e-12) + 1e-15:
-            raise OutOfHorizon(f"t = {t} beyond horizon {self.horizon}")
-        if t < 0.0:
-            raise OutOfHorizon("t must be nonnegative")
-        times = self.snapshot_times
-        k = int(np.searchsorted(times, t, side="right") - 1)
-        k = max(0, min(k, len(times) - 1))
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if k == len(times) - 1 or times[k] >= t:
-            vals = self.profile_at(k, x_arr)
-        else:
-            t0, t1 = times[k], times[k + 1]
-            lam = (t - t0) / (t1 - t0)
-            vals = (1.0 - lam) * self.profile_at(k, x_arr) + lam * self.profile_at(k + 1, x_arr)
-        outside = (x_arr <= self.g_of(t)) | (x_arr >= self.h_of(t))
-        vals[outside] = 0.0
-        if np.ndim(x) == 0:
-            return float(vals[0])
         return vals
 
 
@@ -298,9 +260,7 @@ def step(
 
     new_values = np.zeros_like(w)
     new_values[1:-1] = interior
-    low = float(np.min(new_values))
-    if low < POSITIVITY_FLOOR:
-        raise PositivityLoss(f"value {low:.3e} below positivity floor", t1)
+    check_positivity(new_values, t1)
     np.maximum(new_values, 0.0, out=new_values)
     new_values[0] = 0.0
     new_values[-1] = 0.0
@@ -316,13 +276,6 @@ def initial_state(vconf: ValidatedConfig, n_cells: int) -> FixedDomainState:
     values[0] = 0.0
     values[-1] = 0.0
     return FixedDomainState(t=0.0, g=-h0, h=h0, values=values)
-
-
-def _plan_steps(T: float, dt: float) -> tuple[int, float]:
-    n_steps = max(1, int(round(T / dt)))
-    if abs(n_steps * dt - T) > 1e-9 * T:
-        n_steps = int(np.ceil(T / dt))
-    return n_steps, T / n_steps
 
 
 def solve(
@@ -347,40 +300,18 @@ def solve(
         dt = min(0.25 * (2.0 * vconf.h0 / n_cells) / speed, T / 64.0)
         if vconf.L0 > 0.0:
             dt = min(dt, 0.4 / vconf.L0)
-    n_steps, dt_eff = _plan_steps(T, dt)
+    n_steps, dt_eff = plan_steps(T, dt)
+
+    def advance(state):
+        return step(state, dt_eff, vconf, knobs, source=source, velocity_override=velocity_override)
 
     if snapshot_times is None:
         snapshot_times = np.linspace(0.0, T, 65)
-    want = np.unique(np.clip(np.rint(np.asarray(snapshot_times) / dt_eff).astype(int), 0, n_steps))
-
-    times = np.empty(n_steps + 1)
-    gs = np.empty(n_steps + 1)
-    hs = np.empty(n_steps + 1)
-    snapshots: list[FixedDomainState] = []
-
-    state = initial_state(vconf, n_cells)
-    want_set = set(int(k) for k in want)
-    for k in range(n_steps + 1):
-        times[k] = state.t
-        gs[k] = state.g
-        hs[k] = state.h
-        if k in want_set:
-            snapshots.append(
-                FixedDomainState(state.t, state.g, state.h, state.values.copy())
-            )
-        if k == n_steps:
-            break
-        state = step(
-            state,
-            dt_eff,
-            vconf,
-            knobs,
-            source=source,
-            velocity_override=velocity_override,
-        )
-
+    snapshots, (times, gs, hs) = march(
+        initial_state(vconf, n_cells), advance, n_steps, dt_eff, snapshot_times
+    )
     return LocalSolution(
-        snapshots=tuple(snapshots),
+        snapshots=snapshots,
         boundary_times=times,
         boundary_g=gs,
         boundary_h=hs,

@@ -29,8 +29,11 @@ pair sums u_{j-m} + u_{j+m} in the same order.
 
 A step touches only the nodes strictly inside (g, h).  The flux weights are
 nonnegative, so the fronts never retreat, and f(t, x, 0) = 0, so every node
-outside the interval keeps its exact zero; the grid's extent costs memory,
-not time per step.
+outside the interval keeps its exact zero.  The grid starts just wide enough
+for the initial interval and its flux window, h0 + offset + 2 eps, and
+doubles on the side a front is about to overrun.  Every position is indexed
+by its global node j = x / dx, never relative to the grid's first node, so
+the result does not depend on how far the grid happens to reach.
 """
 
 from __future__ import annotations
@@ -42,16 +45,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels as kmod
-from .errors import (
-    CflViolation,
-    DomainTooSmall,
-    OutOfHorizon,
-    PositivityLoss,
-    ResolutionTooCoarse,
-)
+from .errors import CflViolation, DomainTooSmall, ResolutionTooCoarse
 from .problem import ValidatedConfig, eval_initial, eval_reaction, require_valid
-
-POSITIVITY_FLOOR = -1e-10
+from .trajectory import Trajectory, check_positivity, march, plan_steps
 
 
 @dataclass(frozen=True)
@@ -272,10 +268,11 @@ def interp_pinned(state: EulerianState, ys: np.ndarray) -> np.ndarray:
     ys = np.asarray(ys, dtype=float)
     u = state.values
     dx = state.dx
-    pos = ys / dx - state.j_min
-    k = np.clip(np.floor(pos).astype(int), 0, u.size - 2)
-    frac = pos - k
-    x_left = (state.j_min + k) * dx
+    pos = ys / dx
+    j = np.clip(np.floor(pos).astype(int), state.j_min, state.j_min + u.size - 2)
+    frac = pos - j
+    k = j - state.j_min
+    x_left = j * dx
     x_right = x_left + dx
     vals = u[k] * (1.0 - frac) + u[k + 1] * frac
     straddle_g = (x_left < state.g) & (x_right > state.g)
@@ -383,9 +380,7 @@ def step(
     new_values = state.values.copy()
     window = new_values[lo:hi]
     window += dt * (rate[lo:hi] + eval_reaction(vconf.reaction, state.t, x, np.maximum(u, 0.0)))
-    low = float(np.min(window, initial=0.0))
-    if low < POSITIVITY_FLOOR:
-        raise PositivityLoss(f"value {low:.3e} below positivity floor", state.t + dt)
+    check_positivity(window, state.t + dt)
     np.maximum(window, 0.0, out=window)
     window[(x <= g_new) | (x >= h_new)] = 0.0
 
@@ -394,59 +389,25 @@ def step(
 
 
 @dataclass(frozen=True, eq=False)
-class NonlocalSolution:
-    """Trajectory of (u, g, h) on the fixed grid; mirrors LocalSolution."""
+class NonlocalSolution(Trajectory):
+    """Trajectory of (u, g, h) on the fixed grid of spacing dx."""
 
-    snapshots: tuple[EulerianState, ...]
-    boundary_times: np.ndarray
-    boundary_g: np.ndarray
-    boundary_h: np.ndarray
     dx: float
-    dt: float
     eps: float
     variant: NonlocalVariant
-    horizon: float
-
-    @property
-    def snapshot_times(self) -> np.ndarray:
-        return np.array([s.t for s in self.snapshots])
-
-    def g_of(self, t):
-        return np.interp(t, self.boundary_times, self.boundary_g)
-
-    def h_of(self, t):
-        return np.interp(t, self.boundary_times, self.boundary_h)
 
     def snapshot_nodes(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Grid nodes of snapshot k in [g - 2 dx, h + 2 dx] and their values."""
         state = self.snapshots[k]
-        return state.grid(), state.values.copy()
+        x = state.grid()
+        keep = (x >= state.g - 2.0 * state.dx) & (x <= state.h + 2.0 * state.dx)
+        return x[keep], state.values[keep]
 
     def profile_at(self, k: int, x) -> np.ndarray:
         state = self.snapshots[k]
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         vals = interp_pinned(state, x_arr)
         vals[(x_arr <= state.g) | (x_arr >= state.h)] = 0.0
-        return vals
-
-    def sample(self, t: float, x) -> np.ndarray | float:
-        if t > self.horizon * (1.0 + 1e-12) + 1e-15:
-            raise OutOfHorizon(f"t = {t} beyond horizon {self.horizon}")
-        if t < 0.0:
-            raise OutOfHorizon("t must be nonnegative")
-        times = self.snapshot_times
-        k = int(np.searchsorted(times, t, side="right") - 1)
-        k = max(0, min(k, len(times) - 1))
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if k == len(times) - 1 or times[k] >= t:
-            vals = self.profile_at(k, x_arr)
-        else:
-            t0, t1 = times[k], times[k + 1]
-            lam = (t - t0) / (t1 - t0)
-            vals = (1.0 - lam) * self.profile_at(k, x_arr) + lam * self.profile_at(k + 1, x_arr)
-        outside = (x_arr <= self.g_of(t)) | (x_arr >= self.h_of(t))
-        vals[outside] = 0.0
-        if np.ndim(x) == 0:
-            return float(vals[0])
         return vals
 
 
@@ -490,40 +451,17 @@ def solve(
         if vconf.L0 > 0.0:
             dt = min(dt, 0.4 / vconf.L0)
     T = vconf.T
-    n_steps = max(1, int(round(T / dt)))
-    if abs(n_steps * dt - T) > 1e-9 * T:
-        n_steps = int(np.ceil(T / dt))
-    dt_eff = T / n_steps
+    n_steps, dt_eff = plan_steps(T, dt)
 
-    level = max(vconf.sup_v0, vconf.K if np.isfinite(vconf.K) else vconf.sup_v0)
-    speed = 4.0 * vconf.mu * level * (1.0 + 2.0 / vconf.h0)
-    extent = vconf.h0 + speed * T + offset + 2.0 * eps
+    def advance(state):
+        return step(state, dt_eff, vconf, kernel, eps, variant)
 
     if snapshot_times is None:
         snapshot_times = np.linspace(0.0, T, 65)
-    want = np.unique(np.clip(np.rint(np.asarray(snapshot_times) / dt_eff).astype(int), 0, n_steps))
-    want_set = set(int(k) for k in want)
-
-    times = np.empty(n_steps + 1)
-    gs = np.empty(n_steps + 1)
-    hs = np.empty(n_steps + 1)
-    snapshots: list[EulerianState] = []
-
-    state = initial_state(vconf, dx, extent)
-    for k in range(n_steps + 1):
-        times[k] = state.t
-        gs[k] = state.g
-        hs[k] = state.h
-        if k in want_set:
-            snapshots.append(
-                EulerianState(state.t, state.g, state.h, state.dx, state.j_min, state.values.copy())
-            )
-        if k == n_steps:
-            break
-        state = step(state, dt_eff, vconf, kernel, eps, variant)
-
+    state = initial_state(vconf, dx, vconf.h0 + offset + 2.0 * eps)
+    snapshots, (times, gs, hs) = march(state, advance, n_steps, dt_eff, snapshot_times)
     return NonlocalSolution(
-        snapshots=tuple(snapshots),
+        snapshots=snapshots,
         boundary_times=times,
         boundary_g=gs,
         boundary_h=hs,

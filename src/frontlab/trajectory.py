@@ -1,0 +1,109 @@
+"""What the local and nonlocal solvers share: step planning, the march loop,
+the positivity guard, and the trajectory type both solutions are read through.
+
+A trajectory is a dense boundary track (g, h at every step) plus timed
+snapshots of the state.  Subclasses say how a snapshot is evaluated at
+physical positions (``profile_at``); sampling in between snapshots is linear
+in t and identical for both solvers, which is what lets ``analysis`` compare
+a local and a nonlocal run on one lattice.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import OutOfHorizon, PositivityLoss
+
+POSITIVITY_FLOOR = -1e-10
+
+
+def check_positivity(values: np.ndarray, t: float) -> None:
+    """Raise PositivityLoss if a value is below the floor or not a number."""
+    low = float(np.min(values, initial=0.0))
+    if not low >= POSITIVITY_FLOOR:
+        raise PositivityLoss(f"value {low:.3e} below positivity floor", t)
+
+
+def plan_steps(T: float, dt: float) -> tuple[int, float]:
+    """Step count and the step size that lands exactly on T, at most dt
+    unless dt already divides T to within 1e-9."""
+    n_steps = max(1, int(round(T / dt)))
+    if abs(n_steps * dt - T) > 1e-9 * T:
+        n_steps = int(np.ceil(T / dt))
+    return n_steps, T / n_steps
+
+
+def march(state, step_fn, n_steps: int, dt: float, snapshot_times):
+    """Apply step_fn n_steps times from state.
+
+    Returns the snapshots (copies of the states at the steps nearest the
+    requested times) and the boundary track (t, g, h) at all n_steps + 1
+    states.
+    """
+    want = np.rint(np.asarray(snapshot_times) / dt).astype(int)
+    want_set = set(int(k) for k in np.clip(want, 0, n_steps))
+    times = np.empty(n_steps + 1)
+    gs = np.empty(n_steps + 1)
+    hs = np.empty(n_steps + 1)
+    snapshots = []
+    for k in range(n_steps + 1):
+        times[k] = state.t
+        gs[k] = state.g
+        hs[k] = state.h
+        if k in want_set:
+            snapshots.append(dataclasses.replace(state, values=state.values.copy()))
+        if k == n_steps:
+            break
+        state = step_fn(state)
+    return tuple(snapshots), (times, gs, hs)
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Trajectory of (u, g, h): dense boundary track plus timed snapshots."""
+
+    snapshots: tuple
+    boundary_times: np.ndarray
+    boundary_g: np.ndarray
+    boundary_h: np.ndarray
+    dt: float
+    horizon: float
+
+    @property
+    def snapshot_times(self) -> np.ndarray:
+        return np.array([s.t for s in self.snapshots])
+
+    def g_of(self, t):
+        return np.interp(t, self.boundary_times, self.boundary_g)
+
+    def h_of(self, t):
+        return np.interp(t, self.boundary_times, self.boundary_h)
+
+    def profile_at(self, k: int, x: np.ndarray) -> np.ndarray:
+        """Snapshot k at physical positions x, zero outside (g, h)."""
+        raise NotImplementedError
+
+    def sample(self, t: float, x) -> np.ndarray | float:
+        """Linear interpolation in t between snapshots, profile_at within them."""
+        if t > self.horizon * (1.0 + 1e-12) + 1e-15:
+            raise OutOfHorizon(f"t = {t} beyond horizon {self.horizon}")
+        if t < 0.0:
+            raise OutOfHorizon("t must be nonnegative")
+        times = self.snapshot_times
+        k = int(np.searchsorted(times, t, side="right") - 1)
+        k = max(0, min(k, len(times) - 1))
+        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+        if k == len(times) - 1 or times[k] >= t:
+            vals = self.profile_at(k, x_arr)
+        else:
+            t0, t1 = times[k], times[k + 1]
+            lam = (t - t0) / (t1 - t0)
+            vals = (1.0 - lam) * self.profile_at(k, x_arr) + lam * self.profile_at(k + 1, x_arr)
+        outside = (x_arr <= self.g_of(t)) | (x_arr >= self.h_of(t))
+        vals[outside] = 0.0
+        if np.ndim(x) == 0:
+            return float(vals[0])
+        return vals

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frontlab import cli, problem, runio
+from frontlab import cli, kernels, problem, runio
 
 
 @pytest.fixture()
@@ -80,6 +80,37 @@ def test_solve_nonlocal_coarse_grid_exit_3(stefan_cfg, tmp_path):
     err = json.loads((out / "error.json").read_text())
     assert err["code"] == "resolution_too_coarse"
     assert set(err) == {"code", "message", "time_of_failure"}
+
+
+@pytest.mark.parametrize(
+    "rows, code, message",
+    [
+        # Unit mass sits in a sliver at 0: the second moment vanishes.
+        ("0 1\n1e-6 0\n1 0\n", "degenerate_kernel", "second moment"),
+        ("0 1\n0.5 nan\n1 0\n", "bad_manifest", "finite"),
+    ],
+)
+@pytest.mark.parametrize("dt", [None, "1e-3"])
+def test_solve_bad_kernel_file_exit_2(stefan_cfg, tmp_path, rows, code, message, dt):
+    kern = tmp_path / "kern.txt"
+    kern.write_text(rows)
+    out = tmp_path / "run"
+    argv = ["solve", "--config", str(stefan_cfg), "--solver", "nonlocal",
+            "--out", str(out), "--kernel-file", str(kern)]
+    assert cli.main(argv + ([] if dt is None else ["--dt", dt])) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["code"] == code
+    assert message in err["message"]
+    assert not (out / "boundary.csv").exists()
+
+
+def test_converge_degenerate_kernel_exit_2(stefan_cfg, tmp_path):
+    kernel = kernels.KernelSpec("custom", table=np.array([[0.0, 1.0], [1e-6, 0.0], [1.0, 0.0]]))
+    out = tmp_path / "sweep"
+    code = cli.cmd_converge(str(stefan_cfg), [0.2, 0.1, 0.05], str(out), kernel=kernel,
+                            reference_nx=64, reference_dt=1e-3)
+    assert code == 2
+    assert json.loads((out / "error.json").read_text())["code"] == "degenerate_kernel"
 
 
 def test_solve_nonlocal_run(stefan_cfg, tmp_path):

@@ -166,6 +166,17 @@ def test_invalid_tables_rejected():
         K.KernelSpec("custom", table=np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("cell", [(1, 0), (1, 1)])
+def test_non_finite_tables_rejected(bad, cell):
+    # Every comparison with NaN is False, so only an explicit finiteness
+    # check stops such a table before it reaches the quadratures.
+    tab = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
+    tab[cell] = bad
+    with pytest.raises(ValueError, match="finite"):
+        K.KernelSpec("custom", table=tab)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     vals=st.lists(st.floats(0.1, 5.0), min_size=3, max_size=12),

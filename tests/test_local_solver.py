@@ -87,6 +87,15 @@ def test_step_positivity_loss(stefan_short):
                         velocity_override=(0.0, 0.0))
 
 
+def test_step_nan_value_is_positivity_loss(stefan_short):
+    # NaN compares False with everything, so a guard written as
+    # "min < floor" would let it through.
+    state = L.initial_state(stefan_short, 64)
+    state.values[32] = np.nan
+    with pytest.raises(PositivityLoss):
+        L.step(state, 1e-4, stefan_short)
+
+
 def test_manufactured_solution_convergence(stefan_short):
     # Frozen boundaries, forcing chosen so v*(t,x) = exp(-t)(1 - x^2) is exact.
     vconf = P.validate(P.symmetric_stefan(T=0.1))

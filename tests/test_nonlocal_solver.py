@@ -7,7 +7,13 @@ from hypothesis.extra import numpy as hnp
 from frontlab import kernels as K
 from frontlab import nonlocal_solver as NL
 from frontlab import problem as P
-from frontlab.errors import CflViolation, DomainTooSmall, OutOfHorizon, ResolutionTooCoarse
+from frontlab.errors import (
+    CflViolation,
+    DomainTooSmall,
+    OutOfHorizon,
+    PositivityLoss,
+    ResolutionTooCoarse,
+)
 
 EPAN = K.KernelSpec("epanechnikov")
 MOD = NL.NonlocalVariant("modified", beta=0.5)
@@ -251,6 +257,37 @@ def test_step_preserves_positivity(u, stefan_vconf):
     dt = min(dt, 0.4)  # keep dt * L0 in bounds for the zero reaction
     new = NL.step(state, dt, stefan_vconf, EPAN, eps, MOD)
     assert np.min(new.values) >= 0.0
+
+
+def test_step_nan_value_is_positivity_loss(stefan_vconf):
+    # NaN compares False with everything, so a guard written as
+    # "min < floor" would let it through.
+    state = NL.initial_state(stefan_vconf, dx=0.1 / 16, extent=2.0)
+    state.values[state.values.size // 2] = np.nan
+    with pytest.raises(PositivityLoss):
+        NL.step(state, 5e-4, stefan_vconf, EPAN, 0.1, MOD)
+
+
+def test_step_does_not_depend_on_grid_extent(stefan_vconf):
+    # Positions are indexed by global node, so zeros padded beyond the
+    # fronts change nothing, to the last bit.
+    eps = 0.05
+    dx = eps / 16
+    pad = 4096
+    extent = stefan_vconf.h0 + MOD.offset(eps) + 2 * eps  # as solve starts its grid
+    tight = NL.initial_state(stefan_vconf, dx=dx, extent=extent)
+    wide = NL.EulerianState(
+        tight.t, tight.g, tight.h, dx, tight.j_min - pad,
+        np.concatenate([np.zeros(pad), tight.values, np.zeros(pad)]),
+    )
+    for _ in range(40):
+        tight = NL.step(tight, 1e-4, stefan_vconf, EPAN, eps, MOD)
+        wide = NL.step(wide, 1e-4, stefan_vconf, EPAN, eps, MOD)
+    assert tight.g == wide.g and tight.h == wide.h
+    lo_t, hi_t = NL._active_window(tight)
+    lo_w, hi_w = NL._active_window(wide)
+    assert tight.j_min + lo_t == wide.j_min + lo_w
+    assert np.array_equal(tight.values[lo_t:hi_t], wide.values[lo_w:hi_w])
 
 
 def test_step_quiescent_boundaries_unchanged(stefan_vconf):
