@@ -9,18 +9,27 @@ Subcommands:
     verify    run a named property suite at desk-scale resolutions and print
               a pass/fail table
 
-Exit codes: 0 success, 2 inadmissible input (violations are listed), 3
-solver failure (a machine-readable error JSON is written next to the run).
-Everything is deterministic; rerunning a manifest reproduces files byte for
-byte.
+Exit codes: 0 success, 2 inadmissible input, 3 solver failure.  On every
+exit-2 or exit-3 failure both ``solve`` and ``converge`` write
+``error.json`` (``{code, message, time_of_failure}``) into the output
+directory.  Exit 2 codes: ``bad_config`` (the config file cannot be read or
+parsed), ``invalid_config`` (it violates the hypotheses; the violated rules
+are listed), ``bad_manifest`` (an inadmissible option value or eps list),
+and the code of any other package error (``degenerate_kernel``,
+``degenerate_fit``, ...).  Exit 3 codes are the solver failures
+(``resolution_too_coarse``, ``domain_too_small``, ``positivity_loss``,
+``degenerate_domain``, ``cfl_violation``), which also record
+``time_of_failure``.  Everything is deterministic; rerunning a command
+reproduces files byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,120 +40,149 @@ from .errors import FrontlabError, SolverError
 VERIFY_SUITES = ("kernel", "local", "nonlocal", "sandwich", "mass", "all")
 
 
-@dataclass
-class RunManifest:
-    config_path: str
-    solver: str
-    out_dir: str
-    preset: str = "none"
-    gamma1: float = 0.4
-    eps: float = 0.1
-    variant: str = "modified"
-    beta: float = 0.5
-    c1: float | None = None
-    kernel: str = "epanechnikov"
-    kernel_file: str | None = None
-    nx: int = 512
-    dx: float | None = None
-    dt: float | None = None
-    cfl_sigma: float = 0.5
-    snapshots: int = 65
+def _fail(out: Path, code: str, message, status: int = 2, time_of_failure=None) -> int:
+    runio.write_error_json(code, str(message), time_of_failure, out / "error.json")
+    print(f"error ({code}): {message}", file=sys.stderr)
+    return status
 
 
-def _load_kernel(manifest) -> kernels.KernelSpec:
-    if manifest.kernel_file:
-        return kernels.from_file(manifest.kernel_file)
-    return kernels.KernelSpec(manifest.kernel)
+def _guarded(config_path: str, out_dir: str, run) -> int:
+    """Load and validate the config, return ``run(vconf, out)``; map failures.
 
-
-def _variant(manifest) -> nonlocal_solver.NonlocalVariant:
-    if manifest.variant == "unmodified":
-        if manifest.c1 is None:
-            raise ValueError("unmodified variant requires --c1")
-        return nonlocal_solver.NonlocalVariant("unmodified", c1=manifest.c1)
-    return nonlocal_solver.NonlocalVariant("modified", beta=manifest.beta)
-
-
-def cmd_solve(manifest: RunManifest) -> int:
-    out = Path(manifest.out_dir)
+    The one failure path of ``solve`` and ``converge``: every exit-2 or
+    exit-3 failure writes ``out/error.json`` (see the module docstring).
+    """
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        config = problem.load_config(manifest.config_path)
+        config = problem.load_config(config_path)
     except (OSError, ValueError) as exc:
-        runio.write_error_json("bad_config", str(exc), None, out / "error.json")
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(out, "bad_config", exc)
     vconf = problem.validate(config)
     if not vconf.ok:
-        message = "; ".join(vconf.violations)
-        runio.write_error_json("invalid_config", message, None, out / "error.json")
-        print(f"inadmissible config: {message}", file=sys.stderr)
-        return 2
-
+        return _fail(out, "invalid_config", "; ".join(vconf.violations))
     try:
-        if manifest.solver == "local":
-            knobs = local_solver.preset_knobs(manifest.preset, manifest.eps, manifest.gamma1)
-            sol = local_solver.solve(vconf, knobs, n_cells=manifest.nx, dt=manifest.dt)
+        return run(vconf, out)
+    except SolverError as exc:
+        return _fail(out, exc.code, exc, 3, exc.time_of_failure)
+    except FrontlabError as exc:
+        return _fail(out, exc.code, exc)
+    except ValueError as exc:
+        return _fail(out, "bad_manifest", exc)
+
+
+def _variant(kind: str, beta: float, c1: float | None) -> nonlocal_solver.NonlocalVariant:
+    if kind == "unmodified":
+        if c1 is None:
+            raise ValueError("unmodified variant requires --c1")
+        return nonlocal_solver.NonlocalVariant("unmodified", c1=c1)
+    return nonlocal_solver.NonlocalVariant("modified", beta=beta)
+
+
+def _nonlocal_meta(sol, kernel: kernels.KernelSpec, cfl_sigma: float) -> dict:
+    variant = sol.variant
+    return {
+        "solver": "nonlocal",
+        "eps": sol.eps,
+        "variant": variant.kind,
+        "beta": variant.beta if variant.kind == "modified" else None,
+        "c1": variant.c1,
+        "dx": sol.dx,
+        "dt": sol.dt,
+        "kernel": kernel.family,
+        "cfl_sigma": cfl_sigma,
+    }
+
+
+def cmd_solve(args: argparse.Namespace) -> int:
+    """One local or nonlocal solve from parsed ``solve`` arguments."""
+
+    def run(vconf, out):
+        if args.solver == "local":
+            knobs = local_solver.preset_knobs(args.preset, args.eps, args.gamma1)
+            sol = local_solver.solve(vconf, knobs, n_cells=args.nx, dt=args.dt)
             meta = {
                 "solver": "local",
-                "preset": manifest.preset,
-                "gamma1": manifest.gamma1,
-                "eps": manifest.eps,
-                "nx": manifest.nx,
+                "preset": args.preset,
+                "gamma1": args.gamma1,
+                "eps": args.eps,
+                "nx": args.nx,
                 "dt": sol.dt,
-                "horizon": sol.horizon,
             }
-        elif manifest.solver == "nonlocal":
-            kernel = _load_kernel(manifest)
-            variant = _variant(manifest)
+        else:
+            if args.kernel_file:
+                kernel = kernels.from_file(args.kernel_file)
+            else:
+                kernel = kernels.KernelSpec(args.kernel)
             sol = nonlocal_solver.solve(
                 vconf,
                 kernel,
-                eps=manifest.eps,
-                variant=variant,
-                dx=manifest.dx,
-                dt=manifest.dt,
-                cfl_sigma=manifest.cfl_sigma,
+                eps=args.eps,
+                variant=_variant(args.variant, args.beta, args.c1),
+                dx=args.dx,
+                dt=args.dt,
+                cfl_sigma=args.cfl_sigma,
             )
-            meta = {
-                "solver": "nonlocal",
-                "eps": sol.eps,
-                "variant": variant.kind,
-                "beta": variant.beta if variant.kind == "modified" else None,
-                "c1": variant.c1,
-                "dx": sol.dx,
-                "dt": sol.dt,
-                "kernel": manifest.kernel if not manifest.kernel_file else "custom",
-                "cfl_sigma": manifest.cfl_sigma,
-                "horizon": sol.horizon,
-            }
-        else:
-            raise ValueError(f"unknown solver {manifest.solver!r}")
+            meta = _nonlocal_meta(sol, kernel, args.cfl_sigma)
         runio.write_boundary_csv(sol, out / "boundary.csv")
         for k in range(len(sol.snapshots)):
             x, v = sol.snapshot_nodes(k)
             runio.write_snapshot_csv(x, v, out / f"snapshot_{k:03d}.csv")
+        meta["horizon"] = sol.horizon
         meta["snapshot_times"] = [float(t) for t in sol.snapshot_times]
         runio.write_metadata_json(meta, out / "metadata.json")
-    except SolverError as exc:
-        runio.write_error_json(exc.code, str(exc), exc.time_of_failure, out / "error.json")
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
-    except FrontlabError as exc:
-        runio.write_error_json(exc.code, str(exc), None, out / "error.json")
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        runio.write_error_json("bad_manifest", str(exc), None, out / "error.json")
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        return 0
+
+    return _guarded(args.config, args.out, run)
 
 
-def _nonlocal_run(vconf, kernel, eps, variant, dx_ratio, cfl_sigma):
+def _nonlocal_run(eps, vconf, kernel, variant, dx_ratio, cfl_sigma):
     return nonlocal_solver.solve(
         vconf, kernel, eps=eps, variant=variant, dx=eps / dx_ratio, cfl_sigma=cfl_sigma
     )
+
+
+def _sweep(vconf, out, eps_list, variant, kernel, reference_nx, reference_dt, dx_ratio,
+           cfl_sigma, jobs) -> int:
+    eps_values = list(eps_list)
+    if (len(eps_values) < 3 or len(set(eps_values)) < len(eps_values)
+            or not all(0.0 < eps < math.inf for eps in eps_values)):
+        raise ValueError(
+            f"a rate fit needs at least 3 distinct, positive, finite eps values, got {eps_values}"
+        )
+    reference = local_solver.solve(vconf, n_cells=reference_nx, dt=reference_dt)
+    runio.write_boundary_csv(reference, out / "reference" / "boundary.csv")
+    runio.write_metadata_json(
+        {"solver": "local", "nx": reference_nx, "dt": reference.dt},
+        out / "reference" / "metadata.json",
+    )
+    run = functools.partial(
+        _nonlocal_run, vconf=vconf, kernel=kernel, variant=variant, dx_ratio=dx_ratio,
+        cfl_sigma=cfl_sigma,
+    )
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            sols = list(pool.map(run, eps_values))
+    else:
+        sols = list(map(run, eps_values))
+
+    rows = []
+    for eps, sol in zip(eps_values, sols):
+        report = analysis.sup_error(sol, reference)
+        rows.append((eps, report.overall_sup, report.boundary_sup[0], report.boundary_sup[1]))
+        run_dir = out / f"eps_{eps:g}"
+        runio.write_boundary_csv(sol, run_dir / "boundary.csv")
+        runio.write_metadata_json(_nonlocal_meta(sol, kernel, cfl_sigma), run_dir / "metadata.json")
+        runio.atomic_write_text(run_dir / "errors.json", report.to_json() + "\n")
+
+    runio.write_sweep_csv(rows, out / "sweep.csv")
+    fit = analysis.fit_rate([(r[0], r[1]) for r in rows])
+    runio.atomic_write_text(out / "ratefit.json", fit.to_json() + "\n")
+    runio.atomic_write_text(out / "ratefit.csv", fit.to_csv())
+    for eps, sup, ge, he in rows:
+        print(f"eps={eps:g}: sup_error={sup:.6g} g_error={ge:.6g} h_error={he:.6g}")
+    print(f"gamma_hat={fit.gamma_hat:.4f} r_squared={fit.r_squared:.4f}")
+    return 0
 
 
 def cmd_converge(
@@ -160,89 +198,14 @@ def cmd_converge(
     jobs: int = 1,
 ) -> int:
     """Local reference plus one nonlocal run per eps; errors, CSV, rate fit."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if len(eps_list) < 3:
-        print("error: need at least 3 eps values for a rate fit", file=sys.stderr)
-        return 2
-    try:
-        config = problem.load_config(config_path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    vconf = problem.validate(config)
-    if not vconf.ok:
-        print("inadmissible config: " + "; ".join(vconf.violations), file=sys.stderr)
-        return 2
-    kernel = kernel if kernel is not None else kernels.KernelSpec("epanechnikov")
     variant = variant if variant is not None else nonlocal_solver.NonlocalVariant()
+    kernel = kernel if kernel is not None else kernels.KernelSpec("epanechnikov")
 
-    try:
-        reference = local_solver.solve(vconf, n_cells=reference_nx, dt=reference_dt)
-        runio.write_boundary_csv(reference, out / "reference" / "boundary.csv")
-        runio.write_metadata_json(
-            {"solver": "local", "nx": reference_nx, "dt": reference.dt},
-            out / "reference" / "metadata.json",
-        )
+    def run(vconf, out):
+        return _sweep(vconf, out, eps_list, variant, kernel, reference_nx, reference_dt,
+                      dx_ratio, cfl_sigma, jobs)
 
-        eps_values = list(eps_list)
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                sols = list(
-                    pool.map(
-                        _nonlocal_run,
-                        [vconf] * len(eps_values),
-                        [kernel] * len(eps_values),
-                        eps_values,
-                        [variant] * len(eps_values),
-                        [dx_ratio] * len(eps_values),
-                        [cfl_sigma] * len(eps_values),
-                    )
-                )
-        else:
-            sols = [
-                _nonlocal_run(vconf, kernel, eps, variant, dx_ratio, cfl_sigma)
-                for eps in eps_values
-            ]
-    except SolverError as exc:
-        runio.write_error_json(exc.code, str(exc), exc.time_of_failure, out / "error.json")
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
-    except FrontlabError as exc:
-        runio.write_error_json(exc.code, str(exc), None, out / "error.json")
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    rows = []
-    for eps, sol in zip(eps_values, sols):
-        report = analysis.sup_error(sol, reference)
-        rows.append((eps, report.overall_sup, report.boundary_sup[0], report.boundary_sup[1]))
-        run_dir = out / f"eps_{eps:g}"
-        runio.write_boundary_csv(sol, run_dir / "boundary.csv")
-        runio.write_metadata_json(
-            {
-                "solver": "nonlocal",
-                "eps": eps,
-                "variant": variant.kind,
-                "beta": variant.beta if variant.kind == "modified" else None,
-                "c1": variant.c1,
-                "dx": sol.dx,
-                "dt": sol.dt,
-                "kernel": kernel.family,
-                "cfl_sigma": cfl_sigma,
-            },
-            run_dir / "metadata.json",
-        )
-        runio.atomic_write_text(run_dir / "errors.json", report.to_json() + "\n")
-
-    runio.write_sweep_csv(rows, out / "sweep.csv")
-    fit = analysis.fit_rate([(r[0], r[1]) for r in rows])
-    runio.atomic_write_text(out / "ratefit.json", fit.to_json() + "\n")
-    runio.atomic_write_text(out / "ratefit.csv", fit.to_csv())
-    for eps, sup, ge, he in rows:
-        print(f"eps={eps:g}: sup_error={sup:.6g} g_error={ge:.6g} h_error={he:.6g}")
-    print(f"gamma_hat={fit.gamma_hat:.4f} r_squared={fit.r_squared:.4f}")
-    return 0
+    return _guarded(config_path, out_dir, run)
 
 
 # -- verification suites ------------------------------------------------------
@@ -424,43 +387,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "solve":
-        manifest = RunManifest(
-            config_path=args.config,
-            solver=args.solver,
-            out_dir=args.out,
-            preset=args.preset,
-            gamma1=args.gamma1,
-            eps=args.eps,
-            variant=args.variant,
-            beta=args.beta,
-            c1=args.c1,
-            kernel=args.kernel,
-            kernel_file=args.kernel_file,
-            nx=args.nx,
-            dx=args.dx,
-            dt=args.dt,
-            cfl_sigma=args.cfl_sigma,
-        )
-        return cmd_solve(manifest)
+        return cmd_solve(args)
     if args.command == "converge":
-        if args.variant == "unmodified":
-            if args.c1 is None:
-                print("error: unmodified variant requires --c1", file=sys.stderr)
-                return 2
-            variant = nonlocal_solver.NonlocalVariant("unmodified", c1=args.c1)
-        else:
-            variant = nonlocal_solver.NonlocalVariant("modified", beta=args.beta)
-        return cmd_converge(
-            config_path=args.config,
-            eps_list=args.eps,
-            out_dir=args.out,
-            variant=variant,
-            kernel=kernels.KernelSpec(args.kernel),
-            reference_nx=args.nx,
-            reference_dt=args.dt,
-            dx_ratio=args.dx_ratio,
-            jobs=args.jobs,
-        )
+
+        def run(vconf, out):
+            variant = _variant(args.variant, args.beta, args.c1)
+            kernel = kernels.KernelSpec(args.kernel)
+            return _sweep(vconf, out, args.eps, variant, kernel, args.nx, args.dt,
+                          args.dx_ratio, cfl_sigma=0.5, jobs=args.jobs)
+
+        return _guarded(args.config, args.out, run)
     return cmd_verify(args.suite)
 
 

@@ -135,6 +135,55 @@ def test_converge_too_few_eps_exit_2(stefan_cfg, tmp_path):
     assert code == 2
 
 
+SWEEP_ARGS = ["--eps", "0.2", "--eps", "0.1", "--eps", "0.05",
+              "--nx", "64", "--dt", "1e-3", "--dx-ratio", "8"]
+
+
+@pytest.mark.parametrize(
+    "config_text, code, message",
+    [
+        (None, "bad_config", "No such file"),
+        ("d = 1\nmu = 1\nh0 = 1\nT = 0.1\n"
+         "reaction.family = zero\ninitial.family = quadratic_bump\ninitial.V = 0\n",
+         "invalid_config", "(1.2a)"),
+    ],
+    ids=["missing", "invalid"],
+)
+def test_converge_bad_config_writes_error_json(tmp_path, config_text, code, message):
+    cfg = tmp_path / "sweep.cfg"
+    if config_text is not None:
+        cfg.write_text(config_text)
+    out = tmp_path / "sweep"
+    assert cli.main(["converge", "--config", str(cfg), "--out", str(out)] + SWEEP_ARGS) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["code"] == code
+    assert message in err["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--beta", "2"], "beta must lie in (0, 1)"),
+        (["--kernel", "bogus"], "unknown kernel family"),
+        (["--variant", "unmodified"], "requires --c1"),
+        (["--nx", "8"], "at least 32 cells"),
+        (["--eps", "-0.05"], "positive, finite"),
+        (["--eps", "nan"], "positive, finite"),
+        (["--eps", "0.1"], "distinct"),
+    ],
+    ids=["beta", "kernel", "no-c1", "nx", "negative-eps", "nan-eps", "repeated-eps"],
+)
+def test_converge_bad_arguments_exit_2(stefan_cfg, tmp_path, extra, message):
+    out = tmp_path / "sweep"
+    argv = ["converge", "--config", str(stefan_cfg), "--out", str(out)] + SWEEP_ARGS + extra
+    assert cli.main(argv) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["code"] == "bad_manifest"
+    assert message in err["message"]
+    assert not (out / "reference").exists()  # rejected before any solve
+
+
 def test_converge_sweep_outputs_and_monotone_errors(stefan_cfg, tmp_path, capsys):
     out = tmp_path / "sweep"
     code = cli.main(
@@ -177,6 +226,14 @@ def test_verify_kernel_suite(capsys):
     assert cli.cmd_verify("kernel") == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_verify_all_suites(capsys):
+    assert cli.cmd_verify("all") == 0
+    out = capsys.readouterr().out
+    for suite in ("kernel", "local", "nonlocal", "sandwich", "mass"):
+        assert f"[PASS] {suite}:" in out
+    assert "[FAIL]" not in out
 
 
 def test_verify_flag_alias(capsys):
