@@ -32,12 +32,10 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
-from . import analysis, kernels, local_solver, nonlocal_solver, problem, runio
+from . import analysis, checks, kernels, local_solver, nonlocal_solver, problem, runio
 from .errors import FrontlabError, SolverError
 
-VERIFY_SUITES = ("kernel", "local", "nonlocal", "sandwich", "mass", "all")
+VERIFY_SUITES = (*checks.SUITES, "all")
 
 
 def _fail(out: Path, code: str, message, status: int = 2, time_of_failure=None) -> int:
@@ -145,11 +143,15 @@ def _nonlocal_run(eps, vconf, kernel, variant, dx_ratio, cfl_sigma):
 def _sweep(vconf, out, eps_list, variant, kernel, reference_nx, reference_dt, dx_ratio,
            cfl_sigma, jobs) -> int:
     eps_values = list(eps_list)
-    if (len(eps_values) < 3 or len(set(eps_values)) < len(eps_values)
+    run_dirs = [f"eps_{eps:g}" for eps in eps_values]
+    if (len(eps_values) < 3 or len(set(run_dirs)) < len(run_dirs)
             or not all(0.0 < eps < math.inf for eps in eps_values)):
         raise ValueError(
-            f"a rate fit needs at least 3 distinct, positive, finite eps values, got {eps_values}"
+            f"a rate fit needs at least 3 distinct, positive, finite eps values, each with its "
+            f"own run dir eps_<eps:g>, got {eps_values}"
         )
+    if not 0.0 < dx_ratio < math.inf:
+        raise ValueError(f"dx_ratio must be positive and finite, got {dx_ratio}")
     reference = local_solver.solve(vconf, n_cells=reference_nx, dt=reference_dt)
     runio.write_boundary_csv(reference, out / "reference" / "boundary.csv")
     runio.write_metadata_json(
@@ -167,10 +169,10 @@ def _sweep(vconf, out, eps_list, variant, kernel, reference_nx, reference_dt, dx
         sols = list(map(run, eps_values))
 
     rows = []
-    for eps, sol in zip(eps_values, sols):
+    for eps, name, sol in zip(eps_values, run_dirs, sols):
         report = analysis.sup_error(sol, reference)
         rows.append((eps, report.overall_sup, report.boundary_sup[0], report.boundary_sup[1]))
-        run_dir = out / f"eps_{eps:g}"
+        run_dir = out / name
         runio.write_boundary_csv(sol, run_dir / "boundary.csv")
         runio.write_metadata_json(_nonlocal_meta(sol, kernel, cfl_sigma), run_dir / "metadata.json")
         runio.atomic_write_text(run_dir / "errors.json", report.to_json() + "\n")
@@ -208,130 +210,12 @@ def cmd_converge(
     return _guarded(config_path, out_dir, run)
 
 
-# -- verification suites ------------------------------------------------------
-
-
-def _check_kernel_suite():
-    epan = kernels.KernelSpec("epanechnikov")
-    tri = kernels.KernelSpec("triangle")
-    quart = kernels.KernelSpec("quartic")
-    checks = [
-        ("c_star(epanechnikov) = 10", abs(kernels.c_star(epan) - 10.0) <= 1e-10),
-        ("c_zero(epanechnikov) = 16/3", abs(kernels.c_zero(epan) - 16.0 / 3.0) <= 1e-10),
-        ("c_star(triangle) = 12", abs(kernels.c_star(tri) - 12.0) <= 1e-10),
-        ("c_zero(triangle) = 6", abs(kernels.c_zero(tri) - 6.0) <= 1e-10),
-    ]
-    for kern, name in ((epan, "epanechnikov"), (tri, "triangle"), (quart, "quartic")):
-        checks.append(
-            (f"c_zero < c_star ({name})", kernels.c_zero(kern) < kernels.c_star(kern))
-        )
-        checks.append(
-            (f"tail weight W(0) = 1/2 ({name})",
-             abs(kernels.boundary_weight(kern, 0.0) - 0.5) <= 1e-12)
-        )
-    return checks
-
-
-def _check_local_suite():
-    vconf = problem.validate(problem.symmetric_stefan(T=0.2))
-    sol = local_solver.solve(vconf, n_cells=256, dt=2e-4)
-    rows = analysis.mass_residual(sol, vconf, vconf.d / vconf.mu)
-    inert = local_solver.solve(vconf, local_solver.preset_knobs("i1", 0.0), n_cells=64, dt=5e-4)
-    plain = local_solver.solve(vconf, n_cells=64, dt=5e-4)
-    identical = all(
-        np.array_equal(a.values, b.values) for a, b in zip(inert.snapshots, plain.snapshots)
-    )
-    return [
-        ("boundaries move monotonically", bool(np.all(np.diff(sol.boundary_h) > 0.0))),
-        ("symmetry defect <= 1e-10", analysis.symmetry_defect(sol, 16, 512) <= 1e-10),
-        ("values stay nonnegative",
-         min(float(np.min(s.values)) for s in sol.snapshots) >= 0.0),
-        ("mass residual <= 1e-3", float(np.max(np.abs(rows[:, 1]))) <= 1e-3),
-        ("eps = 0 knobs are inert bit-for-bit", identical),
-    ]
-
-
-def _check_nonlocal_suite():
-    epan = kernels.KernelSpec("epanechnikov")
-    eps = 0.1
-    dx = eps / 32.0
-    jm = int(round(2.5 / dx))
-    x = np.arange(-jm, jm + 1) * dx
-    u = np.where((x > -2.0) & (x < 2.0), x * x, 0.0)
-    state = nonlocal_solver.EulerianState(0.0, -2.0, 2.0, dx, -jm, u)
-    op = nonlocal_solver.apply_nonlocal_operator(state, epan, eps, d=1.0)
-    interior = (x > -2.0 + 1.5 * eps) & (x < 2.0 - 1.5 * eps)
-    op_err = float(np.max(np.abs(op[interior] - 2.0)))
-
-    const = nonlocal_solver.EulerianState(0.0, -2.0, 2.0, dx, -jm, np.ones_like(u))
-    flux = nonlocal_solver.boundary_flux(
-        const, epan, eps, 1.0, nonlocal_solver.NonlocalVariant("modified", beta=0.5), "right"
-    )
-    flux_err = abs(flux - eps**-0.5) * eps**0.5
-
-    vconf = problem.validate(problem.symmetric_stefan(T=0.1))
-    sol = nonlocal_solver.solve(vconf, epan, eps=0.1)
-    return [
-        ("operator consistency on x^2 <= 0.04", op_err <= 0.04),
-        ("constant-profile flux matches tail identity", flux_err <= 1e-6),
-        ("symmetric run stays symmetric", analysis.symmetry_defect(sol, 16, 512) <= 1e-10),
-        ("values stay nonnegative",
-         min(float(np.min(s.values)) for s in sol.snapshots) >= 0.0),
-    ]
-
-
-def _check_sandwich_suite():
-    vconf = problem.validate(problem.symmetric_stefan(T=0.3))
-    eps, gamma1 = 0.05, 0.4
-    kw = dict(n_cells=512, dt=2e-4)
-    upper = local_solver.solve(vconf, local_solver.preset_knobs("i1", eps, gamma1), **kw)
-    lower = local_solver.solve(vconf, local_solver.preset_knobs("i2", eps, gamma1), **kw)
-    mid = local_solver.solve(vconf, **kw)
-    local_rep = analysis.sandwich_check(lower, mid, upper, tol=1e-5, time_samples=33)
-    epan = kernels.KernelSpec("epanechnikov")
-    nl = nonlocal_solver.solve(vconf, epan, eps=eps, dx=eps / 8.0)
-    slack = 10.0 * eps**gamma1 * vconf.sup_v0
-    nl_rep = analysis.sandwich_check(lower, nl, upper, tol=slack, time_samples=33)
-    return [
-        ("perturbed local runs bracket the plain one", local_rep.ok),
-        ("nonlocal run sits between perturbed local runs", nl_rep.ok),
-    ]
-
-
-def _check_mass_suite():
-    epan = kernels.KernelSpec("epanechnikov")
-    vconf = problem.validate(problem.symmetric_stefan(T=0.3))
-    local_sol = local_solver.solve(vconf, n_cells=256, dt=2e-4)
-    local_rows = analysis.mass_residual(local_sol, vconf, vconf.d / vconf.mu)
-    c_star = kernels.c_star(epan)
-    right = nonlocal_solver.solve(
-        vconf, epan, eps=0.1, variant=nonlocal_solver.NonlocalVariant("unmodified", c1=c_star)
-    )
-    wrong = nonlocal_solver.solve(
-        vconf, epan, eps=0.1,
-        variant=nonlocal_solver.NonlocalVariant("unmodified", c1=0.5 * c_star),
-    )
-    r_right = float(np.max(np.abs(analysis.mass_residual(right, vconf, 1.0)[:, 1])))
-    r_wrong = float(np.max(np.abs(analysis.mass_residual(wrong, vconf, 1.0)[:, 1])))
-    return [
-        ("local mass residual <= 1e-3", float(np.max(np.abs(local_rows[:, 1]))) <= 1e-3),
-        ("halved flux constant inflates the residual >= 5x", r_wrong >= 5.0 * r_right),
-    ]
-
-
 def cmd_verify(suite: str = "all") -> int:
     """Run a named property suite; print a pass/fail table; 0 iff all pass."""
-    builders = {
-        "kernel": _check_kernel_suite,
-        "local": _check_local_suite,
-        "nonlocal": _check_nonlocal_suite,
-        "sandwich": _check_sandwich_suite,
-        "mass": _check_mass_suite,
-    }
-    names = list(builders) if suite == "all" else [suite]
+    names = list(checks.SUITES) if suite == "all" else [suite]
     all_ok = True
     for name in names:
-        for label, ok in builders[name]():
+        for label, ok in checks.SUITES[name]():
             all_ok &= bool(ok)
             print(f"[{'PASS' if ok else 'FAIL'}] {name}: {label}")
     return 0 if all_ok else 1

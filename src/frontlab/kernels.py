@@ -80,7 +80,10 @@ class KernelSpec:
 
 def from_file(path, quadrature_points: int = 256) -> KernelSpec:
     """Load a custom kernel from a two-column text file (z, J(z))."""
-    tab = np.loadtxt(path, dtype=float, ndmin=2)
+    try:
+        tab = np.loadtxt(path, dtype=float, ndmin=2)
+    except OSError as exc:
+        raise ValueError(f"cannot read kernel file {path}: {exc}") from exc
     return KernelSpec(family="custom", table=tab, quadrature_points=quadrature_points)
 
 

@@ -437,6 +437,8 @@ def solve(
         raise ValueError("eps must be positive")
     if dx is None:
         dx = eps / 16.0
+    if not 0.0 < dx < math.inf:
+        raise ValueError(f"dx must be positive and finite, got {dx}")
     _require_resolution(dx, eps, 0.0)
     offset = variant.offset(eps)
     if 2.0 * (offset + eps) >= 2.0 * vconf.h0:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from frontlab import analysis as A
+from frontlab import checks as C
 from frontlab import cli
 from frontlab import kernels as K
 from frontlab import local_solver as L
@@ -70,37 +71,15 @@ def test_criterion_1_kernel_constants():
     report(1, "kernel constants and flux/operator ordering", ok)
 
 
-def quadratic_operator_error(eps: float) -> float:
-    dx = eps / 32.0
-    jm = int(round(2.5 / dx))
-    x = np.arange(-jm, jm + 1) * dx
-    u = np.where((x > -2.0) & (x < 2.0), x * x, 0.0)
-    state = NL.EulerianState(0.0, -2.0, 2.0, dx, -jm, u)
-    out = NL.apply_nonlocal_operator(state, EPAN, eps, d=1.0)
-    interior = (x > -2.0 + 1.5 * eps) & (x < 2.0 - 1.5 * eps)
-    return float(np.max(np.abs(out[interior] - 2.0)))
-
-
-def sine_operator_error(eps: float) -> float:
-    dx = eps / 32.0
-    jm = int(round(2.5 / dx))
-    x = np.arange(-jm, jm + 1) * dx
-    u = np.where((x > -2.0) & (x < 2.0), np.sin(x), 0.0)
-    state = NL.EulerianState(0.0, -2.0, 2.0, dx, -jm, u)
-    out = NL.apply_nonlocal_operator(state, EPAN, eps, d=1.0)
-    interior = (x > -2.0 + 1.5 * eps) & (x < 2.0 - 1.5 * eps)
-    return float(np.max(np.abs(out[interior] + np.sin(x[interior]))))
-
-
 def test_criterion_2_operator_consistency():
-    e_quad = quadratic_operator_error(0.1)
-    e_quad_half = quadratic_operator_error(0.05)
+    e_quad = C.operator_error(0.1, np.square, lambda x: 2.0)
+    e_quad_half = C.operator_error(0.05, np.square, lambda x: 2.0)
     ok = e_quad <= 0.04
     # The moment-matched stencil is exact on quadratics, so both errors sit at
     # the rounding floor; accept either a strict decrease or both at floor.
     ok &= (e_quad_half < e_quad) or max(e_quad, e_quad_half) <= 1e-8
-    e_sin = sine_operator_error(0.1)
-    e_sin_half = sine_operator_error(0.05)
+    e_sin = C.operator_error(0.1, np.sin, lambda x: -np.sin(x))
+    e_sin_half = C.operator_error(0.05, np.sin, lambda x: -np.sin(x))
     ok &= e_sin <= 0.02 and e_sin_half < e_sin
     report(2, f"operator consistency (x^2 err {e_quad:.2e}, sin ratio "
               f"{e_sin / e_sin_half:.2f})", ok)
@@ -108,20 +87,12 @@ def test_criterion_2_operator_consistency():
 
 def test_criterion_3_constant_profile_flux():
     eps = 0.05
-    dx = eps / 16.0
-    jm = int(round(3.0 / dx))
-    values = np.ones(2 * jm + 1)
-    state = NL.EulerianState(0.0, -2.0, 2.0, dx, -jm, values)
+    variants = (NL.NonlocalVariant("modified", beta=0.5),
+                NL.NonlocalVariant("unmodified", c1=K.c_star(EPAN)))
     ok = True
     for mu in (1.0, 2.5):
-        h_dot = NL.boundary_flux(
-            state, EPAN, eps, mu, NL.NonlocalVariant("modified", beta=0.5), "right"
-        )
-        ok &= abs(h_dot - mu * eps**-0.5) <= 1e-6 * mu * eps**-0.5
-        unmod = NL.NonlocalVariant("unmodified", c1=K.c_star(EPAN))
-        h_dot2 = NL.boundary_flux(state, EPAN, eps, mu, unmod, "right")
-        expected = mu * K.c_star(EPAN) / (K.c_zero(EPAN) * eps)
-        ok &= abs(h_dot2 - expected) <= 1e-6 * expected
+        for variant in variants:
+            ok &= C.constant_flux_error(eps, eps / 16.0, mu, variant) <= 1e-6
     report(3, "constant-profile flux matches the tail-mass identity", ok)
 
 
@@ -137,9 +108,7 @@ def test_criterion_4_symmetry(stefan_vconf):
 
 def test_criterion_5_mass_balance(stefan_vconf):
     def residual(n_cells, dt):
-        sol = L.solve(stefan_vconf, n_cells=n_cells, dt=dt)
-        rows = A.mass_residual(sol, stefan_vconf, stefan_vconf.d / stefan_vconf.mu)
-        return float(np.max(np.abs(rows[:, 1])))
+        return C.max_mass_residual(L.solve(stefan_vconf, n_cells=n_cells, dt=dt), stefan_vconf)
 
     coarse = residual(512, 1e-4)
     fine = residual(1024, 5e-5)
@@ -149,18 +118,10 @@ def test_criterion_5_mass_balance(stefan_vconf):
 
 
 def test_criterion_6_sandwich(stefan_vconf):
-    eps, gamma1 = 0.05, 0.4
-    kw = dict(n_cells=1024, dt=1e-4)
-    upper = L.solve(stefan_vconf, L.preset_knobs("i1", eps, gamma1), **kw)
-    lower = L.solve(stefan_vconf, L.preset_knobs("i2", eps, gamma1), **kw)
-    mid = L.solve(stefan_vconf, **kw)
-    local_rep = A.sandwich_check(lower, mid, upper, tol=1e-6)
-    ok = local_rep.ok
-
-    nl = NL.solve(stefan_vconf, EPAN, eps=eps)
-    slack = 10.0 * eps**gamma1 * stefan_vconf.sup_v0
-    nl_rep = A.sandwich_check(lower, nl, upper, tol=slack)
-    ok &= nl_rep.ok
+    local_rep, nl_rep, (lower, nl, upper) = C.sandwich(
+        stefan_vconf, 1024, 1e-4, 16.0, 1e-6, A.DEFAULT_TIME_SAMPLES
+    )
+    ok = local_rep.ok and nl_rep.ok
     # Domain inclusions for the nonlocal middle hold without any slack.
     ts = np.linspace(0.0, 1.0, 64)
     ok &= bool(np.all(lower.g_of(ts) >= nl.g_of(ts) - 1e-9))
@@ -187,22 +148,8 @@ def test_criterion_7_convergence(sweep_dirs):
 
 
 def test_criterion_8_coefficient_necessity(stefan_vconf):
-    c_star = K.c_star(EPAN)
-    eps = 0.05
-
-    def residual(c1):
-        sol = NL.solve(
-            stefan_vconf, EPAN, eps=eps,
-            variant=NL.NonlocalVariant("unmodified", c1=c1),
-        )
-        rows = A.mass_residual(sol, stefan_vconf, stefan_vconf.d / stefan_vconf.mu)
-        return float(np.max(np.abs(rows[:, 1])))
-
-    r_right = residual(c_star)
-    r_wrong = residual(0.5 * c_star)
-    ok = r_wrong >= 5.0 * r_right
-    report(8, f"halving the flux constant inflates the mass residual "
-              f"{r_wrong / r_right:.1f}x", ok)
+    ratio = C.c1_halving_ratio(stefan_vconf, 0.05)
+    report(8, f"halving the flux constant inflates the mass residual {ratio:.1f}x", ratio >= 5.0)
 
 
 def test_criterion_9_determinism(config_files, sweep_dirs, tmp_path_factory):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frontlab import cli, kernels, problem, runio
+from frontlab import checks, cli, kernels, problem, runio
 
 
 @pytest.fixture()
@@ -82,18 +82,33 @@ def test_solve_nonlocal_coarse_grid_exit_3(stefan_cfg, tmp_path):
     assert set(err) == {"code", "message", "time_of_failure"}
 
 
+@pytest.mark.parametrize("dx", ["0", "-0.01"])
+def test_solve_nonlocal_bad_dx_exit_2(stefan_cfg, tmp_path, dx):
+    out = tmp_path / "run"
+    code = cli.main(
+        ["solve", "--config", str(stefan_cfg), "--solver", "nonlocal",
+         "--out", str(out), "--eps", "0.1", f"--dx={dx}"]
+    )
+    assert code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["code"] == "bad_manifest"
+    assert "dx must be positive and finite" in err["message"]
+
+
 @pytest.mark.parametrize(
     "rows, code, message",
     [
         # Unit mass sits in a sliver at 0: the second moment vanishes.
         ("0 1\n1e-6 0\n1 0\n", "degenerate_kernel", "second moment"),
         ("0 1\n0.5 nan\n1 0\n", "bad_manifest", "finite"),
+        (None, "bad_manifest", "cannot read kernel file"),  # no such file
     ],
 )
 @pytest.mark.parametrize("dt", [None, "1e-3"])
 def test_solve_bad_kernel_file_exit_2(stefan_cfg, tmp_path, rows, code, message, dt):
     kern = tmp_path / "kern.txt"
-    kern.write_text(rows)
+    if rows is not None:
+        kern.write_text(rows)
     out = tmp_path / "run"
     argv = ["solve", "--config", str(stefan_cfg), "--solver", "nonlocal",
             "--out", str(out), "--kernel-file", str(kern)]
@@ -171,8 +186,12 @@ def test_converge_bad_config_writes_error_json(tmp_path, config_text, code, mess
         (["--eps", "-0.05"], "positive, finite"),
         (["--eps", "nan"], "positive, finite"),
         (["--eps", "0.1"], "distinct"),
+        (["--eps", "0.1000001"], "own run dir"),
+        (["--dx-ratio", "0"], "dx_ratio must be positive and finite"),
+        (["--dx-ratio", "-8"], "dx_ratio must be positive and finite"),
     ],
-    ids=["beta", "kernel", "no-c1", "nx", "negative-eps", "nan-eps", "repeated-eps"],
+    ids=["beta", "kernel", "no-c1", "nx", "negative-eps", "nan-eps", "repeated-eps",
+         "colliding-eps", "zero-dx-ratio", "negative-dx-ratio"],
 )
 def test_converge_bad_arguments_exit_2(stefan_cfg, tmp_path, extra, message):
     out = tmp_path / "sweep"
@@ -228,12 +247,42 @@ def test_verify_kernel_suite(capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
 
 
+VERIFY_ALL_LINES = [
+    "[PASS] kernel: c_star(epanechnikov) = 10",
+    "[PASS] kernel: c_zero(epanechnikov) = 16/3",
+    "[PASS] kernel: c_star(triangle) = 12",
+    "[PASS] kernel: c_zero(triangle) = 6",
+    "[PASS] kernel: c_zero < c_star (epanechnikov)",
+    "[PASS] kernel: tail weight W(0) = 1/2 (epanechnikov)",
+    "[PASS] kernel: c_zero < c_star (triangle)",
+    "[PASS] kernel: tail weight W(0) = 1/2 (triangle)",
+    "[PASS] kernel: c_zero < c_star (quartic)",
+    "[PASS] kernel: tail weight W(0) = 1/2 (quartic)",
+    "[PASS] local: boundaries move monotonically",
+    "[PASS] local: symmetry defect <= 1e-10",
+    "[PASS] local: values stay nonnegative",
+    "[PASS] local: mass residual <= 1e-3",
+    "[PASS] local: eps = 0 knobs are inert bit-for-bit",
+    "[PASS] nonlocal: operator consistency on x^2 <= 0.04",
+    "[PASS] nonlocal: constant-profile flux matches tail identity",
+    "[PASS] nonlocal: symmetric run stays symmetric",
+    "[PASS] nonlocal: values stay nonnegative",
+    "[PASS] sandwich: perturbed local runs bracket the plain one",
+    "[PASS] sandwich: nonlocal run sits between perturbed local runs",
+    "[PASS] mass: local mass residual <= 1e-3",
+    "[PASS] mass: halved flux constant inflates the residual >= 5x",
+]
+
+
 def test_verify_all_suites(capsys):
     assert cli.cmd_verify("all") == 0
-    out = capsys.readouterr().out
-    for suite in ("kernel", "local", "nonlocal", "sandwich", "mass"):
-        assert f"[PASS] {suite}:" in out
-    assert "[FAIL]" not in out
+    assert capsys.readouterr().out.splitlines() == VERIFY_ALL_LINES
+
+
+def test_verify_failing_check_exit_1(capsys, monkeypatch):
+    monkeypatch.setitem(checks.SUITES, "kernel", lambda: [("holds", True), ("broken", False)])
+    assert cli.cmd_verify("kernel") == 1
+    assert capsys.readouterr().out.splitlines() == ["[PASS] kernel: holds", "[FAIL] kernel: broken"]
 
 
 def test_verify_flag_alias(capsys):
