@@ -152,6 +152,8 @@ def _sweep(vconf, out, eps_list, variant, kernel, reference_nx, reference_dt, dx
         )
     if not 0.0 < dx_ratio < math.inf:
         raise ValueError(f"dx_ratio must be positive and finite, got {dx_ratio}")
+    for eps in eps_values:
+        nonlocal_solver.check_setup(vconf, eps, variant, eps / dx_ratio)
     reference = local_solver.solve(vconf, n_cells=reference_nx, dt=reference_dt)
     runio.write_boundary_csv(reference, out / "reference" / "boundary.csv")
     runio.write_metadata_json(

@@ -23,6 +23,7 @@ from .errors import DegenerateKernel
 BUILTIN_FAMILIES = ("epanechnikov", "triangle", "quartic")
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+QUADRATURE_PANELS = 256  # Gauss-Legendre panels per integral in integrate_against
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +37,6 @@ class KernelSpec:
 
     family: str
     table: np.ndarray | None = None
-    quadrature_points: int = 256
     renormalization: float = field(default=1.0, init=False)
 
     def __post_init__(self):
@@ -56,17 +56,13 @@ class KernelSpec:
                 raise ValueError("table abscissae must ascend within [0, 1]")
             if np.any(tab[:, 1] < 0.0):
                 raise ValueError("kernel values must be nonnegative")
-            object.__setattr__(self, "table", tab)
             mass = 2.0 * _integrate_table(tab, 0.0, 1.0)
             if mass <= 0.0:
                 raise ValueError("custom kernel has zero mass")
-            tab = np.column_stack([z, tab[:, 1] / mass])
-            object.__setattr__(self, "table", tab)
+            object.__setattr__(self, "table", np.column_stack([z, tab[:, 1] / mass]))
             object.__setattr__(self, "renormalization", 1.0 / mass)
         else:
             raise ValueError(f"unknown kernel family: {self.family!r}")
-        if self.quadrature_points < 1:
-            raise ValueError("quadrature_points must be positive")
         if evaluate(self, 0.0) <= 0.0:
             raise ValueError("kernel must be positive at z = 0")
 
@@ -78,13 +74,13 @@ class KernelSpec:
         return np.array([0.0, 1.0])
 
 
-def from_file(path, quadrature_points: int = 256) -> KernelSpec:
+def from_file(path) -> KernelSpec:
     """Load a custom kernel from a two-column text file (z, J(z))."""
     try:
         tab = np.loadtxt(path, dtype=float, ndmin=2)
     except OSError as exc:
         raise ValueError(f"cannot read kernel file {path}: {exc}") from exc
-    return KernelSpec(family="custom", table=tab, quadrature_points=quadrature_points)
+    return KernelSpec(family="custom", table=tab)
 
 
 def _profile(kernel: KernelSpec, z: np.ndarray) -> np.ndarray:
@@ -140,7 +136,7 @@ def integrate_against(kernel: KernelSpec, a: float, b: float, phi=None, breakpoi
     cuts = np.concatenate([kernel.breakpoints(), np.asarray(breakpoints, dtype=float)])
     edges = np.unique(np.clip(np.concatenate([cuts, [a, b]]), a, b))
     total = 0.0
-    n_panels = max(kernel.quadrature_points, len(edges) - 1)
+    n_panels = max(QUADRATURE_PANELS, len(edges) - 1)
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi <= lo:
             continue

@@ -223,6 +223,7 @@ def step(
 
     predictor = np.zeros_like(w)
     predictor[1:-1] = _solve_tridiagonal_symmetric(r0, w[1:-1] + r0 * second + dt * explicit0)
+    check_positivity(predictor, t1)
     np.maximum(predictor, 0.0, out=predictor)
     pred_state = FixedDomainState(
         t=t1, g=state.g + dt * vel0[0], h=state.h + dt * vel0[1], values=predictor

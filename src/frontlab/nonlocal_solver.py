@@ -421,6 +421,21 @@ def initial_state(vconf: ValidatedConfig, dx: float, extent: float) -> EulerianS
     return EulerianState(t=0.0, g=-h0, h=h0, dx=dx, j_min=-j_max, values=values)
 
 
+def check_setup(vconf: ValidatedConfig, eps: float, variant: NonlocalVariant, dx: float):
+    """The checks :func:`solve` makes before its first step, shared so a sweep
+    can reject every eps before it runs anything."""
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    if not 0.0 < dx < math.inf:
+        raise ValueError(f"dx must be positive and finite, got {dx}")
+    _require_resolution(dx, eps, 0.0)
+    offset = variant.offset(eps)
+    if 2.0 * (offset + eps) >= 2.0 * vconf.h0:
+        raise DomainTooSmall(
+            f"offset + eps = {offset + eps:g} leaves no room inside h0 = {vconf.h0:g}", 0.0
+        )
+
+
 def solve(
     vconf: ValidatedConfig,
     kernel: kmod.KernelSpec,
@@ -433,18 +448,8 @@ def solve(
 ) -> NonlocalSolution:
     """March the nonlocal problem from t = 0 to the config horizon."""
     require_valid(vconf)
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if dx is None:
-        dx = eps / 16.0
-    if not 0.0 < dx < math.inf:
-        raise ValueError(f"dx must be positive and finite, got {dx}")
-    _require_resolution(dx, eps, 0.0)
-    offset = variant.offset(eps)
-    if 2.0 * (offset + eps) >= 2.0 * vconf.h0:
-        raise DomainTooSmall(
-            f"offset + eps = {offset + eps:g} leaves no room inside h0 = {vconf.h0:g}", 0.0
-        )
+    dx = eps / 16.0 if dx is None else dx
+    check_setup(vconf, eps, variant, dx)
     d_cstar = vconf.d * kmod.c_star(kernel)
     if dt is None:
         if not 0.0 < cfl_sigma <= 1.0:
@@ -460,7 +465,7 @@ def solve(
 
     if snapshot_times is None:
         snapshot_times = np.linspace(0.0, T, 65)
-    state = initial_state(vconf, dx, vconf.h0 + offset + 2.0 * eps)
+    state = initial_state(vconf, dx, vconf.h0 + variant.offset(eps) + 2.0 * eps)
     snapshots, (times, gs, hs) = march(state, advance, n_steps, dt_eff, snapshot_times)
     return NonlocalSolution(
         snapshots=snapshots,

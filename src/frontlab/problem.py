@@ -14,9 +14,11 @@ Solvers only ever see a :class:`ValidatedConfig`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import NegativeDensity
 
@@ -26,8 +28,9 @@ INITIAL_FAMILIES = ("quadratic_bump", "cosine_bump", "custom_table")
 
 @dataclass(frozen=True)
 class ReactionSpec:
-    """Reaction term f(u). Built-ins are autonomous in (t, x).
+    """Reaction term f(u), a polynomial in u for every family.
 
+    ``zero`` is f = 0, ``fisher_kpp`` is f = a u - b u^2, and
     ``custom_polynomial`` coefficients ascend from the constant term, which
     must be zero for admissibility.
     """
@@ -36,7 +39,6 @@ class ReactionSpec:
     a: float = 1.0
     b: float = 1.0
     coefficients: tuple[float, ...] = ()
-    lipschitz_bound_hint: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,9 +69,10 @@ class ProblemConfig:
 class ValidatedConfig:
     """A ProblemConfig annotated with derived bounds.
 
-    ``violations`` is empty exactly when the config is admissible; ``K`` is a
-    density level above which the reaction is nonpositive and ``L0`` a
-    Lipschitz bound for f on the densities the run can reach.
+    ``violations`` is empty exactly when the config is admissible; ``K`` is
+    the largest u where f changes sign (or 0), so f <= 0 above it, and ``L0``
+    the largest |f'| on the densities the run can reach, [0, u_cap]: at an end
+    or where f'' changes sign.
     """
 
     config: ProblemConfig
@@ -90,35 +93,35 @@ class ValidatedConfig:
         return getattr(self.config, name)
 
 
+def reaction_coefficients(spec: ReactionSpec) -> tuple[float, ...]:
+    """Ascending coefficients of the polynomial f(u); the one family branch."""
+    if spec.family == "zero":
+        return ()
+    if spec.family == "fisher_kpp":
+        return (0.0, spec.a, -spec.b)
+    if spec.family == "custom_polynomial":
+        return tuple(spec.coefficients)
+    raise ValueError(f"unknown reaction family: {spec.family!r}")
+
+
 def eval_reaction(spec: ReactionSpec, t: float, x, u):
-    """f(t, x, u) for u >= 0; raises NegativeDensity on negative input."""
+    """f(t, x, u) for u >= 0; raises NegativeDensity on negative input.
+
+    Horner's rule from the leading coefficient, in place; for fisher_kpp this
+    is ``u * (a - b u)`` bit for bit.
+    """
     u = np.asarray(u, dtype=float)
     if np.any(u < 0.0):
         raise NegativeDensity("reaction evaluated at negative density")
-    if spec.family == "zero":
-        out = np.zeros_like(u)
-    elif spec.family == "fisher_kpp":
-        out = u * (spec.a - spec.b * u)
-    elif spec.family == "custom_polynomial":
-        out = np.zeros_like(u)
-        for c in reversed(spec.coefficients):
-            out = out * u + c
-    else:
-        raise ValueError(f"unknown reaction family: {spec.family!r}")
+    c = reaction_coefficients(spec) or (0.0,)
+    out = u * c[-1] if len(c) > 1 else np.full_like(u, c[0])
+    for ck in c[-2:0:-1]:
+        out += ck
+        out *= u
+    if len(c) > 1 and c[0]:
+        out += c[0]
     if out.ndim == 0:
         return float(out)
-    return out
-
-
-def _reaction_derivative(spec: ReactionSpec, u: np.ndarray) -> np.ndarray:
-    if spec.family == "zero":
-        return np.zeros_like(u)
-    if spec.family == "fisher_kpp":
-        return spec.a - 2.0 * spec.b * u
-    dcoef = [i * c for i, c in enumerate(spec.coefficients)][1:]
-    out = np.zeros_like(u)
-    for c in reversed(dcoef):
-        out = out * u + c
     return out
 
 
@@ -144,31 +147,29 @@ def eval_initial(spec: InitialDataSpec, x):
     return out
 
 
-def _find_reaction_bound(spec: ReactionSpec, violations: list[str]) -> float:
-    """Smallest sampled K with f <= 0 above K; appends an (f2) violation if none."""
-    if spec.family == "zero":
-        return 0.0
-    if spec.family == "fisher_kpp":
-        if spec.b <= 0.0:
-            violations.append("(f2): fisher_kpp requires b > 0")
-            return 0.0
-        return spec.a / spec.b if spec.a > 0.0 else 0.0
-    coeffs = spec.coefficients
-    if not any(c != 0.0 for c in coeffs):
-        return 0.0
-    lead = coeffs[-1]
-    scale = 1.0 + max(abs(c) for c in coeffs) / abs(lead) if lead != 0.0 else 1.0
-    u = np.linspace(1e-9, 10.0 * scale, 4096)
-    f = eval_reaction(spec, 0.0, 0.0, u)
-    nonpos_from = np.where(f > 0.0)[0]
-    if lead >= 0.0 and abs(sum(coeffs)) > 0:
-        # Positive leading coefficient drives f to +infinity.
-        if eval_reaction(spec, 0.0, 0.0, 10.0 * scale) > 0.0:
-            violations.append("(f2): no K found with f <= 0 for u > K")
-            return float("inf")
-    if nonpos_from.size == 0:
-        return 0.0
-    return float(u[nonpos_from[-1]])
+def _sign_changes(c) -> list[float]:
+    """The u > 0 where the polynomial with ascending coefficients c changes
+    sign, ascending.  Each derivative is monotone between the sign changes of
+    the next, so each such interval holds at most one, which bisection finds
+    to the last bit however many decades apart the roots lie."""
+    chain = [c]
+    while len(chain[-1]) > 1:
+        chain.append(P.polyder(chain[-1]))
+    roots = []
+    for p in chain[-2::-1]:  # from the linear derivative up to c itself
+        ends, roots = [0.0, *roots], []
+        for lo, hi in zip(ends, [*ends[1:], None]):
+            s = np.sign(P.polyval(lo, p))
+            if hi is None:  # beyond the last end p heads to sign(p[-1]) * inf
+                hi = np.float64(max(1.0, 2.0 * lo))  # a float64 raises on overflow
+                while s == np.sign(P.polyval(hi, p)) != np.sign(p[-1]):
+                    hi *= 2.0
+            if s == 0.0 or np.sign(P.polyval(hi, p)) == s:
+                continue
+            while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+                lo, hi = (mid, hi) if np.sign(P.polyval(mid, p)) == s else (lo, mid)
+            roots.append(float(hi))
+    return roots
 
 
 def _initial_slopes(spec: InitialDataSpec) -> tuple[float, float]:
@@ -200,9 +201,12 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
     if reaction.family not in REACTION_FAMILIES:
         violations.append(f"(config): unknown reaction family {reaction.family!r}")
         return ValidatedConfig(config=config, violations=tuple(violations))
-    if reaction.family == "custom_polynomial" and reaction.coefficients:
-        if reaction.coefficients[0] != 0.0:
-            violations.append("(f1): f(t,x,0) != 0")
+    coeffs = reaction_coefficients(reaction)
+    if not np.all(np.isfinite(coeffs)):
+        violations.append("(config): reaction coefficients must be finite")
+        return ValidatedConfig(config=config, violations=tuple(violations))
+    if coeffs and coeffs[0] != 0.0:
+        violations.append("(f1): f(t,x,0) != 0")
 
     initial = config.initial
     if initial.family not in INITIAL_FAMILIES:
@@ -229,20 +233,21 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
     else:
         sup_v0 = 0.0
 
-    K = _find_reaction_bound(reaction, violations)
-    u_cap = 1.1 * max(K if np.isfinite(K) else 0.0, sup_v0) + 1.0
-    u = np.linspace(0.0, u_cap, 4096)
-    L0 = float(np.max(np.abs(_reaction_derivative(reaction, u))))
-    if reaction.lipschitz_bound_hint is not None:
-        L0 = max(L0, reaction.lipschitz_bound_hint)
-
-    return ValidatedConfig(
-        config=config,
-        K=K,
-        L0=L0,
-        sup_v0=sup_v0,
-        violations=tuple(violations),
-    )
+    c = P.polytrim(coeffs) if coeffs else np.zeros(1)
+    K = L0 = math.inf
+    if c[-1] > 0.0:
+        violations.append("(f2): no K found with f <= 0 for u > K")
+    else:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                K = max([0.0, *_sign_changes(c)])
+                u_cap = 1.1 * max(K, sup_v0) + 1.0
+                df = P.polyder(c)
+                u = [0.0, u_cap, *(r for r in _sign_changes(P.polyder(df)) if r < u_cap)]
+                L0 = float(np.max(np.abs(P.polyval(u, df))))
+        except FloatingPointError:
+            violations.append("(f2): computing K and L0 overflows the float range")
+    return ValidatedConfig(config, K, L0, sup_v0, tuple(violations))
 
 
 def require_valid(validated: ValidatedConfig) -> ValidatedConfig:
@@ -321,27 +326,14 @@ def load_config(path) -> ProblemConfig:
 
 
 def symmetric_stefan(T: float = 1.0, V: float = 1.0) -> ProblemConfig:
-    """The reference spreading setup: d = mu = h0 = 1, f = 0, quadratic bump."""
-    return ProblemConfig(
-        d=1.0,
-        mu=1.0,
-        h0=1.0,
-        T=T,
-        reaction=ReactionSpec(family="zero"),
-        initial=InitialDataSpec(family="quadratic_bump", V=V, h0=1.0),
-    )
+    """The reference spreading setup, the defaults: d = mu = h0 = 1, f = 0,
+    quadratic bump of height V."""
+    return ProblemConfig(T=T, initial=InitialDataSpec(V=V))
 
 
 def fisher_kpp_config(T: float = 1.0, a: float = 1.0, b: float = 1.0) -> ProblemConfig:
     """Logistic growth on the same symmetric initial bump."""
-    return ProblemConfig(
-        d=1.0,
-        mu=1.0,
-        h0=1.0,
-        T=T,
-        reaction=ReactionSpec(family="fisher_kpp", a=a, b=b),
-        initial=InitialDataSpec(family="quadratic_bump", V=1.0, h0=1.0),
-    )
+    return ProblemConfig(T=T, reaction=ReactionSpec(family="fisher_kpp", a=a, b=b))
 
 
 def with_horizon(config: ProblemConfig, T: float) -> ProblemConfig:

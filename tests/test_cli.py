@@ -203,6 +203,29 @@ def test_converge_bad_arguments_exit_2(stefan_cfg, tmp_path, extra, message):
     assert not (out / "reference").exists()  # rejected before any solve
 
 
+@pytest.mark.parametrize(
+    "eps, dx_ratio, code, message",
+    [
+        (["0.2", "0.1", "0.05"], "4", "resolution_too_coarse", "exceeds eps/8"),
+        (["0.6", "0.1", "0.05"], "8", "domain_too_small", "leaves no room inside h0"),
+    ],
+    ids=["coarse-dx", "eps-too-large"],
+)
+def test_converge_infeasible_eps_exit_3_before_reference(stefan_cfg, tmp_path, eps, dx_ratio,
+                                                         code, message):
+    out = tmp_path / "sweep"
+    argv = ["converge", "--config", str(stefan_cfg), "--out", str(out),
+            "--nx", "64", "--dt", "1e-3", "--dx-ratio", dx_ratio]
+    for e in eps:
+        argv += ["--eps", e]
+    assert cli.main(argv) == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err["code"] == code
+    assert message in err["message"]
+    assert err["time_of_failure"] == 0.0
+    assert not (out / "reference").exists()  # rejected before any solve
+
+
 def test_converge_sweep_outputs_and_monotone_errors(stefan_cfg, tmp_path, capsys):
     out = tmp_path / "sweep"
     code = cli.main(

@@ -87,6 +87,19 @@ def test_step_positivity_loss(stefan_short):
                         velocity_override=(0.0, 0.0))
 
 
+def test_step_negative_predictor_is_positivity_loss(stefan_short):
+    # The predictor dips below zero (to about -0.013) and the corrector's
+    # source would lift it back; clamping the predictor must not hide that.
+    state = L.initial_state(stefan_short, 64)
+
+    def source(t, x):
+        return np.full_like(x, -100.0 if t == 0.0 else 100.0)
+
+    with pytest.raises(PositivityLoss) as info:
+        L.step(state, 1e-3, stefan_short, source=source, velocity_override=(0.0, 0.0))
+    assert info.value.time_of_failure == pytest.approx(1e-3)
+
+
 def test_step_nan_value_is_positivity_loss(stefan_short):
     # NaN compares False with everything, so a guard written as
     # "min < floor" would let it through.

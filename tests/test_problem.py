@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frontlab import problem as P
@@ -97,6 +97,90 @@ def test_eval_reaction_zero_at_zero_exactly():
 def test_fisher_nonpositive_above_K(u):
     fk = P.ReactionSpec(family="fisher_kpp", a=1.0, b=1.0)
     assert P.eval_reaction(fk, 0.0, 0.0, u) <= 0.0
+
+
+def _custom(*coefficients):
+    return P.ReactionSpec(family="custom_polynomial", coefficients=tuple(coefficients))
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=st.floats(1e-3, 10.0), b=st.floats(1e-3, 10.0), u=st.floats(0.0, 20.0))
+def test_fisher_equals_its_custom_polynomial(a, b, u):
+    fisher = P.ReactionSpec(family="fisher_kpp", a=a, b=b)
+    custom = _custom(0.0, a, -b)
+    vf = P.validate(P.ProblemConfig(reaction=fisher))
+    vc = P.validate(P.ProblemConfig(reaction=custom))
+    assert vf.ok and vc.ok
+    assert (vf.K, vf.L0) == (vc.K, vc.L0)
+    assert vf.K == pytest.approx(a / b, rel=4 * np.finfo(float).eps)
+    us = np.array([0.0, u, a / b, 2.0 * u])
+    f = P.eval_reaction(fisher, 0.0, 0.0, us)
+    assert np.array_equal(f, P.eval_reaction(custom, 0.0, 0.0, us))
+    assert np.array_equal(f, us * (a - b * us))
+
+
+admissible_polynomials = st.integers(0, 3).flatmap(
+    lambda n: st.tuples(
+        st.just(0.0),
+        *[st.floats(-3.0, 3.0)] * n,
+        st.floats(-3.0, 0.0, exclude_max=True),
+    )
+)
+
+OVERFLOW = "(f2): computing K and L0 overflows the float range"
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=admissible_polynomials)
+@example(coeffs=(0.0, 1.0, -3.0, 3.0, -1.0))  # -u (u - 1)^3: a triple root at K = 1
+@example(coeffs=(0.0, 1.0, -1.5, -6.103515625e-05))  # K = 0.67 beside a root at -24576
+def test_exact_K_and_L0_bound_the_polynomial(coeffs):
+    vconf = P.validate(P.ProblemConfig(reaction=_custom(*coeffs)))
+    if not vconf.ok:  # f near K = O(1 / |lead|) overflows only for a tiny lead
+        assert vconf.violations == (OVERFLOW,) and abs(coeffs[-1]) < 1e-100
+        return
+    above = vconf.K * (1.0 + 1e-12) + np.concatenate([[0.0], np.geomspace(1e-9, 1e3, 400)])
+    # f <= 0 up to the rounding of Horner's rule, 2n sum (eps |c_k| + eta) u^k
+    # with eta the smallest subnormal: at a root of multiplicity m the computed
+    # root is off by about eps^(1/m), and f there is below that rounding.
+    fin = np.finfo(float)
+    with np.errstate(over="ignore"):  # f heads to -inf far above a huge K
+        rounding = 2 * len(coeffs) * np.polynomial.polynomial.polyval(
+            above, fin.eps * np.abs(coeffs) + fin.smallest_subnormal
+        )
+        assert np.all(P.eval_reaction(vconf.reaction, 0.0, 0.0, above) <= rounding)
+    u_cap = 1.1 * max(vconf.K, vconf.sup_v0) + 1.0
+    u = np.linspace(0.0, u_cap, 4001)
+    df = np.polynomial.polynomial.polyder(coeffs)
+    assert np.all(np.abs(np.polynomial.polynomial.polyval(u, df)) <= vconf.L0 * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 1.0, -1.0), (0.0, 1.0, 0.0, -1.0)])
+def test_K_is_the_largest_root(coeffs):
+    assert P.validate(P.ProblemConfig(reaction=_custom(*coeffs))).K == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fisher_without_quadratic_term():
+    decay = P.validate(P.ProblemConfig(reaction=P.ReactionSpec("fisher_kpp", a=-2.0, b=0.0)))
+    assert decay.ok and (decay.K, decay.L0) == (0.0, 2.0)
+    growth = P.validate(P.ProblemConfig(reaction=P.ReactionSpec("fisher_kpp", a=2.0, b=0.0)))
+    assert growth.violations == ("(f2): no K found with f <= 0 for u > K",)
+
+
+def test_validate_overflowing_bounds_rejected():
+    # K = 3e308 is a root of 3u - 1e-308 u^2 but no float; K = 1.6e164 is one,
+    # but u^2 overflows on the way to it.
+    vc = P.validate(P.ProblemConfig(reaction=_custom(0.0, 3.0, -1e-308)))
+    assert vc.violations == (OVERFLOW,)
+    vc = P.validate(P.ProblemConfig(reaction=_custom(0.0, 0.0, 1.0, -6.1e-165)))
+    assert vc.violations == (OVERFLOW,)
+    vc = P.validate(P.ProblemConfig(reaction=_custom(0.0, 1.0, -1e-308)))
+    assert vc.K == pytest.approx(1e308)
+
+
+def test_validate_non_finite_coefficient_rejected():
+    vc = P.validate(P.ProblemConfig(reaction=_custom(0.0, float("nan"), -1.0)))
+    assert vc.violations == ("(config): reaction coefficients must be finite",)
 
 
 def test_eval_initial_values():
