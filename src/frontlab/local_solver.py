@@ -14,16 +14,18 @@ with Dirichlet zeros at xi in {0, 1}, coupled to the boundary motion
 Time stepping: boundaries by explicit Euler with metrics frozen at t_n,
 interior by Crank-Nicolson on diffusion with explicit advection/reaction.
 Every floating-point expression that couples mirrored nodes is written so a
-symmetric state maps to an exactly symmetric successor; the tridiagonal solve
-is averaged with its reflection to make it reflection-equivariant as well.
+symmetric state maps to an exactly symmetric successor.  Each tridiagonal
+solve is one LAPACK ``gtsv`` call with two right-hand sides, the data and its
+reflection, averaged so the solve is reflection-equivariant as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import CflViolation, DegenerateDomain
 from .problem import ValidatedConfig, eval_initial, eval_reaction, require_valid
@@ -152,17 +154,34 @@ def _solve_tridiagonal_symmetric(r: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (I - r*D2) w = rhs with Dirichlet zeros, reflection-equivariantly.
 
     The matrix is symmetric Toeplitz, hence invariant under index reversal;
-    averaging the banded solve with its reflected twin makes the numerical
-    solution map commute with reflection exactly.
+    averaging the solve with its reflected twin makes the numerical solution
+    map commute with reflection exactly.  Both solves are the two columns of
+    one LAPACK ``gtsv`` call.
     """
     m = rhs.size
-    ab = np.empty((3, m))
-    ab[0, :] = -r
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[2, :] = -r
-    forward = solve_banded((1, 1), ab, rhs, check_finite=False)
-    backward = solve_banded((1, 1), ab, rhs[::-1], check_finite=False)[::-1]
-    return 0.5 * (forward + backward)
+    both = np.empty((m, 2), order="F")
+    both[:, 0] = rhs
+    both[:, 1] = rhs[::-1]
+    off_lo = np.full(m - 1, -r)
+    off_up = np.full(m - 1, -r)
+    diag = np.full(m, 1.0 + 2.0 * r)
+    _, _, _, x, info = dgtsv(
+        off_lo, diag, off_up, both,
+        overwrite_dl=True, overwrite_d=True, overwrite_du=True, overwrite_b=True,
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"tridiagonal solve failed: gtsv info = {info}")
+    return 0.5 * (x[:, 0] + x[::-1, 1])
+
+
+@lru_cache(maxsize=8)
+def _unit_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only xi_j = j/n and 1 - xi_j, j = 0..n."""
+    xi = np.arange(n + 1) / n
+    one_minus = 1.0 - xi
+    xi.flags.writeable = False
+    one_minus.flags.writeable = False
+    return xi, one_minus
 
 
 def _check_cfl(state_t, dt, dxi, chi, L0):
@@ -202,11 +221,11 @@ def step(
         vel0 = boundary_velocities(state, knobs, vconf.mu)
 
     dxi = 1.0 / n
-    xi = np.arange(n + 1) / n
-    chi0 = ((1.0 - xi) * vel0[0] + xi * vel0[1]) / gap
+    xi, one_minus = _unit_grid(n)
+    chi0 = (one_minus * vel0[0] + xi * vel0[1]) / gap
     _check_cfl(state.t, dt, dxi, chi0, vconf.L0)
 
-    x0 = (1.0 - xi) * state.g + xi * state.h
+    x0 = one_minus * state.g + xi * state.h
     t1 = state.t + dt
     second = (w[:-2] + w[2:]) - 2.0 * w[1:-1]
     centered = w[2:] - w[:-2]
@@ -221,7 +240,8 @@ def step(
     if source is not None:
         explicit0 = explicit0 + source(state.t, x0[1:-1])
 
-    predictor = np.zeros_like(w)
+    predictor = np.empty_like(w)
+    predictor[0] = predictor[-1] = 0.0
     predictor[1:-1] = _solve_tridiagonal_symmetric(r0, w[1:-1] + r0 * second + dt * explicit0)
     check_positivity(predictor, t1)
     np.maximum(predictor, 0.0, out=predictor)
@@ -243,9 +263,9 @@ def step(
     if gap1 < MIN_GAP:
         raise DegenerateDomain("domain collapsed within a step", state.t)
 
-    chi1 = ((1.0 - xi) * vel1[0] + xi * vel1[1]) / gap1
+    chi1 = (one_minus * vel1[0] + xi * vel1[1]) / gap1
     _check_cfl(state.t, dt, dxi, chi1, vconf.L0)
-    x1 = (1.0 - xi) * g1 + xi * h1
+    x1 = one_minus * g1 + xi * h1
     centered_p = predictor[2:] - predictor[:-2]
     explicit1 = (
         chi1[1:-1] * centered_p / (2.0 * dxi)
@@ -257,14 +277,11 @@ def step(
 
     r1 = vconf.d * dt / (2.0 * gap1 * gap1 * dxi * dxi)
     rhs = w[1:-1] + r0 * second + 0.5 * dt * (explicit0 + explicit1)
-    interior = _solve_tridiagonal_symmetric(r1, rhs)
-
-    new_values = np.zeros_like(w)
-    new_values[1:-1] = interior
+    new_values = np.empty_like(w)
+    new_values[0] = new_values[-1] = 0.0
+    new_values[1:-1] = _solve_tridiagonal_symmetric(r1, rhs)
     check_positivity(new_values, t1)
     np.maximum(new_values, 0.0, out=new_values)
-    new_values[0] = 0.0
-    new_values[-1] = 0.0
 
     return FixedDomainState(t=t1, g=g1, h=h1, values=new_values)
 

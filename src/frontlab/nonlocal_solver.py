@@ -239,6 +239,16 @@ def _require_resolution(dx: float, eps: float, t: float):
         raise ResolutionTooCoarse(f"dx = {dx:g} exceeds eps/8 = {eps / 8:g}", t)
 
 
+def _operator_rate(
+    state: EulerianState, kernel: kmod.KernelSpec, eps: float, d: float, lo: int, hi: int
+) -> np.ndarray:
+    """(d c_star / eps^2) (J_eps * u - u) at nodes lo..hi-1 of the grid."""
+    stencil = operator_stencil(kernel, int(round(eps / state.dx)))
+    conv = _convolve_symmetric(state.values, stencil, lo, hi)
+    scale = d * kmod.c_star(kernel) / (eps * eps)
+    return scale * (conv - state.values[lo:hi])
+
+
 def apply_nonlocal_operator(
     state: EulerianState, kernel: kmod.KernelSpec, eps: float, d: float
 ) -> np.ndarray:
@@ -248,13 +258,9 @@ def apply_nonlocal_operator(
     coincides with the integral over the active interval.
     """
     _require_resolution(state.dx, eps, state.t)
-    n_sub = int(round(eps / state.dx))
-    stencil = operator_stencil(kernel, n_sub)
     lo, hi = _active_window(state)
-    conv = _convolve_symmetric(state.values, stencil, lo, hi)
-    scale = d * kmod.c_star(kernel) / (eps * eps)
     out = np.zeros_like(state.values)
-    out[lo:hi] = scale * (conv - state.values[lo:hi])
+    out[lo:hi] = _operator_rate(state, kernel, eps, d, lo, hi)
     return out
 
 
@@ -269,7 +275,9 @@ def interp_pinned(state: EulerianState, ys: np.ndarray) -> np.ndarray:
     u = state.values
     dx = state.dx
     pos = ys / dx
-    j = np.clip(np.floor(pos).astype(int), state.j_min, state.j_min + u.size - 2)
+    j = np.floor(pos).astype(int)
+    np.maximum(j, state.j_min, out=j)
+    np.minimum(j, state.j_min + u.size - 2, out=j)
     frac = pos - j
     k = j - state.j_min
     x_left = j * dx
@@ -373,13 +381,13 @@ def step(
     g_new = state.g + dt * g_dot
     h_new = state.h + dt * h_dot
 
-    rate = apply_nonlocal_operator(state, kernel, eps, vconf.d)
     lo, hi = _active_window(state)
+    rate = _operator_rate(state, kernel, eps, vconf.d, lo, hi)
     u = state.values[lo:hi]
     x = (state.j_min + np.arange(lo, hi)) * state.dx
     new_values = state.values.copy()
     window = new_values[lo:hi]
-    window += dt * (rate[lo:hi] + eval_reaction(vconf.reaction, state.t, x, np.maximum(u, 0.0)))
+    window += dt * (rate + eval_reaction(vconf.reaction, state.t, x, np.maximum(u, 0.0)))
     check_positivity(window, state.t + dt)
     np.maximum(window, 0.0, out=window)
     window[(x <= g_new) | (x >= h_new)] = 0.0

@@ -1,5 +1,7 @@
 """Fuzz both solvers over admissible polynomial reactions and parameters.
 
+The nonlocal runs also draw the kernel family and the flux law: the modified
+law with beta in (0.2, 0.8), or the unmodified law with c1 in (0.5, 2) c_star.
 Every admissible input must either give a run that keeps the invariants
 (finite, nonnegative values; fronts that never retreat; g < h) or fail with a
 typed FrontlabError.  Resolutions are tiny so a few hundred runs stay cheap.
@@ -40,6 +42,20 @@ def _configs():
     )
 
 
+def _unmodified(kernel: K.KernelSpec):
+    return st.floats(0.5, 2.0).map(
+        lambda ratio: NL.NonlocalVariant("unmodified", c1=ratio * K.c_star(kernel))
+    )
+
+
+def _nonlocal_setups():
+    """(kernel, flux law) pairs over every built-in kernel family."""
+    modified = st.floats(0.2, 0.8).map(lambda beta: NL.NonlocalVariant("modified", beta=beta))
+    return st.sampled_from(K.BUILTIN_FAMILIES).map(K.KernelSpec).flatmap(
+        lambda kernel: st.tuples(st.just(kernel), st.one_of(modified, _unmodified(kernel)))
+    )
+
+
 def _assert_invariants(sol):
     for state in sol.snapshots:
         assert np.all(np.isfinite(state.values))
@@ -52,14 +68,15 @@ def _assert_invariants(sol):
 
 @pytest.mark.parametrize("solver", ["local", "nonlocal"])
 @settings(max_examples=100, deadline=None)
-@given(vconf=_configs())
-def test_admissible_run_keeps_invariants_or_fails_typed(solver, vconf):
+@given(vconf=_configs(), nonlocal_setup=_nonlocal_setups())
+def test_admissible_run_keeps_invariants_or_fails_typed(solver, vconf, nonlocal_setup):
     assert vconf.ok
     try:
         if solver == "local":
             sol = L.solve(vconf, n_cells=32)
         else:
-            sol = NL.solve(vconf, K.KernelSpec("epanechnikov"), eps=EPS, dx=EPS / 8.0)
+            kernel, variant = nonlocal_setup
+            sol = NL.solve(vconf, kernel, eps=EPS, variant=variant, dx=EPS / 8.0)
     except FrontlabError:
         return
     _assert_invariants(sol)

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.linalg import solve_banded
 
 from frontlab import local_solver as L
 from frontlab import problem as P
@@ -54,6 +58,40 @@ def test_boundary_velocities_degenerate_domain():
     st = L.FixedDomainState(0.0, 0.0, 1e-9, np.zeros(65))
     with pytest.raises(DegenerateDomain):
         L.boundary_velocities(st, L.INERT_KNOBS, mu=1.0)
+
+
+def banded_average(r, rhs):
+    """The two-call ``solve_banded`` form the single gtsv call replaces."""
+    ab = np.empty((3, rhs.size))
+    ab[0, :] = -r
+    ab[1, :] = 1.0 + 2.0 * r
+    ab[2, :] = -r
+    forward = solve_banded((1, 1), ab, rhs, check_finite=False)
+    backward = solve_banded((1, 1), ab, rhs[::-1], check_finite=False)[::-1]
+    return 0.5 * (forward + backward)
+
+
+tridiagonal_inputs = st.tuples(
+    st.floats(1e-3, 1e3),
+    hnp.arrays(float, st.integers(3, 300), elements=st.floats(-1e6, 1e6)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=tridiagonal_inputs)
+def test_tridiagonal_solve_matches_banded_average_bitwise(case):
+    r, rhs = case
+    got = L._solve_tridiagonal_symmetric(r, rhs)
+    assert got.tobytes() == banded_average(r, rhs).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=tridiagonal_inputs)
+def test_tridiagonal_solve_is_reflection_equivariant(case):
+    r, rhs = case
+    forward = L._solve_tridiagonal_symmetric(r, rhs)
+    mirrored = L._solve_tridiagonal_symmetric(r, rhs[::-1])
+    assert mirrored.tobytes() == forward[::-1].tobytes()
 
 
 def test_step_preserves_symmetry_exactly(stefan_short):
