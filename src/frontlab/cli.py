@@ -134,14 +134,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return _guarded(args.config, args.out, run)
 
 
-def _nonlocal_run(eps, vconf, kernel, variant, dx_ratio, cfl_sigma):
-    return nonlocal_solver.solve(
-        vconf, kernel, eps=eps, variant=variant, dx=eps / dx_ratio, cfl_sigma=cfl_sigma
-    )
+def _nonlocal_run(eps, vconf, kernel, variant, dx_ratio):
+    return nonlocal_solver.solve(vconf, kernel, eps=eps, variant=variant, dx=eps / dx_ratio)
 
 
 def _sweep(vconf, out, eps_list, variant, kernel, reference_nx, reference_dt, dx_ratio,
-           cfl_sigma, jobs) -> int:
+           jobs) -> int:
     eps_values = list(eps_list)
     run_dirs = [f"eps_{eps:g}" for eps in eps_values]
     if (len(eps_values) < 3 or len(set(run_dirs)) < len(run_dirs)
@@ -161,8 +159,7 @@ def _sweep(vconf, out, eps_list, variant, kernel, reference_nx, reference_dt, dx
         out / "reference" / "metadata.json",
     )
     run = functools.partial(
-        _nonlocal_run, vconf=vconf, kernel=kernel, variant=variant, dx_ratio=dx_ratio,
-        cfl_sigma=cfl_sigma,
+        _nonlocal_run, vconf=vconf, kernel=kernel, variant=variant, dx_ratio=dx_ratio
     )
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -176,7 +173,8 @@ def _sweep(vconf, out, eps_list, variant, kernel, reference_nx, reference_dt, dx
         rows.append((eps, report.overall_sup, report.boundary_sup[0], report.boundary_sup[1]))
         run_dir = out / name
         runio.write_boundary_csv(sol, run_dir / "boundary.csv")
-        runio.write_metadata_json(_nonlocal_meta(sol, kernel, cfl_sigma), run_dir / "metadata.json")
+        meta = _nonlocal_meta(sol, kernel, nonlocal_solver.CFL_SIGMA)
+        runio.write_metadata_json(meta, run_dir / "metadata.json")
         runio.atomic_write_text(run_dir / "errors.json", report.to_json() + "\n")
 
     runio.write_sweep_csv(rows, out / "sweep.csv")
@@ -198,7 +196,6 @@ def cmd_converge(
     reference_nx: int = 2048,
     reference_dt: float = 1e-4,
     dx_ratio: float = 16.0,
-    cfl_sigma: float = 0.5,
     jobs: int = 1,
 ) -> int:
     """Local reference plus one nonlocal run per eps; errors, CSV, rate fit."""
@@ -207,7 +204,7 @@ def cmd_converge(
 
     def run(vconf, out):
         return _sweep(vconf, out, eps_list, variant, kernel, reference_nx, reference_dt,
-                      dx_ratio, cfl_sigma, jobs)
+                      dx_ratio, jobs)
 
     return _guarded(config_path, out_dir, run)
 
@@ -245,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--nx", type=int, default=512)
     ps.add_argument("--dx", type=float, default=None)
     ps.add_argument("--dt", type=float, default=None)
-    ps.add_argument("--cfl-sigma", type=float, default=0.5)
+    ps.add_argument("--cfl-sigma", type=float, default=nonlocal_solver.CFL_SIGMA)
 
     pc = sub.add_parser("converge", help="eps sweep against a local reference")
     pc.add_argument("--config", required=True)
@@ -280,7 +277,7 @@ def main(argv=None) -> int:
             variant = _variant(args.variant, args.beta, args.c1)
             kernel = kernels.KernelSpec(args.kernel)
             return _sweep(vconf, out, args.eps, variant, kernel, args.nx, args.dt,
-                          args.dx_ratio, cfl_sigma=0.5, jobs=args.jobs)
+                          args.dx_ratio, args.jobs)
 
         return _guarded(args.config, args.out, run)
     return cmd_verify(args.suite)

@@ -21,6 +21,7 @@ reflection, averaged so the solve is reflection-equivariant as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,7 +30,9 @@ from scipy.linalg.lapack import dgtsv
 
 from .errors import CflViolation, DegenerateDomain
 from .problem import ValidatedConfig, eval_initial, eval_reaction, require_valid
-from .trajectory import Trajectory, check_positivity, march, plan_steps
+from .trajectory import (
+    Trajectory, check_positivity, check_reaction_step, march, plan_steps, reaction_dt_cap,
+)
 
 MIN_GAP = 1e-6
 
@@ -47,12 +50,14 @@ class PerturbationKnobs:
     eps: float = 0.0
 
     def __post_init__(self):
-        if self.A < 0.0:
-            raise ValueError("A must be nonnegative")
+        if not 0.0 <= self.A < math.inf:
+            raise ValueError("A must be nonnegative and finite")
+        if not math.isfinite(self.B):
+            raise ValueError("B must be finite")
         if not 0.0 < self.gamma1 < 0.5:
             raise ValueError("gamma1 must lie in (0, 1/2)")
-        if self.eps < 0.0:
-            raise ValueError("eps must be nonnegative")
+        if not 0.0 <= self.eps < math.inf:
+            raise ValueError("eps must be nonnegative and finite")
 
     @property
     def source_shift(self) -> float:
@@ -184,12 +189,41 @@ def _unit_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     return xi, one_minus
 
 
-def _check_cfl(state_t, dt, dxi, chi, L0):
+def _explicit_terms(w, t, g, h, vel, dt, vconf, shift, source, t_fail) -> np.ndarray:
+    """Advection, reaction, shift and source at the interior nodes of w.
+
+    The advection speed is chi = [(1 - xi) g' + xi h'] / (h - g) with
+    (g', h') = vel; its CFL ratio and dt * L0 are checked first, and a
+    violation is reported at t_fail.
+    """
+    n = w.size - 1
+    dxi = 1.0 / n
+    xi, one_minus = _unit_grid(n)
+    chi = (one_minus * vel[0] + xi * vel[1]) / (h - g)
     cfl = dt * float(np.max(np.abs(chi))) / dxi
     if cfl > 1.0 + 1e-12:
-        raise CflViolation(f"advection CFL {cfl:.3f} > 1; reduce dt", state_t)
-    if dt * L0 > 0.5 + 1e-12:
-        raise CflViolation(f"dt * L0 = {dt * L0:.3f} > 1/2; reduce dt", state_t)
+        raise CflViolation(f"advection CFL {cfl:.3f} > 1; reduce dt", t_fail)
+    check_reaction_step(dt, vconf.L0, t_fail)
+    x = (one_minus * g + xi * h)[1:-1]
+    terms = (
+        chi[1:-1] * (w[2:] - w[:-2]) / (2.0 * dxi)
+        + eval_reaction(vconf.reaction, t, x, np.maximum(w[1:-1], 0.0))
+        + shift
+    )
+    if source is not None:
+        terms = terms + source(t, x)
+    return terms
+
+
+def _crank_nicolson(r: float, rhs: np.ndarray, t: float) -> np.ndarray:
+    """Nodal values of the solve (I - r D2) w = rhs with zero endpoints,
+    checked against the positivity floor at t and clamped at 0."""
+    out = np.empty(rhs.size + 2)
+    out[0] = out[-1] = 0.0
+    out[1:-1] = _solve_tridiagonal_symmetric(r, rhs)
+    check_positivity(out, t)
+    np.maximum(out, 0.0, out=out)
+    return out
 
 
 def step(
@@ -211,7 +245,7 @@ def step(
     ``source`` adds an extra forcing s(t, x).
     """
     w = state.values
-    n = state.n_cells
+    dxi = 1.0 / state.n_cells
     gap = state.width
     if gap < MIN_GAP:
         raise DegenerateDomain(f"domain collapsed: h - g = {gap:.3e}", state.t)
@@ -220,31 +254,12 @@ def step(
     else:
         vel0 = boundary_velocities(state, knobs, vconf.mu)
 
-    dxi = 1.0 / n
-    xi, one_minus = _unit_grid(n)
-    chi0 = (one_minus * vel0[0] + xi * vel0[1]) / gap
-    _check_cfl(state.t, dt, dxi, chi0, vconf.L0)
-
-    x0 = one_minus * state.g + xi * state.h
-    t1 = state.t + dt
+    t0, t1 = state.t, state.t + dt
     second = (w[:-2] + w[2:]) - 2.0 * w[1:-1]
-    centered = w[2:] - w[:-2]
     r0 = vconf.d * dt / (2.0 * gap * gap * dxi * dxi)
     shift = knobs.source_shift
-
-    explicit0 = (
-        chi0[1:-1] * centered / (2.0 * dxi)
-        + eval_reaction(vconf.reaction, state.t, x0[1:-1], np.maximum(w[1:-1], 0.0))
-        + shift
-    )
-    if source is not None:
-        explicit0 = explicit0 + source(state.t, x0[1:-1])
-
-    predictor = np.empty_like(w)
-    predictor[0] = predictor[-1] = 0.0
-    predictor[1:-1] = _solve_tridiagonal_symmetric(r0, w[1:-1] + r0 * second + dt * explicit0)
-    check_positivity(predictor, t1)
-    np.maximum(predictor, 0.0, out=predictor)
+    explicit0 = _explicit_terms(w, t0, state.g, state.h, vel0, dt, vconf, shift, source, t0)
+    predictor = _crank_nicolson(r0, w[1:-1] + r0 * second + dt * explicit0, t1)
     pred_state = FixedDomainState(
         t=t1, g=state.g + dt * vel0[0], h=state.h + dt * vel0[1], values=predictor
     )
@@ -255,35 +270,16 @@ def step(
         vel1 = velocity_override
     else:
         vel1 = boundary_velocities(pred_state, knobs, vconf.mu)
-    g_dot = 0.5 * (vel0[0] + vel1[0])
-    h_dot = 0.5 * (vel0[1] + vel1[1])
-    g1 = state.g + dt * g_dot
-    h1 = state.h + dt * h_dot
+    g1 = state.g + dt * (0.5 * (vel0[0] + vel1[0]))
+    h1 = state.h + dt * (0.5 * (vel0[1] + vel1[1]))
     gap1 = h1 - g1
     if gap1 < MIN_GAP:
         raise DegenerateDomain("domain collapsed within a step", state.t)
 
-    chi1 = (one_minus * vel1[0] + xi * vel1[1]) / gap1
-    _check_cfl(state.t, dt, dxi, chi1, vconf.L0)
-    x1 = one_minus * g1 + xi * h1
-    centered_p = predictor[2:] - predictor[:-2]
-    explicit1 = (
-        chi1[1:-1] * centered_p / (2.0 * dxi)
-        + eval_reaction(vconf.reaction, t1, x1[1:-1], predictor[1:-1])
-        + shift
-    )
-    if source is not None:
-        explicit1 = explicit1 + source(t1, x1[1:-1])
-
+    explicit1 = _explicit_terms(predictor, t1, g1, h1, vel1, dt, vconf, shift, source, t0)
     r1 = vconf.d * dt / (2.0 * gap1 * gap1 * dxi * dxi)
     rhs = w[1:-1] + r0 * second + 0.5 * dt * (explicit0 + explicit1)
-    new_values = np.empty_like(w)
-    new_values[0] = new_values[-1] = 0.0
-    new_values[1:-1] = _solve_tridiagonal_symmetric(r1, rhs)
-    check_positivity(new_values, t1)
-    np.maximum(new_values, 0.0, out=new_values)
-
-    return FixedDomainState(t=t1, g=g1, h=h1, values=new_values)
+    return FixedDomainState(t=t1, g=g1, h=h1, values=_crank_nicolson(r1, rhs, t1))
 
 
 def initial_state(vconf: ValidatedConfig, n_cells: int) -> FixedDomainState:
@@ -315,9 +311,7 @@ def solve(
         state0 = initial_state(vconf, n_cells)
         g0, h0_dot = boundary_velocities(state0, knobs, vconf.mu)
         speed = max(abs(g0), abs(h0_dot), 1e-12)
-        dt = min(0.25 * (2.0 * vconf.h0 / n_cells) / speed, T / 64.0)
-        if vconf.L0 > 0.0:
-            dt = min(dt, 0.4 / vconf.L0)
+        dt = min(0.25 * (2.0 * vconf.h0 / n_cells) / speed, T / 64.0, reaction_dt_cap(vconf.L0))
     n_steps, dt_eff = plan_steps(T, dt)
 
     def advance(state):

@@ -19,7 +19,12 @@ Boundary motion follows the flux law
 with W the kernel tail mass, offset = eps^beta and coeff = c_zero eps^-beta
 for the modified variant, offset = 0 and coeff = c1 / eps for the unmodified
 one.  The w-integral uses exact-moment hat weights of W, so a constant
-profile reproduces the Fubini identity to rounding.
+profile reproduces the Fubini identity to rounding.  Between nodes, u is read
+through one reconstruction (``interp_pinned``, also behind ``profile_at``):
+the linear interpolant through the nodes inside (g, h) and one node on each
+side, a side node beyond its front replaced by (front, 0).  It is exact at
+the nodes and, with the zeros outside (g, h), zero at and beyond the fronts;
+a node exactly on a front keeps its value.
 
 Left-boundary quantities are evaluated by reflecting the state and reusing
 the right-boundary code path; with the kernel even this is exact, and it
@@ -47,7 +52,11 @@ import numpy as np
 from . import kernels as kmod
 from .errors import CflViolation, DomainTooSmall, ResolutionTooCoarse
 from .problem import ValidatedConfig, eval_initial, eval_reaction, require_valid
-from .trajectory import Trajectory, check_positivity, march, plan_steps
+from .trajectory import (
+    Trajectory, check_positivity, check_reaction_step, march, plan_steps, reaction_dt_cap,
+)
+
+CFL_SIGMA = 0.5  # default dt = CFL_SIGMA * eps^2 / (d c_star)
 
 
 @dataclass(frozen=True)
@@ -63,8 +72,8 @@ class NonlocalVariant:
             if not 0.0 < self.beta < 1.0:
                 raise ValueError("beta must lie in (0, 1)")
         elif self.kind == "unmodified":
-            if self.c1 is None or self.c1 <= 0.0:
-                raise ValueError("unmodified variant requires c1 > 0")
+            if self.c1 is None or not 0.0 < self.c1 < math.inf:
+                raise ValueError("unmodified variant requires a finite c1 > 0")
         else:
             raise ValueError(f"unknown variant kind: {self.kind!r}")
 
@@ -267,33 +276,19 @@ def apply_nonlocal_operator(
 def interp_pinned(state: EulerianState, ys: np.ndarray) -> np.ndarray:
     """Linear interpolation of u with exact zeros pinned at g and h.
 
-    In cells straddling a boundary the reconstruction ramps to an exact zero
-    at the boundary position instead of at the outside node.  No zero
-    extension is applied here; callers that need it mask afterwards.
+    One ``np.interp`` through the nodes strictly inside (g, h) plus one node
+    on each side; a side node beyond its front is replaced by (front, 0), one
+    exactly on it keeps its value.  The grid must reach a node past each
+    front, as every solver state does.
     """
-    ys = np.asarray(ys, dtype=float)
-    u = state.values
-    dx = state.dx
-    pos = ys / dx
-    j = np.floor(pos).astype(int)
-    np.maximum(j, state.j_min, out=j)
-    np.minimum(j, state.j_min + u.size - 2, out=j)
-    frac = pos - j
-    k = j - state.j_min
-    x_left = j * dx
-    x_right = x_left + dx
-    vals = u[k] * (1.0 - frac) + u[k + 1] * frac
-    straddle_g = (x_left < state.g) & (x_right > state.g)
-    if np.any(straddle_g):
-        span = x_right - state.g
-        lam = np.clip((ys - state.g) / np.where(span > 0.0, span, 1.0), 0.0, 1.0)
-        vals = np.where(straddle_g, u[k + 1] * lam, vals)
-    straddle_h = (x_left < state.h) & (x_right > state.h)
-    if np.any(straddle_h):
-        span = state.h - x_left
-        lam = np.clip((state.h - ys) / np.where(span > 0.0, span, 1.0), 0.0, 1.0)
-        vals = np.where(straddle_h, u[k] * lam, vals)
-    return vals
+    lo, hi = _active_window(state)
+    x = (state.j_min + np.arange(lo - 1, hi + 1)) * state.dx
+    u = state.values[lo - 1 : hi + 1].copy()
+    if x[0] < state.g:
+        x[0], u[0] = state.g, 0.0
+    if x[-1] > state.h:
+        x[-1], u[-1] = state.h, 0.0
+    return np.interp(ys, x, u)
 
 
 def _right_flux_magnitude(
@@ -373,8 +368,7 @@ def step(
     lam = dt * vconf.d * kmod.c_star(kernel) / (eps * eps)
     if lam > 1.0 + 1e-12:
         raise CflViolation(f"dt*d*c_star/eps^2 = {lam:.3f} > 1; reduce dt", state.t)
-    if dt * vconf.L0 > 0.5 + 1e-12:
-        raise CflViolation(f"dt * L0 = {dt * vconf.L0:.3f} > 1/2; reduce dt", state.t)
+    check_reaction_step(dt, vconf.L0, state.t)
 
     h_dot = boundary_flux(state, kernel, eps, vconf.mu, variant, "right")
     g_dot = boundary_flux(state, kernel, eps, vconf.mu, variant, "left")
@@ -412,11 +406,7 @@ class NonlocalSolution(Trajectory):
         return x[keep], state.values[keep]
 
     def profile_at(self, k: int, x) -> np.ndarray:
-        state = self.snapshots[k]
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = interp_pinned(state, x_arr)
-        vals[(x_arr <= state.g) | (x_arr >= state.h)] = 0.0
-        return vals
+        return interp_pinned(self.snapshots[k], np.atleast_1d(np.asarray(x, dtype=float)))
 
 
 def initial_state(vconf: ValidatedConfig, dx: float, extent: float) -> EulerianState:
@@ -452,7 +442,7 @@ def solve(
     dx: float | None = None,
     dt: float | None = None,
     snapshot_times=None,
-    cfl_sigma: float = 0.5,
+    cfl_sigma: float = CFL_SIGMA,
 ) -> NonlocalSolution:
     """March the nonlocal problem from t = 0 to the config horizon."""
     require_valid(vconf)
@@ -462,9 +452,7 @@ def solve(
     if dt is None:
         if not 0.0 < cfl_sigma <= 1.0:
             raise ValueError("cfl_sigma must lie in (0, 1]")
-        dt = cfl_sigma * eps * eps / d_cstar
-        if vconf.L0 > 0.0:
-            dt = min(dt, 0.4 / vconf.L0)
+        dt = min(cfl_sigma * eps * eps / d_cstar, reaction_dt_cap(vconf.L0))
     T = vconf.T
     n_steps, dt_eff = plan_steps(T, dt)
 

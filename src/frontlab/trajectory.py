@@ -1,5 +1,5 @@
 """What the local and nonlocal solvers share: step planning, the march loop,
-the positivity guard, and the trajectory type both solutions are read through.
+the step guards, and the trajectory type both solutions are read through.
 
 A trajectory is a dense boundary track (g, h at every step) plus timed
 snapshots of the state.  Subclasses say how a snapshot is evaluated at
@@ -11,11 +11,12 @@ a local and a nonlocal run on one lattice.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfHorizon, PositivityLoss
+from .errors import CflViolation, OutOfHorizon, PositivityLoss
 
 POSITIVITY_FLOOR = -1e-10
 
@@ -27,9 +28,23 @@ def check_positivity(values: np.ndarray, t: float) -> None:
         raise PositivityLoss(f"value {low:.3e} below positivity floor", t)
 
 
+def check_reaction_step(dt: float, L0: float, t: float) -> None:
+    """Raise CflViolation unless dt * L0 <= 1/2: with |f'| <= L0 on the
+    densities a run reaches, the explicit u + dt f(u) then rises with u."""
+    if dt * L0 > 0.5 + 1e-12:
+        raise CflViolation(f"dt * L0 = {dt * L0:.3f} > 1/2; reduce dt", t)
+
+
+def reaction_dt_cap(L0: float) -> float:
+    """The default step's cap 0.4 / L0 (none for L0 = 0), inside that bound."""
+    return 0.4 / L0 if L0 > 0.0 else math.inf
+
+
 def plan_steps(T: float, dt: float) -> tuple[int, float]:
     """Step count and the step size that lands exactly on T, at most dt
-    unless dt already divides T to within 1e-9."""
+    unless dt already divides T to within 1e-9; dt must be positive and finite."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     n_steps = max(1, int(round(T / dt)))
     if abs(n_steps * dt - T) > 1e-9 * T:
         n_steps = int(np.ceil(T / dt))

@@ -1,17 +1,24 @@
-"""Fuzz both solvers over admissible polynomial reactions and parameters.
+"""Fuzz both solvers over admissible polynomial reactions and parameters,
+and the command line over inadmissible option values.
 
 The nonlocal runs also draw the kernel family and the flux law: the modified
 law with beta in (0.2, 0.8), or the unmodified law with c1 in (0.5, 2) c_star.
 Every admissible input must either give a run that keeps the invariants
 (finite, nonnegative values; fronts that never retreat; g < h) or fail with a
-typed FrontlabError.  Resolutions are tiny so a few hundred runs stay cheap.
+typed FrontlabError.  Every command line must exit 0, 2 or 3 and write
+error.json on failure.  Resolutions are tiny so a few hundred runs stay cheap.
 """
+
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from frontlab import cli
 from frontlab import kernels as K
 from frontlab import local_solver as L
 from frontlab import nonlocal_solver as NL
@@ -80,3 +87,54 @@ def test_admissible_run_keeps_invariants_or_fails_typed(solver, vconf, nonlocal_
     except FrontlabError:
         return
     _assert_invariants(sol)
+
+
+# Each numeric option is drawn from these classes.  "ordinary" is a value the
+# command accepts, listed per option; it is drawn about half the time so that
+# runs that succeed are drawn too.
+SPECIAL = {"zero": "0", "negative": "-1", "nan": "nan", "inf": "inf", "tiny": "1e-300"}
+ORDINARY = {"--dt": "1e-3", "--dx": "0.025", "--eps": "0.2", "--c1": "10", "--beta": "0.5",
+            "--gamma1": "0.4", "--cfl-sigma": "0.5", "--dx-ratio": "8"}
+SOLVE_OPTIONS = ("--dt", "--dx", "--eps", "--c1", "--beta", "--gamma1", "--cfl-sigma")
+CONVERGE_OPTIONS = ("--dt", "--eps", "--c1", "--beta", "--dx-ratio")
+value_class = st.sampled_from([*SPECIAL, "ordinary"]) | st.just("ordinary")
+option_classes = st.fixed_dictionaries({opt: value_class for opt in ORDINARY})
+ALL_ORDINARY = dict.fromkeys(ORDINARY, "ordinary")
+
+
+def _argv(command, classes, variant, preset, config, out):
+    def value(opt):
+        return ORDINARY[opt] if classes[opt] == "ordinary" else SPECIAL[classes[opt]]
+
+    argv = ["--config", str(config), "--out", str(out), "--variant", variant]
+    if command == "converge":
+        # The drawn eps joins two fixed ones: a rate fit needs three.
+        argv = ["converge", *argv, "--nx", "32", "--eps", "0.1", "--eps", "0.05"]
+        return argv + [f"{opt}={value(opt)}" for opt in CONVERGE_OPTIONS]
+    argv = ["solve", *argv, "--solver", command, "--nx", "32", "--preset", preset]
+    return argv + [f"{opt}={value(opt)}" for opt in SOLVE_OPTIONS]
+
+
+@pytest.mark.parametrize("command", ["local", "nonlocal", "converge"])
+@settings(max_examples=60, deadline=None)
+@given(classes=option_classes, variant=st.sampled_from(["modified", "unmodified"]),
+       preset=st.sampled_from(["none", "i1", "i2"]))
+@example(classes=ALL_ORDINARY, variant="modified", preset="none")
+@example(classes={**ALL_ORDINARY, "--dt": "negative"}, variant="modified", preset="none")
+@example(classes={**ALL_ORDINARY, "--dt": "zero"}, variant="modified", preset="none")
+@example(classes={**ALL_ORDINARY, "--c1": "inf"}, variant="unmodified", preset="none")
+@example(classes={**ALL_ORDINARY, "--eps": "inf"}, variant="modified", preset="i1")
+def test_cli_exits_0_2_or_3_with_error_json(command, classes, variant, preset):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "stefan.cfg", Path(tmp) / "out"
+        P.save_config(P.symmetric_stefan(T=0.05), config)
+        code = cli.main(_argv(command, classes, variant, preset, config, out))
+        assert code in (0, 2, 3)
+        if code != 0:
+            assert set(json.loads((out / "error.json").read_text())) == {
+                "code", "message", "time_of_failure"}
+            return
+        tracks = sorted(out.rglob("boundary.csv"))
+        assert tracks
+        for track in tracks:
+            assert len(track.read_text().splitlines()) > 1  # a header and data rows

@@ -261,6 +261,9 @@ def test_knobs_validation():
         L.PerturbationKnobs(gamma1=0.6)
     with pytest.raises(ValueError):
         L.preset_knobs("i3", 0.1)
+    for bad in (dict(A=np.inf), dict(B=np.nan), dict(eps=np.inf), dict(eps=np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            L.PerturbationKnobs(**bad)
 
 
 def test_solve_rejects_invalid_config():

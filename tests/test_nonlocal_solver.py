@@ -162,6 +162,61 @@ def test_operator_resolution_guard():
 # -- boundary flux ------------------------------------------------------------
 
 
+def interp_pinned_oracle(state, ys):
+    """The hand-built reconstruction ``np.interp`` replaced: the cell index is
+    clamped to the grid, and a cell straddling g or h ramps to zero there."""
+    u, dx = state.values, state.dx
+    pos = np.asarray(ys, dtype=float) / dx
+    j = np.clip(np.floor(pos).astype(int), state.j_min, state.j_min + u.size - 2)
+    frac = pos - j
+    k = j - state.j_min
+    x_left = j * dx
+    x_right = x_left + dx
+    vals = u[k] * (1.0 - frac) + u[k + 1] * frac
+    straddle_g = (x_left < state.g) & (x_right > state.g)
+    span = np.where(straddle_g, x_right - state.g, 1.0)
+    vals = np.where(straddle_g, u[k + 1] * np.clip((ys - state.g) / span, 0.0, 1.0), vals)
+    straddle_h = (x_left < state.h) & (x_right > state.h)
+    span = np.where(straddle_h, state.h - x_left, 1.0)
+    return np.where(straddle_h, u[k] * np.clip((state.h - ys) / span, 0.0, 1.0), vals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    u=hnp.arrays(dtype=float, shape=150, elements=st.floats(0.0, 1e3)),
+    dx=st.sampled_from([0.1 / 16, 0.05 / 16, 1.0 / 64, 0.037]),
+    ends=st.tuples(st.integers(-60, -3), st.integers(3, 60)),
+    fracs=st.tuples(st.sampled_from([0.0, 0.5, 1e-9]), st.sampled_from([0.0, 0.25, 0.999])),
+    pad=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    ys=hnp.arrays(dtype=float, shape=40, elements=st.floats(0.0, 1.0)),
+)
+def test_interp_pinned_matches_oracle_exact_at_nodes_zero_beyond_fronts(u, dx, ends, fracs, pad,
+                                                                        ys):
+    # A solver state: zeros at every node on or outside [g, h], fronts on
+    # nodes (frac 0) or between them, the grid reaching past both fronts.
+    g, h = (ends[0] - fracs[0]) * dx, (ends[1] + fracs[1]) * dx
+    j_min = ends[0] - 1 - pad[0]
+    size = ends[1] + 1 + pad[1] - j_min + 1
+    x = (j_min + np.arange(size)) * dx
+    vals = np.where((x > g) & (x < h), np.resize(u, size), 0.0)
+    state = NL.EulerianState(0.0, g, h, dx, j_min, vals)
+    ys = x[0] + ys * (x[-1] - x[0])
+
+    # The oracle's fraction y/dx - j carries the rounding of y/dx, so the two
+    # agree to a few ulp of max|u| per unit of |y/dx|.
+    tol = 4.0 * np.finfo(float).eps * np.max(vals) * np.maximum(np.abs(ys / dx), 1.0)
+    assert np.all(np.abs(NL.interp_pinned(state, ys) - interp_pinned_oracle(state, ys)) <= tol)
+    inside = (x > g) & (x < h)
+    assert np.array_equal(NL.interp_pinned(state, x[inside]), vals[inside])
+    beyond = np.concatenate([[g, h], x[~inside], ys[(ys <= g) | (ys >= h)]])
+    assert np.all(NL.interp_pinned(state, beyond) == 0.0)
+
+    # Criterion 3's constant profile, u = 1 on every node: a front lying
+    # exactly on a node keeps that node's value.
+    ones = NL.EulerianState(0.0, ends[0] * dx, ends[1] * dx, dx, j_min, np.ones(size))
+    assert np.all(NL.interp_pinned(ones, [ones.g, ones.h]) == 1.0)
+
+
 def test_flux_constant_profile_fubini_oracle():
     eps = 0.05
     st_const = make_state(lambda x: np.ones_like(x), eps=eps, half_width=2.0)
@@ -377,6 +432,9 @@ def test_variant_validation():
         NL.NonlocalVariant("modified", beta=1.5)
     with pytest.raises(ValueError):
         NL.NonlocalVariant("unmodified")
+    for c1 in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite c1"):
+            NL.NonlocalVariant("unmodified", c1=c1)
     with pytest.raises(ValueError):
         NL.NonlocalVariant("other")
 

@@ -34,6 +34,12 @@ def test_plan_steps_lands_on_horizon(T, dt, n):
     assert dt_eff <= dt * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+def test_plan_steps_rejects_bad_dt(dt):
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        TR.plan_steps(1.0, dt)
+
+
 def test_march_records_track_and_requested_snapshots():
     n_steps, dt = TR.plan_steps(1.0, 0.1)
     start = Toy(0.0, -1.0, 1.0, np.zeros(3))
