@@ -26,19 +26,24 @@ side, a side node beyond its front replaced by (front, 0).  It is exact at
 the nodes and, with the zeros outside (g, h), zero at and beyond the fronts;
 a node exactly on a front keeps its value.
 
-Left-boundary quantities are evaluated by reflecting the state and reusing
-the right-boundary code path; with the kernel even this is exact, and it
-makes symmetric data evolve symmetrically to the last bit.  The convolution
-keeps that property by folding the even stencil, so every node sums the same
-pair sums u_{j-m} + u_{j+m} in the same order.
+Left-boundary quantities are evaluated by reading the state mirrored
+(values[::-1] with mirrored indices) through the right-boundary code path;
+with the kernel even this is exact, and it makes symmetric data evolve
+symmetrically to the last bit.  The convolution keeps that property by
+folding the even stencil: the terms s_0 u_j and s_m (u_{j-m} + u_{j+m}) fill
+the rows of one array, and one ordered reduction adds the rows in turn, so
+every node sums the same terms in the same order, m = 0..n.
 
-A step touches only the nodes strictly inside (g, h).  The flux weights are
-nonnegative, so the fronts never retreat, and f(t, x, 0) = 0, so every node
-outside the interval keeps its exact zero.  The grid starts just wide enough
-for the initial interval and its flux window, h0 + offset + 2 eps, and
-doubles on the side a front is about to overrun.  Every position is indexed
-by its global node j = x / dx, never relative to the grid's first node, so
-the result does not depend on how far the grid happens to reach.
+A step touches only the nodes strictly inside (g, h), found once per step
+and shared by both front speeds and the rate; the stencil, its scale, the
+flux weights and their sample offsets are computed once per solve.  The
+flux weights are nonnegative, so the fronts never retreat, and
+f(t, x, 0) = 0, so every node outside the interval keeps its exact zero.
+The grid starts just wide enough for the initial interval and its flux
+window, h0 + offset + 2 eps, and doubles on the side a front is about to
+overrun.  Every position is indexed by its global node j = x / dx, never
+relative to the grid's first node, so the result does not depend on how far
+the grid happens to reach.
 """
 
 from __future__ import annotations
@@ -111,17 +116,6 @@ class EulerianState:
     def active_mask(self) -> np.ndarray:
         x = self.grid()
         return (x > self.g) & (x < self.h)
-
-
-def _reflect(state: EulerianState) -> EulerianState:
-    return EulerianState(
-        t=state.t,
-        g=-state.h,
-        h=-state.g,
-        dx=state.dx,
-        j_min=-(state.j_min + state.values.size - 1),
-        values=state.values[::-1],
-    )
 
 
 # -- stencils -----------------------------------------------------------------
@@ -229,18 +223,27 @@ def _convolve_symmetric(values: np.ndarray, stencil: np.ndarray, lo: int, hi: in
     The stencil is folded: node j gets s_0 u_j + sum_m s_m (u_{j-m} + u_{j+m}),
     summed over m = 1..n in the same order at every node.  Each pair sum is
     commutative, so a mirror-symmetric state has an exactly mirror-symmetric
-    image.
+    image.  The terms fill the rows of one (n + 1, width) array, which
+    ``np.add.reduce`` over the outer axis adds row by row, in order; a
+    matrix-vector product would sum in blocks and lose the exact symmetry.
     """
     n = stencil.size // 2
-    a, b = lo - n, hi + n
+    width = hi - lo
+    cols = max(width, 2)  # a single column would be summed pairwise, not in order
+    a, b = lo - n, lo + cols + n
     u = values[max(a, 0) : min(b, values.size)]
     if a < 0 or b > values.size:
         u = np.concatenate([np.zeros(max(-a, 0)), u, np.zeros(max(b - values.size, 0))])
-    width = hi - lo
-    out = stencil[n] * u[n : n + width]
-    for m in range(1, n + 1):
-        out += stencil[n + m] * (u[n - m : n - m + width] + u[n + m : n + m + width])
-    return out
+    u = np.ascontiguousarray(u, dtype=float)
+    # Row r of this read-only view is u[r : r + cols], r = 0..2n.
+    shifted = np.ndarray((2 * n + 1, cols), buffer=u, strides=(u.itemsize, u.itemsize))
+    shifted.flags.writeable = False
+    terms = np.empty((n + 1, cols))
+    np.multiply(stencil[n], shifted[n], out=terms[0])
+    np.add(shifted[n - 1 :: -1], shifted[n + 1 :], out=terms[1:])
+    terms[1:] *= stencil[n + 1 :, None]
+    # Starting from -0.0 (not the default +0.0) keeps even a -0.0 first row as is.
+    return np.add.reduce(terms, axis=0, initial=-0.0)[:width]
 
 
 def _require_resolution(dx: float, eps: float, t: float):
@@ -248,14 +251,34 @@ def _require_resolution(dx: float, eps: float, t: float):
         raise ResolutionTooCoarse(f"dx = {dx:g} exceeds eps/8 = {eps / 8:g}", t)
 
 
+@lru_cache(maxsize=64)
+def _operator_constants(
+    kernel: kmod.KernelSpec, eps: float, d: float, n_sub: int
+) -> tuple[np.ndarray, float]:
+    """The operator stencil and its scale d c_star / eps^2, once per solve."""
+    return operator_stencil(kernel, n_sub), d * kmod.c_star(kernel) / (eps * eps)
+
+
+@lru_cache(maxsize=64)
+def _flux_constants(
+    kernel: kmod.KernelSpec, eps: float, variant: NonlocalVariant, n_sub: int
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """offset, coeff, the flux weights and the sample offsets eps * i/n_sub."""
+    eps_w = eps * (np.arange(n_sub + 1) / n_sub)
+    eps_w.flags.writeable = False
+    offset, coeff = variant.offset(eps), variant.coefficient(kernel, eps)
+    return offset, coeff, flux_weights(kernel, n_sub), eps_w
+
+
 def _operator_rate(
     state: EulerianState, kernel: kmod.KernelSpec, eps: float, d: float, lo: int, hi: int
 ) -> np.ndarray:
     """(d c_star / eps^2) (J_eps * u - u) at nodes lo..hi-1 of the grid."""
-    stencil = operator_stencil(kernel, int(round(eps / state.dx)))
-    conv = _convolve_symmetric(state.values, stencil, lo, hi)
-    scale = d * kmod.c_star(kernel) / (eps * eps)
-    return scale * (conv - state.values[lo:hi])
+    stencil, scale = _operator_constants(kernel, eps, d, int(round(eps / state.dx)))
+    rate = _convolve_symmetric(state.values, stencil, lo, hi)
+    rate -= state.values[lo:hi]
+    rate *= scale
+    return rate
 
 
 def apply_nonlocal_operator(
@@ -273,6 +296,20 @@ def apply_nonlocal_operator(
     return out
 
 
+def _interp_window(
+    values: np.ndarray, j_min: int, dx: float, g: float, h: float, lo: int, hi: int, ys
+) -> np.ndarray:
+    """The reconstruction behind :func:`interp_pinned`, given the active window
+    [lo, hi) of ``values``, whose node 0 sits at x = j_min * dx."""
+    x = np.arange(j_min + lo - 1, j_min + hi + 1, dtype=float) * dx
+    u = values[lo - 1 : hi + 1].copy()
+    if x[0] < g:
+        x[0], u[0] = g, 0.0
+    if x[-1] > h:
+        x[-1], u[-1] = h, 0.0
+    return np.interp(ys, x, u)
+
+
 def interp_pinned(state: EulerianState, ys: np.ndarray) -> np.ndarray:
     """Linear interpolation of u with exact zeros pinned at g and h.
 
@@ -282,24 +319,7 @@ def interp_pinned(state: EulerianState, ys: np.ndarray) -> np.ndarray:
     front, as every solver state does.
     """
     lo, hi = _active_window(state)
-    x = (state.j_min + np.arange(lo - 1, hi + 1)) * state.dx
-    u = state.values[lo - 1 : hi + 1].copy()
-    if x[0] < state.g:
-        x[0], u[0] = state.g, 0.0
-    if x[-1] > state.h:
-        x[-1], u[-1] = state.h, 0.0
-    return np.interp(ys, x, u)
-
-
-def _right_flux_magnitude(
-    state: EulerianState, kernel: kmod.KernelSpec, eps: float, offset: float
-) -> float:
-    """integral_0^1 W(w) u(h - offset - eps w) dw by exact-moment weights."""
-    n_sub = max(2, int(round(eps / state.dx)))
-    omega = flux_weights(kernel, n_sub)
-    w_nodes = np.arange(n_sub + 1) / n_sub
-    ys = state.h - offset - eps * w_nodes
-    return float(np.dot(omega, interp_pinned(state, ys)))
+    return _interp_window(state.values, state.j_min, state.dx, state.g, state.h, lo, hi, ys)
 
 
 def boundary_flux(
@@ -309,25 +329,36 @@ def boundary_flux(
     mu: float,
     variant: NonlocalVariant,
     side: str,
+    window: tuple[int, int] | None = None,
 ) -> float:
     """Signed boundary speed from the near-boundary flux window.
 
     side='right' returns h' >= 0, side='left' returns g' <= 0.  The left side
-    reflects the state and reuses the right-side code path (J is even), which
-    keeps symmetric runs exactly symmetric.
+    reads the reflected state, values[::-1] with mirrored indices, through the
+    right-side code path (J is even), which keeps symmetric runs exactly
+    symmetric.  ``window`` is the state's active window [lo, hi) when the
+    caller already has it.
     """
     _require_resolution(state.dx, eps, state.t)
-    offset = variant.offset(eps)
+    n_sub = max(2, int(round(eps / state.dx)))
+    offset, coeff, omega, eps_w = _flux_constants(kernel, eps, variant, n_sub)
     if state.h - state.g <= 2.0 * (offset + eps):
         raise DomainTooSmall(
             f"active interval {state.h - state.g:g} below flux window 2*(offset+eps)",
             state.t,
         )
-    coeff = variant.coefficient(kernel, eps)
+    lo, hi = _active_window(state) if window is None else window
+    values, dx = state.values, state.dx
     if side == "right":
-        return mu * coeff * _right_flux_magnitude(state, kernel, eps, offset)
+        ys = state.h - offset - eps_w
+        u = _interp_window(values, state.j_min, dx, state.g, state.h, lo, hi, ys)
+        return mu * coeff * float(np.dot(omega, u))
     if side == "left":
-        return -mu * coeff * _right_flux_magnitude(_reflect(state), kernel, eps, offset)
+        size = values.size
+        ys = -state.g - offset - eps_w
+        j_min = -(state.j_min + size - 1)
+        u = _interp_window(values[::-1], j_min, dx, -state.h, -state.g, size - hi, size - lo, ys)
+        return -mu * coeff * float(np.dot(omega, u))
     raise ValueError("side must be 'left' or 'right'")
 
 
@@ -362,29 +393,34 @@ def step(
     Under dt * d * c_star / eps^2 <= 1 the value update is a convex
     combination of nonnegative terms plus dt * f, so positivity only depends
     on the reaction respecting its Lipschitz bound.  Only the nodes strictly
-    inside (g, h) are updated; the others keep their exact zeros.
+    inside (g, h) are updated; the others keep their exact zeros.  The active
+    window is found once and shared by both front speeds and the rate.
     """
     _require_resolution(state.dx, eps, state.t)
-    lam = dt * vconf.d * kmod.c_star(kernel) / (eps * eps)
+    config = vconf.config  # read once: vconf forwards its fields through __getattr__
+    lam = dt * config.d * kmod.c_star(kernel) / (eps * eps)
     if lam > 1.0 + 1e-12:
         raise CflViolation(f"dt*d*c_star/eps^2 = {lam:.3f} > 1; reduce dt", state.t)
     check_reaction_step(dt, vconf.L0, state.t)
 
-    h_dot = boundary_flux(state, kernel, eps, vconf.mu, variant, "right")
-    g_dot = boundary_flux(state, kernel, eps, vconf.mu, variant, "left")
+    window = _active_window(state)
+    h_dot = boundary_flux(state, kernel, eps, config.mu, variant, "right", window)
+    g_dot = boundary_flux(state, kernel, eps, config.mu, variant, "left", window)
     g_new = state.g + dt * g_dot
     h_new = state.h + dt * h_dot
 
-    lo, hi = _active_window(state)
-    rate = _operator_rate(state, kernel, eps, vconf.d, lo, hi)
+    lo, hi = window
+    rate = _operator_rate(state, kernel, eps, config.d, lo, hi)
     u = state.values[lo:hi]
-    x = (state.j_min + np.arange(lo, hi)) * state.dx
+    x = np.arange(state.j_min + lo, state.j_min + hi, dtype=float) * state.dx
+    rate += eval_reaction(config.reaction, state.t, x, np.maximum(u, 0.0))
+    rate *= dt
     new_values = state.values.copy()
-    window = new_values[lo:hi]
-    window += dt * (rate + eval_reaction(vconf.reaction, state.t, x, np.maximum(u, 0.0)))
-    check_positivity(window, state.t + dt)
-    np.maximum(window, 0.0, out=window)
-    window[(x <= g_new) | (x >= h_new)] = 0.0
+    window_values = new_values[lo:hi]
+    window_values += rate
+    check_positivity(window_values, state.t + dt)
+    np.maximum(window_values, 0.0, out=window_values)
+    window_values[(x <= g_new) | (x >= h_new)] = 0.0
 
     out = EulerianState(state.t + dt, g_new, h_new, state.dx, state.j_min, new_values)
     return _grow_if_needed(out, variant.offset(eps) + eps + 2.0 * state.dx)
@@ -422,8 +458,8 @@ def initial_state(vconf: ValidatedConfig, dx: float, extent: float) -> EulerianS
 def check_setup(vconf: ValidatedConfig, eps: float, variant: NonlocalVariant, dx: float):
     """The checks :func:`solve` makes before its first step, shared so a sweep
     can reject every eps before it runs anything."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if not 0.0 < dx < math.inf:
         raise ValueError(f"dx must be positive and finite, got {dx}")
     _require_resolution(dx, eps, 0.0)

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import CflViolation, OutOfHorizon, PositivityLoss
 
 POSITIVITY_FLOOR = -1e-10
+MAX_STEPS = 10**7  # far above the 512 000 steps of an eps = 0.00625 nonlocal solve to T = 1
 
 
 def check_positivity(values: np.ndarray, t: float) -> None:
@@ -42,9 +43,14 @@ def reaction_dt_cap(L0: float) -> float:
 
 def plan_steps(T: float, dt: float) -> tuple[int, float]:
     """Step count and the step size that lands exactly on T, at most dt
-    unless dt already divides T to within 1e-9; dt must be positive and finite."""
+    unless dt already divides T to within 1e-9; dt must be positive and
+    finite, and the count at most MAX_STEPS."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not T / dt <= MAX_STEPS:
+        raise ValueError(
+            f"T = {T:g} at dt = {dt:g} takes {T / dt:.3g} steps, more than {MAX_STEPS}"
+        )
     n_steps = max(1, int(round(T / dt)))
     if abs(n_steps * dt - T) > 1e-9 * T:
         n_steps = int(np.ceil(T / dt))

@@ -96,6 +96,28 @@ def test_solve_nonlocal_bad_dx_exit_2(stefan_cfg, tmp_path, dx):
 
 
 @pytest.mark.parametrize(
+    "solver, option, message",
+    [
+        ("nonlocal", "--eps=nan", "eps must be positive and finite, got nan"),
+        ("nonlocal", "--eps=inf", "eps must be positive and finite, got inf"),
+        ("local", "--dt=1e-12", "T = 0.1 at dt = 1e-12 takes 1e+11 steps, more than 10000000"),
+        ("nonlocal", "--dt=1e-12", "T = 0.1 at dt = 1e-12 takes 1e+11 steps, more than 10000000"),
+    ],
+)
+def test_solve_bad_eps_or_tiny_dt_exit_2(stefan_cfg, tmp_path, solver, option, message):
+    out = tmp_path / "run"
+    code = cli.main(
+        ["solve", "--config", str(stefan_cfg), "--solver", solver,
+         "--out", str(out), "--nx", "32", option]
+    )
+    assert code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["code"] == "bad_manifest"
+    assert message in err["message"]
+    assert not (out / "boundary.csv").exists()
+
+
+@pytest.mark.parametrize(
     "rows, code, message",
     [
         # Unit mass sits in a sliver at 0: the second moment vanishes.

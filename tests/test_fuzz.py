@@ -95,15 +95,23 @@ def test_admissible_run_keeps_invariants_or_fails_typed(solver, vconf, nonlocal_
 SPECIAL = {"zero": "0", "negative": "-1", "nan": "nan", "inf": "inf", "tiny": "1e-300"}
 ORDINARY = {"--dt": "1e-3", "--dx": "0.025", "--eps": "0.2", "--c1": "10", "--beta": "0.5",
             "--gamma1": "0.4", "--cfl-sigma": "0.5", "--dx-ratio": "8"}
+# A positive step far too small to march 5e10 times.  Drawn for --dt only: the
+# same value as --dx or --eps asks for a grid of about 1e12 nodes, which no
+# check bounds yet.
+SMALL_DT = "1e-12"
 SOLVE_OPTIONS = ("--dt", "--dx", "--eps", "--c1", "--beta", "--gamma1", "--cfl-sigma")
 CONVERGE_OPTIONS = ("--dt", "--eps", "--c1", "--beta", "--dx-ratio")
 value_class = st.sampled_from([*SPECIAL, "ordinary"]) | st.just("ordinary")
-option_classes = st.fixed_dictionaries({opt: value_class for opt in ORDINARY})
+option_classes = st.fixed_dictionaries(
+    {opt: value_class for opt in ORDINARY} | {"--dt": value_class | st.just("small")}
+)
 ALL_ORDINARY = dict.fromkeys(ORDINARY, "ordinary")
 
 
 def _argv(command, classes, variant, preset, config, out):
     def value(opt):
+        if classes[opt] == "small":
+            return SMALL_DT
         return ORDINARY[opt] if classes[opt] == "ordinary" else SPECIAL[classes[opt]]
 
     argv = ["--config", str(config), "--out", str(out), "--variant", variant]
@@ -124,6 +132,8 @@ def _argv(command, classes, variant, preset, config, out):
 @example(classes={**ALL_ORDINARY, "--dt": "zero"}, variant="modified", preset="none")
 @example(classes={**ALL_ORDINARY, "--c1": "inf"}, variant="unmodified", preset="none")
 @example(classes={**ALL_ORDINARY, "--eps": "inf"}, variant="modified", preset="i1")
+@example(classes={**ALL_ORDINARY, "--eps": "nan"}, variant="modified", preset="none")
+@example(classes={**ALL_ORDINARY, "--dt": "small"}, variant="modified", preset="none")
 def test_cli_exits_0_2_or_3_with_error_json(command, classes, variant, preset):
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "stefan.cfg", Path(tmp) / "out"

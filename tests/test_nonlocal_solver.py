@@ -132,6 +132,50 @@ def test_operator_symmetric_state_exact_mirror(u):
     assert np.array_equal(out, out[::-1])
 
 
+def convolve_symmetric_oracle(values, stencil, lo, hi):
+    """The m-loop the ordered reduction replaced: node j accumulates
+    s_0 u_j, then s_m (u_{j-m} + u_{j+m}) for m = 1..n, in turn."""
+    n = stencil.size // 2
+    a, b = lo - n, hi + n
+    u = values[max(a, 0) : min(b, values.size)]
+    if a < 0 or b > values.size:
+        u = np.concatenate([np.zeros(max(-a, 0)), u, np.zeros(max(b - values.size, 0))])
+    width = hi - lo
+    out = stencil[n] * u[n : n + width]
+    for m in range(1, n + 1):
+        out += stencil[n + m] * (u[n - m : n - m + width] + u[n + m : n + m + width])
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(2, 32),
+    size=st.integers(1, 90),
+    symmetric=st.booleans(),
+)
+def test_convolve_symmetric_matches_m_loop_bitwise(data, n, size, symmetric):
+    # Any even stencil, signed data, and windows of every width from 0 up,
+    # placed anywhere on the grid including flush with either end.
+    half = data.draw(hnp.arrays(float, n + 1, elements=st.floats(0.0, 1.0)))
+    stencil = np.concatenate([half[:0:-1], half])
+    u = data.draw(hnp.arrays(float, size, elements=st.floats(-1e3, 1e3)))
+    if symmetric:
+        vals = np.concatenate([u[::-1], u[1:]])  # mirror-symmetric about its middle node
+        lo = data.draw(st.integers(0, vals.size // 2))
+        windows = [(lo, vals.size - lo), (0, vals.size)]
+    else:
+        vals = u
+        lo = data.draw(st.integers(0, vals.size))
+        hi = data.draw(st.integers(lo, vals.size))
+        windows = [(lo, hi), (0, hi), (lo, vals.size)]
+    for lo, hi in windows:
+        out = NL._convolve_symmetric(vals, stencil, lo, hi)
+        assert out.tobytes() == convolve_symmetric_oracle(vals, stencil, lo, hi).tobytes()
+        if symmetric:
+            assert out.tobytes() == out[::-1].tobytes()
+
+
 def test_kernel_quadratures_do_not_grow_with_steps(monkeypatch):
     kernel = K.KernelSpec("epanechnikov")
     variant = NL.NonlocalVariant("modified", beta=0.5)
@@ -343,6 +387,45 @@ def test_step_does_not_depend_on_grid_extent(stefan_vconf):
     lo_w, hi_w = NL._active_window(wide)
     assert tight.j_min + lo_t == wide.j_min + lo_w
     assert np.array_equal(tight.values[lo_t:hi_t], wide.values[lo_w:hi_w])
+
+
+@pytest.mark.parametrize("variant", [MOD, NL.NonlocalVariant("unmodified", c1=K.c_star(EPAN))],
+                         ids=["modified", "unmodified"])
+@pytest.mark.parametrize("fronts", [(-1.5, 1.25), (-1.5 + 0.3 / 16, 1.25 - 0.7 / 16)],
+                         ids=["on_nodes", "between_nodes"])
+def test_step_front_speeds_are_boundary_flux_calls(stefan_vconf, monkeypatch, variant, fronts):
+    # Each step looks boundary_flux up by name once per side (a wrapper that
+    # replaces it sees every call), and the speeds it gets from the shared
+    # window are those of a plain call, byte for byte.
+    eps, dx, dt = 0.1, 0.1 / 16, 1e-4
+    g, h = fronts
+    jm = 400
+    x = np.arange(-jm, jm + 1) * dx
+    vals = np.where((x > g) & (x < h), (x - g) * (h - x) * (1.0 + 0.3 * x), 0.0)
+    state = NL.EulerianState(0.0, g, h, dx, -jm, vals)
+    original = NL.boundary_flux
+    calls = []
+
+    def counting(state, kernel, eps, mu, variant, side, *args):
+        speed = original(state, kernel, eps, mu, variant, side, *args)
+        calls.append((state, side, speed))
+        return speed
+
+    monkeypatch.setattr(NL, "boundary_flux", counting)
+    for _ in range(3):
+        calls.clear()
+        new = NL.step(state, dt, stefan_vconf, EPAN, eps, variant)
+        assert sorted(side for _, side, _ in calls) == ["left", "right"]
+        speeds = {}
+        for seen, side, speed in calls:
+            assert seen is state
+            plain = original(state, EPAN, eps, stefan_vconf.mu, variant, side)
+            assert np.float64(speed).tobytes() == np.float64(plain).tobytes()
+            speeds[side] = speed
+        assert speeds["right"] > 0.0 > speeds["left"]
+        assert new.h == state.h + dt * speeds["right"]
+        assert new.g == state.g + dt * speeds["left"]
+        state = new
 
 
 def test_step_quiescent_boundaries_unchanged(stefan_vconf):

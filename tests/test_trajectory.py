@@ -24,7 +24,8 @@ def toy_step(dt):
 
 @pytest.mark.parametrize(
     "T, dt, n",
-    [(1.0, 0.1, 10), (1.0, 0.3, 4), (0.25, 1e-4, 2500), (0.1, 2e-4, 500), (1.0, 5.0, 1)],
+    [(1.0, 0.1, 10), (1.0, 0.3, 4), (0.25, 1e-4, 2500), (0.1, 2e-4, 500), (1.0, 5.0, 1),
+     (1.0, 1.01e-7, 9900991)],
 )
 def test_plan_steps_lands_on_horizon(T, dt, n):
     n_steps, dt_eff = TR.plan_steps(T, dt)
@@ -34,10 +35,22 @@ def test_plan_steps_lands_on_horizon(T, dt, n):
     assert dt_eff <= dt * (1 + 1e-9)
 
 
-@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
-def test_plan_steps_rejects_bad_dt(dt):
-    with pytest.raises(ValueError, match="dt must be positive and finite"):
-        TR.plan_steps(1.0, dt)
+@pytest.mark.parametrize(
+    "T, dt, message",
+    [
+        *[pytest.param(1.0, dt, "dt must be positive and finite", id=str(dt))
+          for dt in (0.0, -1e-3, np.nan, np.inf)],
+        # Positive but so small that the boundary track alone would not fit.
+        pytest.param(0.05, 1e-12, r"T = 0.05 at dt = 1e-12 takes 5e\+10 steps, more than 10000000",
+                     id="too_many_steps"),
+        pytest.param(1.0, 1e-300, r"T = 1 at dt = 1e-300 takes 1e\+300 steps", id="1e-300"),
+        pytest.param(0.05, 5e-324, "takes inf steps", id="subnormal"),
+        pytest.param(1.0, 0.99e-7, "more than 10000000", id="just_over_max_steps"),
+    ],
+)
+def test_plan_steps_rejects_bad_dt(T, dt, message):
+    with pytest.raises(ValueError, match=message):
+        TR.plan_steps(T, dt)
 
 
 def test_march_records_track_and_requested_snapshots():
