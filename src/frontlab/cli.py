@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -77,7 +78,7 @@ def _variant(kind: str, beta: float, c1: float | None) -> nonlocal_solver.Nonloc
     return nonlocal_solver.NonlocalVariant("modified", beta=beta)
 
 
-def _nonlocal_meta(sol, kernel: kernels.KernelSpec, cfl_sigma: float) -> dict:
+def _nonlocal_meta(sol, kernel: kernels.KernelSpec) -> dict:
     variant = sol.variant
     return {
         "solver": "nonlocal",
@@ -88,7 +89,7 @@ def _nonlocal_meta(sol, kernel: kernels.KernelSpec, cfl_sigma: float) -> dict:
         "dx": sol.dx,
         "dt": sol.dt,
         "kernel": kernel.family,
-        "cfl_sigma": cfl_sigma,
+        "cfl_sigma": nonlocal_solver.CFL_SIGMA,
     }
 
 
@@ -119,9 +120,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 variant=_variant(args.variant, args.beta, args.c1),
                 dx=args.dx,
                 dt=args.dt,
-                cfl_sigma=args.cfl_sigma,
             )
-            meta = _nonlocal_meta(sol, kernel, args.cfl_sigma)
+            meta = _nonlocal_meta(sol, kernel)
         runio.write_boundary_csv(sol, out / "boundary.csv")
         for k in range(len(sol.snapshots)):
             x, v = sol.snapshot_nodes(k)
@@ -138,6 +138,11 @@ def _nonlocal_run(eps, vconf, kernel, variant, dx_ratio):
     return nonlocal_solver.solve(vconf, kernel, eps=eps, variant=variant, dx=eps / dx_ratio)
 
 
+def _workers(jobs: int, n_runs: int) -> int:
+    """Pool size for n_runs solves: a pool forks all its workers at once."""
+    return min(jobs, n_runs, os.cpu_count() or 1)
+
+
 def _sweep(vconf, out, eps_list, variant, kernel, reference_nx, reference_dt, dx_ratio,
            jobs) -> int:
     eps_values = list(eps_list)
@@ -150,6 +155,8 @@ def _sweep(vconf, out, eps_list, variant, kernel, reference_nx, reference_dt, dx
         )
     if not 0.0 < dx_ratio < math.inf:
         raise ValueError(f"dx_ratio must be positive and finite, got {dx_ratio}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     for eps in eps_values:
         nonlocal_solver.check_setup(vconf, eps, variant, eps / dx_ratio)
     reference = local_solver.solve(vconf, n_cells=reference_nx, dt=reference_dt)
@@ -161,8 +168,9 @@ def _sweep(vconf, out, eps_list, variant, kernel, reference_nx, reference_dt, dx
     run = functools.partial(
         _nonlocal_run, vconf=vconf, kernel=kernel, variant=variant, dx_ratio=dx_ratio
     )
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _workers(jobs, len(eps_values))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             sols = list(pool.map(run, eps_values))
     else:
         sols = list(map(run, eps_values))
@@ -173,7 +181,7 @@ def _sweep(vconf, out, eps_list, variant, kernel, reference_nx, reference_dt, dx
         rows.append((eps, report.overall_sup, report.boundary_sup[0], report.boundary_sup[1]))
         run_dir = out / name
         runio.write_boundary_csv(sol, run_dir / "boundary.csv")
-        meta = _nonlocal_meta(sol, kernel, nonlocal_solver.CFL_SIGMA)
+        meta = _nonlocal_meta(sol, kernel)
         runio.write_metadata_json(meta, run_dir / "metadata.json")
         runio.atomic_write_text(run_dir / "errors.json", report.to_json() + "\n")
 
@@ -242,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--nx", type=int, default=512)
     ps.add_argument("--dx", type=float, default=None)
     ps.add_argument("--dt", type=float, default=None)
-    ps.add_argument("--cfl-sigma", type=float, default=nonlocal_solver.CFL_SIGMA)
 
     pc = sub.add_parser("converge", help="eps sweep against a local reference")
     pc.add_argument("--config", required=True)

@@ -31,7 +31,8 @@ from scipy.linalg.lapack import dgtsv
 from .errors import CflViolation, DegenerateDomain
 from .problem import ValidatedConfig, eval_initial, eval_reaction, require_valid
 from .trajectory import (
-    Trajectory, check_positivity, check_reaction_step, march, plan_steps, reaction_dt_cap,
+    MAX_NODES, Trajectory, check_positivity, check_reaction_step, march, plan_steps,
+    reaction_dt_cap,
 )
 
 MIN_GAP = 1e-6
@@ -124,13 +125,6 @@ class LocalSolution(Trajectory):
         return vals
 
 
-def transform_to_physical(state: FixedDomainState, xi: float) -> float:
-    """Reference coordinate to physical position: affine between g and h."""
-    if not state.g < state.h:
-        raise DegenerateDomain("boundaries must satisfy g < h", state.t)
-    return (1.0 - xi) * state.g + xi * state.h
-
-
 def boundary_velocities(
     state: FixedDomainState, knobs: PerturbationKnobs, mu: float
 ) -> tuple[float, float]:
@@ -207,7 +201,7 @@ def _explicit_terms(w, t, g, h, vel, dt, vconf, shift, source, t_fail) -> np.nda
     x = (one_minus * g + xi * h)[1:-1]
     terms = (
         chi[1:-1] * (w[2:] - w[:-2]) / (2.0 * dxi)
-        + eval_reaction(vconf.reaction, t, x, np.maximum(w[1:-1], 0.0))
+        + eval_reaction(vconf.reaction, t, x, w[1:-1])
         + shift
     )
     if source is not None:
@@ -249,9 +243,8 @@ def step(
     gap = state.width
     if gap < MIN_GAP:
         raise DegenerateDomain(f"domain collapsed: h - g = {gap:.3e}", state.t)
-    if velocity_override is not None:
-        vel0 = velocity_override
-    else:
+    vel0 = velocity_override
+    if vel0 is None:
         vel0 = boundary_velocities(state, knobs, vconf.mu)
 
     t0, t1 = state.t, state.t + dt
@@ -266,9 +259,8 @@ def step(
     if pred_state.width < MIN_GAP:
         raise DegenerateDomain("domain collapsed within a step", state.t)
 
-    if velocity_override is not None:
-        vel1 = velocity_override
-    else:
+    vel1 = velocity_override
+    if vel1 is None:
         vel1 = boundary_velocities(pred_state, knobs, vconf.mu)
     g1 = state.g + dt * (0.5 * (vel0[0] + vel1[0]))
     h1 = state.h + dt * (0.5 * (vel0[1] + vel1[1]))
@@ -306,9 +298,11 @@ def solve(
     require_valid(vconf)
     if n_cells < 32:
         raise ValueError("need at least 32 cells")
+    if n_cells > MAX_NODES:
+        raise ValueError(f"n_cells = {n_cells} is more than MAX_NODES = {MAX_NODES}")
     T = vconf.T
+    state0 = initial_state(vconf, n_cells)
     if dt is None:
-        state0 = initial_state(vconf, n_cells)
         g0, h0_dot = boundary_velocities(state0, knobs, vconf.mu)
         speed = max(abs(g0), abs(h0_dot), 1e-12)
         dt = min(0.25 * (2.0 * vconf.h0 / n_cells) / speed, T / 64.0, reaction_dt_cap(vconf.L0))
@@ -319,9 +313,7 @@ def solve(
 
     if snapshot_times is None:
         snapshot_times = np.linspace(0.0, T, 65)
-    snapshots, (times, gs, hs) = march(
-        initial_state(vconf, n_cells), advance, n_steps, dt_eff, snapshot_times
-    )
+    snapshots, (times, gs, hs) = march(state0, advance, n_steps, dt_eff, snapshot_times)
     return LocalSolution(
         snapshots=snapshots,
         boundary_times=times,

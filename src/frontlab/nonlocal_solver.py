@@ -36,9 +36,11 @@ every node sums the same terms in the same order, m = 0..n.
 
 A step touches only the nodes strictly inside (g, h), found once per step
 and shared by both front speeds and the rate; the stencil, its scale, the
-flux weights and their sample offsets are computed once per solve.  The
-flux weights are nonnegative, so the fronts never retreat, and
-f(t, x, 0) = 0, so every node outside the interval keeps its exact zero.
+flux weights and their sample offsets are computed once per solve.  It calls
+``boundary_flux`` and ``apply_nonlocal_operator`` by name, and the
+operator's full-grid output becomes the new state.  The flux weights are
+nonnegative, so the fronts never retreat, and f(t, x, 0) = 0, so every node
+outside the interval keeps its exact zero.
 The grid starts just wide enough for the initial interval and its flux
 window, h0 + offset + 2 eps, and doubles on the side a front is about to
 overrun.  Every position is indexed by its global node j = x / dx, never
@@ -58,7 +60,8 @@ from . import kernels as kmod
 from .errors import CflViolation, DomainTooSmall, ResolutionTooCoarse
 from .problem import ValidatedConfig, eval_initial, eval_reaction, require_valid
 from .trajectory import (
-    Trajectory, check_positivity, check_reaction_step, march, plan_steps, reaction_dt_cap,
+    MAX_NODES, Trajectory, check_positivity, check_reaction_step, march, plan_steps,
+    reaction_dt_cap,
 )
 
 CFL_SIGMA = 0.5  # default dt = CFL_SIGMA * eps^2 / (d c_star)
@@ -270,29 +273,26 @@ def _flux_constants(
     return offset, coeff, flux_weights(kernel, n_sub), eps_w
 
 
-def _operator_rate(
-    state: EulerianState, kernel: kmod.KernelSpec, eps: float, d: float, lo: int, hi: int
-) -> np.ndarray:
-    """(d c_star / eps^2) (J_eps * u - u) at nodes lo..hi-1 of the grid."""
-    stencil, scale = _operator_constants(kernel, eps, d, int(round(eps / state.dx)))
-    rate = _convolve_symmetric(state.values, stencil, lo, hi)
-    rate -= state.values[lo:hi]
-    rate *= scale
-    return rate
-
-
 def apply_nonlocal_operator(
-    state: EulerianState, kernel: kmod.KernelSpec, eps: float, d: float
+    state: EulerianState,
+    kernel: kmod.KernelSpec,
+    eps: float,
+    d: float,
+    window: tuple[int, int] | None = None,
 ) -> np.ndarray:
     """(d c_star / eps^2) (J_eps * u - u) on active nodes, zero elsewhere.
 
     Because u vanishes outside (g, h), the zero-extended discrete convolution
-    coincides with the integral over the active interval.
+    coincides with the integral over the active interval.  ``window`` is the
+    state's active window [lo, hi) when the caller already has it.
     """
     _require_resolution(state.dx, eps, state.t)
-    lo, hi = _active_window(state)
+    lo, hi = _active_window(state) if window is None else window
+    stencil, scale = _operator_constants(kernel, eps, d, int(round(eps / state.dx)))
     out = np.zeros_like(state.values)
-    out[lo:hi] = _operator_rate(state, kernel, eps, d, lo, hi)
+    rate = out[lo:hi]
+    np.subtract(_convolve_symmetric(state.values, stencil, lo, hi), state.values[lo:hi], out=rate)
+    rate *= scale
     return out
 
 
@@ -393,31 +393,29 @@ def step(
     Under dt * d * c_star / eps^2 <= 1 the value update is a convex
     combination of nonnegative terms plus dt * f, so positivity only depends
     on the reaction respecting its Lipschitz bound.  Only the nodes strictly
-    inside (g, h) are updated; the others keep their exact zeros.  The active
-    window is found once and shared by both front speeds and the rate.
+    inside (g, h) are updated; the others keep the operator's exact +0.0.
+    The active window is found once and shared by both front speeds and the
+    operator.
     """
     _require_resolution(state.dx, eps, state.t)
-    config = vconf.config  # read once: vconf forwards its fields through __getattr__
-    lam = dt * config.d * kmod.c_star(kernel) / (eps * eps)
+    lam = dt * vconf.d * kmod.c_star(kernel) / (eps * eps)
     if lam > 1.0 + 1e-12:
         raise CflViolation(f"dt*d*c_star/eps^2 = {lam:.3f} > 1; reduce dt", state.t)
     check_reaction_step(dt, vconf.L0, state.t)
 
-    window = _active_window(state)
-    h_dot = boundary_flux(state, kernel, eps, config.mu, variant, "right", window)
-    g_dot = boundary_flux(state, kernel, eps, config.mu, variant, "left", window)
+    window = lo, hi = _active_window(state)
+    h_dot = boundary_flux(state, kernel, eps, vconf.mu, variant, "right", window)
+    g_dot = boundary_flux(state, kernel, eps, vconf.mu, variant, "left", window)
     g_new = state.g + dt * g_dot
     h_new = state.h + dt * h_dot
 
-    lo, hi = window
-    rate = _operator_rate(state, kernel, eps, config.d, lo, hi)
+    new_values = apply_nonlocal_operator(state, kernel, eps, vconf.d, window)
     u = state.values[lo:hi]
     x = np.arange(state.j_min + lo, state.j_min + hi, dtype=float) * state.dx
-    rate += eval_reaction(config.reaction, state.t, x, np.maximum(u, 0.0))
-    rate *= dt
-    new_values = state.values.copy()
-    window_values = new_values[lo:hi]
-    window_values += rate
+    window_values = new_values[lo:hi]  # L u here, u + dt (L u + f(u)) below
+    window_values += eval_reaction(vconf.reaction, state.t, x, u)
+    window_values *= dt
+    window_values += u
     check_positivity(window_values, state.t + dt)
     np.maximum(window_values, 0.0, out=window_values)
     window_values[(x <= g_new) | (x >= h_new)] = 0.0
@@ -468,6 +466,9 @@ def check_setup(vconf: ValidatedConfig, eps: float, variant: NonlocalVariant, dx
         raise DomainTooSmall(
             f"offset + eps = {offset + eps:g} leaves no room inside h0 = {vconf.h0:g}", 0.0
         )
+    nodes = 2.0 * np.ceil((vconf.h0 + offset + 2.0 * eps) / dx) + 5.0  # as initial_state
+    if nodes > MAX_NODES:
+        raise ValueError(f"dx = {dx:g} asks for {nodes:.3g} grid nodes, more than {MAX_NODES}")
 
 
 def solve(
@@ -478,17 +479,13 @@ def solve(
     dx: float | None = None,
     dt: float | None = None,
     snapshot_times=None,
-    cfl_sigma: float = CFL_SIGMA,
 ) -> NonlocalSolution:
     """March the nonlocal problem from t = 0 to the config horizon."""
     require_valid(vconf)
     dx = eps / 16.0 if dx is None else dx
     check_setup(vconf, eps, variant, dx)
-    d_cstar = vconf.d * kmod.c_star(kernel)
     if dt is None:
-        if not 0.0 < cfl_sigma <= 1.0:
-            raise ValueError("cfl_sigma must lie in (0, 1]")
-        dt = min(cfl_sigma * eps * eps / d_cstar, reaction_dt_cap(vconf.L0))
+        dt = min(CFL_SIGMA * eps * eps / (vconf.d * kmod.c_star(kernel)), reaction_dt_cap(vconf.L0))
     T = vconf.T
     n_steps, dt_eff = plan_steps(T, dt)
 

@@ -85,12 +85,13 @@ class ValidatedConfig:
     def ok(self) -> bool:
         return not self.violations
 
-    def __getattr__(self, name):
-        # Guard dunder/config lookups so pickling cannot recurse before
-        # instance state exists.
-        if name.startswith("_") or name == "config":
-            raise AttributeError(name)
-        return getattr(self.config, name)
+    # The solvers' hot paths read these; each is one attribute of .config.
+    d = property(lambda self: self.config.d)
+    mu = property(lambda self: self.config.mu)
+    h0 = property(lambda self: self.config.h0)
+    T = property(lambda self: self.config.T)
+    reaction = property(lambda self: self.config.reaction)
+    initial = property(lambda self: self.config.initial)
 
 
 def reaction_coefficients(spec: ReactionSpec) -> tuple[float, ...]:
@@ -107,11 +108,13 @@ def reaction_coefficients(spec: ReactionSpec) -> tuple[float, ...]:
 def eval_reaction(spec: ReactionSpec, t: float, x, u):
     """f(t, x, u) for u >= 0; raises NegativeDensity on negative input.
 
-    Horner's rule from the leading coefficient, in place; for fisher_kpp this
-    is ``u * (a - b u)`` bit for bit.
+    The one guard: callers pass their states unclamped, so a negative
+    excursion is reported, not hidden.  Horner's rule from the leading
+    coefficient, in place; for fisher_kpp this is ``u * (a - b u)`` bit for
+    bit.
     """
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0):
+    if np.min(u, initial=0.0) < 0.0:
         raise NegativeDensity("reaction evaluated at negative density")
     c = reaction_coefficients(spec) or (0.0,)
     out = u * c[-1] if len(c) > 1 else np.full_like(u, c[0])

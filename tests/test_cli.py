@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,10 @@ def test_solve_nonlocal_bad_dx_exit_2(stefan_cfg, tmp_path, dx):
         ("nonlocal", "--eps=inf", "eps must be positive and finite, got inf"),
         ("local", "--dt=1e-12", "T = 0.1 at dt = 1e-12 takes 1e+11 steps, more than 10000000"),
         ("nonlocal", "--dt=1e-12", "T = 0.1 at dt = 1e-12 takes 1e+11 steps, more than 10000000"),
+        # Grids too large to allocate, rejected before any array is asked for.
+        ("nonlocal", "--dx=1e-12", "dx = 1e-12 asks for 3.03e+12 grid nodes, more than 1000000"),
+        ("nonlocal", "--dx=5e-324", "asks for inf grid nodes, more than 1000000"),  # overflows
+        ("local", "--nx=1000001", "n_cells = 1000001 is more than MAX_NODES = 1000000"),
     ],
 )
 def test_solve_bad_eps_or_tiny_dt_exit_2(stefan_cfg, tmp_path, solver, option, message):
@@ -211,9 +216,13 @@ def test_converge_bad_config_writes_error_json(tmp_path, config_text, code, mess
         (["--eps", "0.1000001"], "own run dir"),
         (["--dx-ratio", "0"], "dx_ratio must be positive and finite"),
         (["--dx-ratio", "-8"], "dx_ratio must be positive and finite"),
+        (["--jobs", "0"], "jobs must be at least 1, got 0"),
+        (["--jobs", "-3"], "jobs must be at least 1, got -3"),
+        (["--nx", "1000001"], "n_cells = 1000001 is more than MAX_NODES = 1000000"),
     ],
     ids=["beta", "kernel", "no-c1", "nx", "negative-eps", "nan-eps", "repeated-eps",
-         "colliding-eps", "zero-dx-ratio", "negative-dx-ratio"],
+         "colliding-eps", "zero-dx-ratio", "negative-dx-ratio", "zero-jobs", "negative-jobs",
+         "huge-nx"],
 )
 def test_converge_bad_arguments_exit_2(stefan_cfg, tmp_path, extra, message):
     out = tmp_path / "sweep"
@@ -284,6 +293,16 @@ def test_converge_parallel_matches_serial(stefan_cfg, tmp_path):
     assert cli.main(args + ["--out", str(out_serial)]) == 0
     assert cli.main(args + ["--out", str(out_par), "--jobs", "2"]) == 0
     assert read_tree(out_serial) == read_tree(out_par)
+
+
+def test_sweep_workers_bounded_by_runs_and_cores():
+    # A pool forks all its workers at once, so --jobs is clamped before one
+    # is started; checked as a pure function, no pool is started here.
+    cores = os.cpu_count() or 1
+    assert cli._workers(10**6, 3) == min(3, cores)
+    assert cli._workers(10**6, 10**6) == cores
+    assert cli._workers(1, 3) == 1
+    assert cli._workers(2, 1) == 1
 
 
 def test_verify_kernel_suite(capsys):

@@ -94,16 +94,16 @@ def test_admissible_run_keeps_invariants_or_fails_typed(solver, vconf, nonlocal_
 # runs that succeed are drawn too.
 SPECIAL = {"zero": "0", "negative": "-1", "nan": "nan", "inf": "inf", "tiny": "1e-300"}
 ORDINARY = {"--dt": "1e-3", "--dx": "0.025", "--eps": "0.2", "--c1": "10", "--beta": "0.5",
-            "--gamma1": "0.4", "--cfl-sigma": "0.5", "--dx-ratio": "8"}
-# A positive step far too small to march 5e10 times.  Drawn for --dt only: the
-# same value as --dx or --eps asks for a grid of about 1e12 nodes, which no
-# check bounds yet.
-SMALL_DT = "1e-12"
-SOLVE_OPTIONS = ("--dt", "--dx", "--eps", "--c1", "--beta", "--gamma1", "--cfl-sigma")
+            "--gamma1": "0.4", "--dx-ratio": "8"}
+# Positive, but far too small: as --dt it asks for 5e10 steps (MAX_STEPS
+# bounds them), as --dx for a grid of about 4e12 nodes (MAX_NODES bounds it).
+SMALL = "1e-12"
+SOLVE_OPTIONS = ("--dt", "--dx", "--eps", "--c1", "--beta", "--gamma1")
 CONVERGE_OPTIONS = ("--dt", "--eps", "--c1", "--beta", "--dx-ratio")
 value_class = st.sampled_from([*SPECIAL, "ordinary"]) | st.just("ordinary")
 option_classes = st.fixed_dictionaries(
-    {opt: value_class for opt in ORDINARY} | {"--dt": value_class | st.just("small")}
+    {opt: value_class for opt in ORDINARY}
+    | {opt: value_class | st.just("small") for opt in ("--dt", "--dx")}
 )
 ALL_ORDINARY = dict.fromkeys(ORDINARY, "ordinary")
 
@@ -111,7 +111,7 @@ ALL_ORDINARY = dict.fromkeys(ORDINARY, "ordinary")
 def _argv(command, classes, variant, preset, config, out):
     def value(opt):
         if classes[opt] == "small":
-            return SMALL_DT
+            return SMALL
         return ORDINARY[opt] if classes[opt] == "ordinary" else SPECIAL[classes[opt]]
 
     argv = ["--config", str(config), "--out", str(out), "--variant", variant]
@@ -134,6 +134,7 @@ def _argv(command, classes, variant, preset, config, out):
 @example(classes={**ALL_ORDINARY, "--eps": "inf"}, variant="modified", preset="i1")
 @example(classes={**ALL_ORDINARY, "--eps": "nan"}, variant="modified", preset="none")
 @example(classes={**ALL_ORDINARY, "--dt": "small"}, variant="modified", preset="none")
+@example(classes={**ALL_ORDINARY, "--dx": "small"}, variant="modified", preset="none")
 def test_cli_exits_0_2_or_3_with_error_json(command, classes, variant, preset):
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "stefan.cfg", Path(tmp) / "out"

@@ -23,13 +23,6 @@ def quadratic_state(n=128, g=-1.0, h=1.0):
     return L.FixedDomainState(t=0.0, g=g, h=h, values=w)
 
 
-def test_transform_to_physical():
-    st = quadratic_state()
-    assert L.transform_to_physical(L.FixedDomainState(0, -1, 1, st.values), 0.5) == 0.0
-    assert L.transform_to_physical(L.FixedDomainState(0, -1, 3, st.values), 0.25) == 0.0
-    assert L.transform_to_physical(L.FixedDomainState(0, -2, 2, st.values), 1.0) == 2.0
-
-
 def test_boundary_velocities_quadratic_oracle():
     # v(x) = 1 - x^2 has v_x(-1) = 2 and v_x(1) = -2: speeds (-2, 2) at mu = 1.
     st = quadratic_state(n=256)

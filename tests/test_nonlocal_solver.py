@@ -113,6 +113,9 @@ def test_operator_matches_full_grid_convolution(u, ends, fracs, pad):
     scale = 0.7 * K.c_star(EPAN) / eps**2  # times max(u) <= 1
     assert np.max(np.abs(out - ref)) <= 1e-14 * scale
     assert np.all(out[~state.active_mask()] == 0.0)
+    # A caller that passes the active window gets the same bytes.
+    window = NL._active_window(state)
+    assert NL.apply_nonlocal_operator(state, EPAN, eps, 0.7, window).tobytes() == out.tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -389,32 +392,47 @@ def test_step_does_not_depend_on_grid_extent(stefan_vconf):
     assert np.array_equal(tight.values[lo_t:hi_t], wide.values[lo_w:hi_w])
 
 
-@pytest.mark.parametrize("variant", [MOD, NL.NonlocalVariant("unmodified", c1=K.c_star(EPAN))],
-                         ids=["modified", "unmodified"])
-@pytest.mark.parametrize("fronts", [(-1.5, 1.25), (-1.5 + 0.3 / 16, 1.25 - 0.7 / 16)],
-                         ids=["on_nodes", "between_nodes"])
-def test_step_front_speeds_are_boundary_flux_calls(stefan_vconf, monkeypatch, variant, fronts):
-    # Each step looks boundary_flux up by name once per side (a wrapper that
-    # replaces it sees every call), and the speeds it gets from the shared
-    # window are those of a plain call, byte for byte.
-    eps, dx, dt = 0.1, 0.1 / 16, 1e-4
-    g, h = fronts
-    jm = 400
+FRONTS = [(-1.5, 1.25), (-1.5 + 0.3 / 16, 1.25 - 0.7 / 16)]
+FRONT_IDS = ["on_nodes", "between_nodes"]
+
+
+def fronts_state(g, h, dx, jm=400):
+    """A positive, asymmetric profile on (g, h), zero outside."""
     x = np.arange(-jm, jm + 1) * dx
     vals = np.where((x > g) & (x < h), (x - g) * (h - x) * (1.0 + 0.3 * x), 0.0)
-    state = NL.EulerianState(0.0, g, h, dx, -jm, vals)
+    return NL.EulerianState(0.0, g, h, dx, -jm, vals)
+
+
+@pytest.mark.parametrize("variant", [MOD, NL.NonlocalVariant("unmodified", c1=K.c_star(EPAN))],
+                         ids=["modified", "unmodified"])
+@pytest.mark.parametrize("fronts", FRONTS, ids=FRONT_IDS)
+def test_step_front_speeds_are_boundary_flux_calls(stefan_vconf, monkeypatch, variant, fronts):
+    # Each step looks boundary_flux up by name once per side and
+    # apply_nonlocal_operator once, with the step's window (a wrapper that
+    # replaces either sees every call), and the speeds it gets from the shared
+    # window are those of a plain call, byte for byte.
+    eps, dx, dt = 0.1, 0.1 / 16, 1e-4
+    state = fronts_state(*fronts, dx)
     original = NL.boundary_flux
-    calls = []
+    original_operator = NL.apply_nonlocal_operator
+    calls, operator_calls = [], []
 
     def counting(state, kernel, eps, mu, variant, side, *args):
         speed = original(state, kernel, eps, mu, variant, side, *args)
         calls.append((state, side, speed))
         return speed
 
+    def counting_operator(state, kernel, eps, d, *args):
+        operator_calls.append((state, args))
+        return original_operator(state, kernel, eps, d, *args)
+
     monkeypatch.setattr(NL, "boundary_flux", counting)
+    monkeypatch.setattr(NL, "apply_nonlocal_operator", counting_operator)
     for _ in range(3):
         calls.clear()
+        operator_calls.clear()
         new = NL.step(state, dt, stefan_vconf, EPAN, eps, variant)
+        assert operator_calls == [(state, (NL._active_window(state),))]
         assert sorted(side for _, side, _ in calls) == ["left", "right"]
         speeds = {}
         for seen, side, speed in calls:
@@ -426,6 +444,25 @@ def test_step_front_speeds_are_boundary_flux_calls(stefan_vconf, monkeypatch, va
         assert new.h == state.h + dt * speeds["right"]
         assert new.g == state.g + dt * speeds["left"]
         state = new
+
+
+@pytest.mark.parametrize("fronts", FRONTS, ids=FRONT_IDS)
+def test_step_values_are_the_euler_update(fronts):
+    # The new state is u + dt (L u + f(u)) from the public operator and
+    # reaction, byte for byte on the active window, and +0.0 outside it.
+    vconf = P.validate(P.fisher_kpp_config(T=0.1))
+    eps, dx, dt = 0.1, 0.1 / 16, 1e-4
+    state = fronts_state(*fronts, dx)
+    lo, hi = NL._active_window(state)
+    u = state.values[lo:hi]
+    x = state.grid()[lo:hi]
+    rate = NL.apply_nonlocal_operator(state, EPAN, eps, vconf.d)[lo:hi]
+    expected = u + dt * (rate + P.eval_reaction(vconf.reaction, state.t, x, u))
+    new = NL.step(state, dt, vconf, EPAN, eps, MOD)
+    assert new.j_min == state.j_min and new.values.size == state.values.size
+    assert new.values[lo:hi].tobytes() == expected.tobytes()
+    outside = np.concatenate([new.values[:lo], new.values[hi:]])
+    assert np.all(outside == 0.0) and not np.any(np.signbit(outside))
 
 
 def test_step_quiescent_boundaries_unchanged(stefan_vconf):

@@ -1,8 +1,13 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from frontlab import kernels as K
+from frontlab import local_solver as L
+from frontlab import nonlocal_solver as NL
 from frontlab import problem as P
 from frontlab.errors import NegativeDensity
 
@@ -81,6 +86,48 @@ def test_eval_reaction_polynomial_matches_horner_oracle():
 def test_eval_reaction_negative_density():
     with pytest.raises(NegativeDensity):
         P.eval_reaction(P.ReactionSpec(family="zero"), 0.0, 0.0, -1e-3)
+    fisher = P.ReactionSpec(family="fisher_kpp")
+    with pytest.raises(NegativeDensity):
+        P.eval_reaction(fisher, 0.0, np.zeros(5), np.array([0.5, 0.2, -1e-300, 0.0, 1.0]))
+    # Not negative: -0.0, NaN (reported by the solvers' positivity guard) and
+    # empty input.
+    assert P.eval_reaction(fisher, 0.0, 0.0, -0.0) == 0.0
+    assert np.isnan(P.eval_reaction(fisher, 0.0, 0.0, np.nan))
+    assert P.eval_reaction(fisher, 0.0, np.zeros(0), np.zeros(0)).size == 0
+
+
+def test_initial_dip_below_zero_is_negative_density():
+    # v0 dips to -0.5 between validate's samples, exactly at a solver node;
+    # the solvers pass their states to the reaction unclamped, so its guard
+    # reports the dip in the first step instead of evaluating f at 0.
+    x_local, x_nonlocal = -1.0 + 13.0 / 24.0, 37.0 * 0.0125  # nodes at n_cells 48, dx 0.0125
+    x = np.linspace(-1.0, 1.0, 41)
+    v = 1.0 - x**2
+    for xd in (x_local, x_nonlocal):
+        x = np.concatenate([x, [xd - 1e-4, xd, xd + 1e-4]])
+        v = np.concatenate([v, [1.0 - (xd - 1e-4) ** 2, -0.5, 1.0 - (xd + 1e-4) ** 2]])
+    order = np.argsort(x)
+    table = np.column_stack([x[order], v[order]])
+    vconf = P.validate(P.ProblemConfig(
+        T=0.01, initial=P.InitialDataSpec(family="custom_table", table=table)
+    ))
+    assert vconf.ok
+    with pytest.raises(NegativeDensity):
+        L.solve(vconf, n_cells=48, dt=1e-3)
+    with pytest.raises(NegativeDensity):
+        NL.solve(vconf, K.KernelSpec("epanechnikov"), eps=0.2, dx=0.0125, dt=1e-3)
+
+
+def test_validated_config_fields_read_the_config():
+    vconf = P.validate(P.fisher_kpp_config(T=0.5, a=2.0, b=3.0))
+    for name in ("d", "mu", "h0", "T", "reaction", "initial"):
+        assert getattr(vconf, name) is getattr(vconf.config, name)
+        with pytest.raises(AttributeError):
+            setattr(vconf, name, None)
+    with pytest.raises(AttributeError):  # no other name is forwarded to the config
+        getattr(vconf, "a")
+    copy = pickle.loads(pickle.dumps(vconf))  # a converge pool pickles it
+    assert (copy.T, copy.reaction, copy.L0) == (0.5, vconf.reaction, vconf.L0)
 
 
 def test_eval_reaction_zero_at_zero_exactly():
