@@ -15,8 +15,9 @@ Time stepping: boundaries by explicit Euler with metrics frozen at t_n,
 interior by Crank-Nicolson on diffusion with explicit advection/reaction.
 Every floating-point expression that couples mirrored nodes is written so a
 symmetric state maps to an exactly symmetric successor.  Each tridiagonal
-solve is one LAPACK ``gtsv`` call with two right-hand sides, the data and its
-reflection, averaged so the solve is reflection-equivariant as well.
+solve splits its data into mirror-symmetric and antisymmetric halves and
+solves both in one LAPACK ``ptsv`` call, so the solve is exactly
+reflection-equivariant without a second right-hand side.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dptsv
 
 from .errors import CflViolation, DegenerateDomain
 from .problem import ValidatedConfig, eval_initial, eval_reaction, require_valid
@@ -149,28 +150,61 @@ def boundary_velocities(
     return g_dot, h_dot
 
 
-def _solve_tridiagonal_symmetric(r: float, rhs: np.ndarray) -> np.ndarray:
+def _solve_tridiagonal_symmetric(
+    r: float, rhs: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Solve (I - r*D2) w = rhs with Dirichlet zeros, reflection-equivariantly.
 
-    The matrix is symmetric Toeplitz, hence invariant under index reversal;
-    averaging the solve with its reflected twin makes the numerical solution
-    map commute with reflection exactly.  Both solves are the two columns of
-    one LAPACK ``gtsv`` call.
+    The matrix commutes with index reversal, so it maps the mirror-symmetric
+    part s_j = (b_j + b_{m-1-j}) / 2 and the antisymmetric part
+    a_j = (b_j - b_{m-1-j}) / 2 of the data to the parts of the solution.
+    Each part is fixed by its values on the half grid up to the centre:
+
+    * s reflects at the centre: for odd m the centre row, halved to
+      -r x_{c-1} + (1/2 + r) x_c = b_c / 2, keeps the block symmetric; for
+      even m the last diagonal entry is 1 + r.
+    * a vanishes at the centre: a Dirichlet row for odd m, and a last
+      diagonal entry 1 + 3r for even m.
+
+    Both blocks (the a block in reverse order, so a_j sits at row m-1-j) are
+    one symmetric positive definite, strictly diagonally dominant system,
+    solved by one LAPACK ``ptsv`` call without pivoting.  Reversing b leaves
+    s unchanged and negates a, and an LDL^T solve of a negated right-hand
+    side is the negated solution, so the result is exactly
+    reflection-equivariant; adding +0.0 at the end maps -0.0 to +0.0, the
+    only way the two could differ.  Needs m >= 2.  The solution is written
+    into ``out`` when given.
     """
     m = rhs.size
-    both = np.empty((m, 2), order="F")
-    both[:, 0] = rhs
-    both[:, 1] = rhs[::-1]
-    off_lo = np.full(m - 1, -r)
-    off_up = np.full(m - 1, -r)
+    k = m // 2
+    odd = m - 2 * k
+    head, tail = rhs[:k], rhs[:m - k - 1:-1]
+    split = np.empty(m)
+    np.add(head, tail, out=split[:k])
+    np.subtract(head, tail, out=split[:m - k - 1:-1])
+    if odd:
+        split[k] = rhs[k]
+    split *= 0.5
     diag = np.full(m, 1.0 + 2.0 * r)
-    _, _, _, x, info = dgtsv(
-        off_lo, diag, off_up, both,
-        overwrite_dl=True, overwrite_d=True, overwrite_du=True, overwrite_b=True,
-    )
+    off = np.full(m - 1, -r)
+    if odd:
+        diag[k] = 0.5 + r
+    else:
+        diag[k - 1] = 1.0 + r
+        diag[k] = 1.0 + 3.0 * r
+    off[k - 1 + odd] = 0.0
+    _, _, x, info = dptsv(diag, off, split, overwrite_d=True, overwrite_e=True, overwrite_b=True)
     if info != 0:
-        raise np.linalg.LinAlgError(f"tridiagonal solve failed: gtsv info = {info}")
-    return 0.5 * (x[:, 0] + x[::-1, 1])
+        raise np.linalg.LinAlgError(f"tridiagonal solve failed: ptsv info = {info}")
+    if out is None:
+        out = np.empty(m)
+    sym, anti = x[:k], x[:m - k - 1:-1]
+    np.add(sym, anti, out=out[:k])
+    np.subtract(sym, anti, out=out[:m - k - 1:-1])
+    if odd:
+        out[k] = x[k]
+    out += 0.0
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -188,7 +222,8 @@ def _explicit_terms(w, t, g, h, vel, dt, vconf, shift, source, t_fail) -> np.nda
 
     The advection speed is chi = [(1 - xi) g' + xi h'] / (h - g) with
     (g', h') = vel; its CFL ratio and dt * L0 are checked first, and a
-    violation is reported at t_fail.
+    violation is reported at t_fail.  The physical nodes are built only for
+    ``source``: the reaction depends on the density alone.
     """
     n = w.size - 1
     dxi = 1.0 / n
@@ -198,14 +233,11 @@ def _explicit_terms(w, t, g, h, vel, dt, vconf, shift, source, t_fail) -> np.nda
     if cfl > 1.0 + 1e-12:
         raise CflViolation(f"advection CFL {cfl:.3f} > 1; reduce dt", t_fail)
     check_reaction_step(dt, vconf.L0, t_fail)
-    x = (one_minus * g + xi * h)[1:-1]
-    terms = (
-        chi[1:-1] * (w[2:] - w[:-2]) / (2.0 * dxi)
-        + eval_reaction(vconf.reaction, t, x, w[1:-1])
-        + shift
-    )
+    terms = chi[1:-1] * (w[2:] - w[:-2]) / (2.0 * dxi)
+    terms += eval_reaction(vconf.reaction, t, None, w[1:-1])
+    terms += shift
     if source is not None:
-        terms = terms + source(t, x)
+        terms += source(t, (one_minus * g + xi * h)[1:-1])
     return terms
 
 
@@ -214,7 +246,7 @@ def _crank_nicolson(r: float, rhs: np.ndarray, t: float) -> np.ndarray:
     checked against the positivity floor at t and clamped at 0."""
     out = np.empty(rhs.size + 2)
     out[0] = out[-1] = 0.0
-    out[1:-1] = _solve_tridiagonal_symmetric(r, rhs)
+    _solve_tridiagonal_symmetric(r, rhs, out[1:-1])
     check_positivity(out, t)
     np.maximum(out, 0.0, out=out)
     return out
@@ -252,7 +284,8 @@ def step(
     r0 = vconf.d * dt / (2.0 * gap * gap * dxi * dxi)
     shift = knobs.source_shift
     explicit0 = _explicit_terms(w, t0, state.g, state.h, vel0, dt, vconf, shift, source, t0)
-    predictor = _crank_nicolson(r0, w[1:-1] + r0 * second + dt * explicit0, t1)
+    base = w[1:-1] + r0 * second
+    predictor = _crank_nicolson(r0, base + dt * explicit0, t1)
     pred_state = FixedDomainState(
         t=t1, g=state.g + dt * vel0[0], h=state.h + dt * vel0[1], values=predictor
     )
@@ -270,7 +303,7 @@ def step(
 
     explicit1 = _explicit_terms(predictor, t1, g1, h1, vel1, dt, vconf, shift, source, t0)
     r1 = vconf.d * dt / (2.0 * gap1 * gap1 * dxi * dxi)
-    rhs = w[1:-1] + r0 * second + 0.5 * dt * (explicit0 + explicit1)
+    rhs = base + 0.5 * dt * (explicit0 + explicit1)
     return FixedDomainState(t=t1, g=g1, h=h1, values=_crank_nicolson(r1, rhs, t1))
 
 

@@ -411,14 +411,12 @@ def step(
 
     new_values = apply_nonlocal_operator(state, kernel, eps, vconf.d, window)
     u = state.values[lo:hi]
-    x = np.arange(state.j_min + lo, state.j_min + hi, dtype=float) * state.dx
     window_values = new_values[lo:hi]  # L u here, u + dt (L u + f(u)) below
-    window_values += eval_reaction(vconf.reaction, state.t, x, u)
+    window_values += eval_reaction(vconf.reaction, state.t, None, u)
     window_values *= dt
     window_values += u
     check_positivity(window_values, state.t + dt)
     np.maximum(window_values, 0.0, out=window_values)
-    window_values[(x <= g_new) | (x >= h_new)] = 0.0
 
     out = EulerianState(state.t + dt, g_new, h_new, state.dx, state.j_min, new_values)
     return _grow_if_needed(out, variant.offset(eps) + eps + 2.0 * state.dx)

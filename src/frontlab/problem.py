@@ -114,7 +114,7 @@ def eval_reaction(spec: ReactionSpec, t: float, x, u):
     bit.
     """
     u = np.asarray(u, dtype=float)
-    if np.min(u, initial=0.0) < 0.0:
+    if u.min(initial=0.0) < 0.0:
         raise NegativeDensity("reaction evaluated at negative density")
     c = reaction_coefficients(spec) or (0.0,)
     out = u * c[-1] if len(c) > 1 else np.full_like(u, c[0])

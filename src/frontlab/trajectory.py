@@ -25,7 +25,7 @@ MAX_NODES = 10**6  # far above the ~21 000 nodes of an eps = 0.003125, dx = eps/
 
 def check_positivity(values: np.ndarray, t: float) -> None:
     """Raise PositivityLoss if a value is below the floor or not a number."""
-    low = float(np.min(values, initial=0.0))
+    low = float(values.min(initial=0.0))
     if not low >= POSITIVITY_FLOOR:
         raise PositivityLoss(f"value {low:.3e} below positivity floor", t)
 

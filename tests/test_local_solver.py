@@ -54,7 +54,7 @@ def test_boundary_velocities_degenerate_domain():
 
 
 def banded_average(r, rhs):
-    """The two-call ``solve_banded`` form the single gtsv call replaces."""
+    """Reference: two ``solve_banded`` calls, the data and its reflection, averaged."""
     ab = np.empty((3, rhs.size))
     ab[0, :] = -r
     ab[1, :] = 1.0 + 2.0 * r
@@ -64,18 +64,57 @@ def banded_average(r, rhs):
     return 0.5 * (forward + backward)
 
 
+def within_backward_error(r, x, rhs):
+    """max |(I - r D2) x - rhs| <= 4 eps ((1 + 4r) max|x| + max|rhs|), plus
+    16 (1 + 4r) times the smallest subnormal for roundings below the normal
+    range (a subnormal x is stored to that absolute spacing only)."""
+    padded = np.concatenate([[0.0], x, [0.0]])
+    residual = (1.0 + 2.0 * r) * x - r * (padded[:-2] + padded[2:]) - rhs
+    scale = (1.0 + 4.0 * r) * np.max(np.abs(x)) + np.max(np.abs(rhs))
+    tiny = np.nextafter(0.0, 1.0)
+    bound = 4.0 * np.finfo(float).eps * scale + 16.0 * (1.0 + 4.0 * r) * tiny
+    return np.max(np.abs(residual)) <= bound
+
+
 tridiagonal_inputs = st.tuples(
     st.floats(1e-3, 1e3),
     hnp.arrays(float, st.integers(3, 300), elements=st.floats(-1e6, 1e6)),
 )
 
 
+@pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
 @settings(max_examples=100, deadline=None)
 @given(case=tridiagonal_inputs)
-def test_tridiagonal_solve_matches_banded_average_bitwise(case):
+def test_tridiagonal_solve_backward_error_matches_banded_average(parity, case):
+    # Both parities of the size: the split solve has a centre row for odd m
+    # and two special diagonal entries for even m.  The reference meets the
+    # same bound, so the bound is no looser than what it needs.
     r, rhs = case
-    got = L._solve_tridiagonal_symmetric(r, rhs)
-    assert got.tobytes() == banded_average(r, rhs).tobytes()
+    if rhs.size % 2 != parity:
+        rhs = rhs[:-1]
+    assert within_backward_error(r, L._solve_tridiagonal_symmetric(r, rhs), rhs)
+    assert within_backward_error(r, banded_average(r, rhs), rhs)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 64, 65, 1023, 1024])
+def test_tridiagonal_solve_keeps_symmetric_and_antisymmetric_data_exactly(m):
+    rhs = np.random.default_rng(m).uniform(-1.0, 1.0, m)
+    symmetric = rhs + rhs[::-1]
+    antisymmetric = rhs - rhs[::-1]
+    for r in (1e-3, 0.7, 1e3):
+        x = L._solve_tridiagonal_symmetric(r, symmetric)
+        assert x[::-1].tobytes() == x.tobytes()
+        x = L._solve_tridiagonal_symmetric(r, antisymmetric)
+        assert x[::-1].tobytes() == (0.0 - x).tobytes()
+
+
+def test_tridiagonal_solve_reflects_signed_zeros_exactly():
+    # Halving the subnormal gives zeros of both signs in the two halves; the
+    # solve must still return the same bytes for the data and its reflection.
+    rhs = np.array([-5e-324, -0.0, -0.0])
+    forward = L._solve_tridiagonal_symmetric(1e-3, rhs)
+    mirrored = L._solve_tridiagonal_symmetric(1e-3, rhs[::-1])
+    assert mirrored.tobytes() == forward[::-1].tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -193,6 +232,27 @@ def test_solve_symmetric_run_exact(stefan_short):
     for s in sol.snapshots:
         assert np.array_equal(s.values, s.values[::-1])
         assert np.min(s.values) >= 0.0
+
+
+@pytest.mark.parametrize("preset", ["i1", "i2"])
+def test_solve_matches_banded_average_reference(stefan_short, monkeypatch, preset):
+    # A whole solve with the split solve stays within rounding of the same
+    # solve with the reference tridiagonal solve, and both keep g + h == 0.
+    knobs = L.preset_knobs(preset, 0.05)
+    split = L.solve(stefan_short, knobs, n_cells=256)
+
+    def reference(r, rhs, out):
+        out[:] = banded_average(r, rhs)
+        return out
+
+    monkeypatch.setattr(L, "_solve_tridiagonal_symmetric", reference)
+    ref = L.solve(stefan_short, knobs, n_cells=256)
+    for sol in (split, ref):
+        assert np.all(sol.boundary_g + sol.boundary_h == 0.0)
+    assert np.max(np.abs(split.boundary_g - ref.boundary_g)) <= 1e-12
+    assert np.max(np.abs(split.boundary_h - ref.boundary_h)) <= 1e-12
+    for a, b in zip(split.snapshots, ref.snapshots):
+        assert np.max(np.abs(a.values - b.values)) <= 1e-12
 
 
 def test_solve_perturbation_sandwich():
