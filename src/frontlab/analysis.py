@@ -181,7 +181,8 @@ def mass_residual(sol, vconf: ValidatedConfig, coefficient: float) -> np.ndarray
     for k in range(n):
         x, u = sol.snapshot_nodes(k)
         masses[k] = np.trapezoid(u, x)
-        f_integrals[k] = np.trapezoid(eval_reaction(vconf.reaction, float(ts[k]), x, u), x)
+        f = eval_reaction(vconf.reaction, float(ts[k]), x, u)
+        f_integrals[k] = np.trapezoid(np.broadcast_to(f, u.shape), x)
     cum_f = np.concatenate(
         [[0.0], np.cumsum(0.5 * (f_integrals[1:] + f_integrals[:-1]) * np.diff(ts))]
     )

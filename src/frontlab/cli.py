@@ -30,7 +30,6 @@ import functools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import analysis, checks, kernels, local_solver, nonlocal_solver, problem, runio
@@ -170,6 +169,8 @@ def _sweep(vconf, out, eps_list, variant, kernel, reference_nx, reference_dt, dx
     )
     workers = _workers(jobs, len(eps_values))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             sols = list(pool.map(run, eps_values))
     else:

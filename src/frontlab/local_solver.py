@@ -17,7 +17,9 @@ Every floating-point expression that couples mirrored nodes is written so a
 symmetric state maps to an exactly symmetric successor.  Each tridiagonal
 solve splits its data into mirror-symmetric and antisymmetric halves and
 solves both in one LAPACK ``ptsv`` call, so the solve is exactly
-reflection-equivariant without a second right-hand side.
+reflection-equivariant without a second right-hand side.  SciPy, which
+provides that call, is imported on the first solve, so a process that runs
+only nonlocal solves never loads it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
 
 from .errors import CflViolation, DegenerateDomain
 from .problem import ValidatedConfig, eval_initial, eval_reaction, require_valid
@@ -150,6 +151,14 @@ def boundary_velocities(
     return g_dot, h_dot
 
 
+@lru_cache(maxsize=1)
+def _lapack_ptsv():
+    """SciPy's LAPACK ``dptsv``, imported once, on the first local solve."""
+    from scipy.linalg.lapack import dptsv
+
+    return dptsv
+
+
 def _solve_tridiagonal_symmetric(
     r: float, rhs: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -193,7 +202,9 @@ def _solve_tridiagonal_symmetric(
         diag[k - 1] = 1.0 + r
         diag[k] = 1.0 + 3.0 * r
     off[k - 1 + odd] = 0.0
-    _, _, x, info = dptsv(diag, off, split, overwrite_d=True, overwrite_e=True, overwrite_b=True)
+    _, _, x, info = _lapack_ptsv()(
+        diag, off, split, overwrite_d=True, overwrite_e=True, overwrite_b=True
+    )
     if info != 0:
         raise np.linalg.LinAlgError(f"tridiagonal solve failed: ptsv info = {info}")
     if out is None:
@@ -221,19 +232,21 @@ def _explicit_terms(w, t, g, h, vel, dt, vconf, shift, source, t_fail) -> np.nda
     """Advection, reaction, shift and source at the interior nodes of w.
 
     The advection speed is chi = [(1 - xi) g' + xi h'] / (h - g) with
-    (g', h') = vel; its CFL ratio and dt * L0 are checked first, and a
-    violation is reported at t_fail.  The physical nodes are built only for
-    ``source``: the reaction depends on the density alone.
+    (g', h') = vel.  It is affine in xi, so its CFL ratio is taken at the
+    endpoints, where |chi| is |g'| / (h - g) and |h'| / (h - g); that ratio
+    and dt * L0 are checked first, and a violation is reported at t_fail.
+    The physical nodes are built only for ``source``: the reaction depends on
+    the density alone.
     """
     n = w.size - 1
     dxi = 1.0 / n
-    xi, one_minus = _unit_grid(n)
-    chi = (one_minus * vel[0] + xi * vel[1]) / (h - g)
-    cfl = dt * float(np.max(np.abs(chi))) / dxi
+    cfl = dt * max(abs(vel[0]), abs(vel[1])) / ((h - g) * dxi)
     if cfl > 1.0 + 1e-12:
         raise CflViolation(f"advection CFL {cfl:.3f} > 1; reduce dt", t_fail)
     check_reaction_step(dt, vconf.L0, t_fail)
-    terms = chi[1:-1] * (w[2:] - w[:-2]) / (2.0 * dxi)
+    xi, one_minus = _unit_grid(n)
+    chi = (one_minus[1:-1] * vel[0] + xi[1:-1] * vel[1]) / (h - g)
+    terms = chi * (w[2:] - w[:-2]) / (2.0 * dxi)
     terms += eval_reaction(vconf.reaction, t, None, w[1:-1])
     terms += shift
     if source is not None:

@@ -337,7 +337,10 @@ def boundary_flux(
     reads the reflected state, values[::-1] with mirrored indices, through the
     right-side code path (J is even), which keeps symmetric runs exactly
     symmetric.  ``window`` is the state's active window [lo, hi) when the
-    caller already has it.
+    caller already has it.  The reconstruction starts one or two nodes below
+    the lowest sample, not at the far front, so ``np.interp`` searches only
+    the nodes under the samples; each sample keeps its bracketing nodes, and
+    so its value, byte for byte.
     """
     _require_resolution(state.dx, eps, state.t)
     n_sub = max(2, int(round(eps / state.dx)))
@@ -351,13 +354,15 @@ def boundary_flux(
     values, dx = state.values, state.dx
     if side == "right":
         ys = state.h - offset - eps_w
-        u = _interp_window(values, state.j_min, dx, state.g, state.h, lo, hi, ys)
+        start = max(lo, math.floor(ys[-1] / dx) - state.j_min)
+        u = _interp_window(values, state.j_min, dx, state.g, state.h, start, hi, ys)
         return mu * coeff * float(np.dot(omega, u))
     if side == "left":
         size = values.size
         ys = -state.g - offset - eps_w
         j_min = -(state.j_min + size - 1)
-        u = _interp_window(values[::-1], j_min, dx, -state.h, -state.g, size - hi, size - lo, ys)
+        start = max(size - hi, math.floor(ys[-1] / dx) - j_min)
+        u = _interp_window(values[::-1], j_min, dx, -state.h, -state.g, start, size - lo, ys)
         return -mu * coeff * float(np.dot(omega, u))
     raise ValueError("side must be 'left' or 'right'")
 

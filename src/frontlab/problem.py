@@ -111,12 +111,15 @@ def eval_reaction(spec: ReactionSpec, t: float, x, u):
     The one guard: callers pass their states unclamped, so a negative
     excursion is reported, not hidden.  Horner's rule from the leading
     coefficient, in place; for fisher_kpp this is ``u * (a - b u)`` bit for
-    bit.
+    bit.  The zero reaction is the scalar 0.0, which callers add in place as
+    they would an array of zeros.
     """
     u = np.asarray(u, dtype=float)
     if u.min(initial=0.0) < 0.0:
         raise NegativeDensity("reaction evaluated at negative density")
-    c = reaction_coefficients(spec) or (0.0,)
+    c = reaction_coefficients(spec)
+    if not c:
+        return 0.0
     out = u * c[-1] if len(c) > 1 else np.full_like(u, c[0])
     for ck in c[-2:0:-1]:
         out += ck

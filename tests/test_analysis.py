@@ -157,6 +157,19 @@ def test_mass_residual_zero_at_t0(local_sol, vconf):
     assert rows[0, 1] == 0.0
 
 
+@pytest.mark.parametrize("which", ["local", "nonlocal"])
+def test_mass_residual_zero_reaction_adds_exactly_nothing(local_sol, nonlocal_sol, vconf, which):
+    # The zero reaction is the scalar 0.0; its integral is still exactly 0,
+    # so the rows are the mass and width terms alone, byte for byte.
+    sol = local_sol if which == "local" else nonlocal_sol
+    rows = A.mass_residual(sol, vconf, coefficient=0.7)
+    masses = np.array([np.trapezoid(v, x) for x, v in map(sol.snapshot_nodes,
+                                                           range(len(sol.snapshots)))])
+    width = np.array([s.h - s.g for s in sol.snapshots])
+    expected = masses - masses[0] + 0.7 * (width - 2.0 * vconf.h0)
+    assert rows[:, 1].tobytes() == expected.tobytes()
+
+
 def test_mass_residual_small_on_fine_local_run(vconf):
     sol = L.solve(vconf, n_cells=512, dt=1e-4)
     rows = A.mass_residual(sol, vconf, coefficient=vconf.d / vconf.mu)

@@ -8,6 +8,7 @@ from scipy.linalg import solve_banded
 from frontlab import local_solver as L
 from frontlab import problem as P
 from frontlab.errors import CflViolation, DegenerateDomain, OutOfHorizon, PositivityLoss
+from frontlab.trajectory import plan_steps
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +147,37 @@ def test_step_cfl_violation(stefan_short):
     state = L.initial_state(stefan_short, 128)
     with pytest.raises(CflViolation):
         L.step(state, 0.1, stefan_short)
+
+
+def nodewise_advection_cfl(g, h, vel, dt, n):
+    """dt max |chi| / dxi over all n + 1 nodes, chi = [(1 - xi) g' + xi h'] / (h - g)."""
+    xi = np.arange(n + 1) / n
+    chi = ((1.0 - xi) * vel[0] + xi * vel[1]) / (h - g)
+    return dt * float(np.max(np.abs(chi))) / (1.0 / n)
+
+
+def test_oversized_dt_fails_where_the_nodewise_cfl_first_exceeds_one():
+    # Fronts pinned to move inward at 1/2 each: the domain shrinks, the
+    # advection CFL ratio grows, and the run fails mid-way, at the step
+    # (predictor at g, h or corrector at the new fronts) and with the ratio
+    # that the nodewise maximum names.
+    vconf = P.validate(P.symmetric_stefan(T=1.5))
+    n, vel = 64, (0.5, -0.5)
+    n_steps, dt = plan_steps(vconf.T, 0.03)
+    g, h, t = -vconf.h0, vconf.h0, 0.0
+    for _ in range(n_steps):
+        g1 = g + dt * (0.5 * (vel[0] + vel[0]))
+        h1 = h + dt * (0.5 * (vel[1] + vel[1]))
+        over = [c for c in (nodewise_advection_cfl(g, h, vel, dt, n),
+                            nodewise_advection_cfl(g1, h1, vel, dt, n)) if c > 1.0 + 1e-12]
+        if over:
+            break
+        g, h, t = g1, h1, t + dt
+    assert over and 0.5 < t < vconf.T
+    with pytest.raises(CflViolation) as info:
+        L.solve(vconf, n_cells=n, dt=0.03, velocity_override=vel)
+    assert info.value.time_of_failure == t
+    assert str(info.value) == f"advection CFL {over[0]:.3f} > 1; reduce dt"
 
 
 def test_step_positivity_loss(stefan_short):

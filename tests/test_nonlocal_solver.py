@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -319,6 +321,66 @@ def test_flux_weights_sum_to_first_moment():
         om = NL.flux_weights(EPAN, n)
         assert np.all(om >= 0.0)
         assert np.sum(om) == pytest.approx(K.moment(EPAN, 1), abs=1e-13)
+
+
+def boundary_flux_full_window(state, kernel, eps, mu, variant, side):
+    """boundary_flux with the reconstruction over the whole active window."""
+    n_sub = max(2, int(round(eps / state.dx)))
+    offset, coeff, omega, eps_w = NL._flux_constants(kernel, eps, variant, n_sub)
+    if side == "right":
+        return mu * coeff * float(np.dot(omega, NL.interp_pinned(state, state.h - offset - eps_w)))
+    size = state.values.size
+    mirrored = NL.EulerianState(state.t, -state.h, -state.g, state.dx,
+                                -(state.j_min + size - 1), state.values[::-1])
+    ys = -state.g - offset - eps_w
+    return -mu * coeff * float(np.dot(omega, NL.interp_pinned(mirrored, ys)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    eps=st.sampled_from([0.2, 0.1, 0.05]),
+    n_sub=st.sampled_from([8, 11, 16]),
+    variant=st.sampled_from([
+        NL.NonlocalVariant("modified", beta=0.3), MOD, NL.NonlocalVariant("modified", beta=0.7),
+        NL.NonlocalVariant("unmodified", c1=K.c_star(EPAN)),
+    ]),
+    fracs=st.tuples(st.sampled_from([0.0, 0.5, 1e-9, 0.999]),
+                    st.sampled_from([0.0, 0.25, 1e-9, 0.999])),
+    pad=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    zero_outside=st.booleans(),
+)
+def test_boundary_flux_matches_full_window_bitwise(data, eps, n_sub, variant, fracs, pad,
+                                                   zero_outside):
+    # Fronts on a node (frac 0) or between nodes; pad 0 ends the grid flush
+    # with the first node at or beyond each front; the unmodified law (offset
+    # 0) samples h itself.
+    dx = eps / n_sub
+    reach = math.ceil((variant.offset(eps) + eps) / dx)
+    ends = (-reach - data.draw(st.integers(1, 40)), reach + data.draw(st.integers(1, 40)))
+    g, h = (ends[0] - fracs[0]) * dx, (ends[1] + fracs[1]) * dx
+    j_min = math.floor(g / dx) - pad[0]
+    size = math.ceil(h / dx) + pad[1] - j_min + 1
+    x = (j_min + np.arange(size)) * dx
+    u = data.draw(hnp.arrays(float, size, elements=st.floats(0.0, 1e3)))
+    vals = np.where((x > g) & (x < h), u, 0.0) if zero_outside else u
+    state = NL.EulerianState(0.0, g, h, dx, j_min, vals)
+
+    spans = []
+    original = NL._interp_window
+
+    def recording(values, j_min, dx, g, h, lo, hi, ys):
+        spans.append(hi - lo)
+        return original(values, j_min, dx, g, h, lo, hi, ys)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(NL, "_interp_window", recording)
+        for side in ("right", "left"):
+            speed = NL.boundary_flux(state, EPAN, eps, 1.3, variant, side)
+            expected = boundary_flux_full_window(state, EPAN, eps, 1.3, variant, side)
+            assert np.float64(speed).tobytes() == np.float64(expected).tobytes()
+    # Each side reads only the nodes under its samples, not the whole window.
+    assert len(spans) == 4 and max(spans[0], spans[2]) <= reach + 3
 
 
 # -- step ---------------------------------------------------------------------

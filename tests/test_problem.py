@@ -96,6 +96,21 @@ def test_eval_reaction_negative_density():
     assert P.eval_reaction(fisher, 0.0, np.zeros(0), np.zeros(0)).size == 0
 
 
+def test_zero_reaction_is_the_scalar_zero_after_the_guard():
+    # Callers add it in place, which gives the bytes an array of zeros gives.
+    zero = P.ReactionSpec(family="zero")
+    u = np.array([0.0, -0.0, 5e-324, 0.5, 3.0])
+    f = P.eval_reaction(zero, 0.0, None, u)
+    assert type(f) is float and f == 0.0 and np.copysign(1.0, f) == 1.0
+    for base in (u, -u):
+        added, reference = base.copy(), base.copy()
+        added += f
+        reference += np.zeros_like(base)
+        assert added.tobytes() == reference.tobytes()
+    with pytest.raises(NegativeDensity):
+        P.eval_reaction(zero, 0.0, None, np.array([0.5, -5e-324]))
+
+
 def test_initial_dip_below_zero_is_negative_density():
     # v0 dips to -0.5 between validate's samples, exactly at a solver node;
     # the solvers pass their states to the reaction unclamped, so its guard
