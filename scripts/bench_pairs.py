@@ -1,0 +1,181 @@
+#!/usr/bin/env python3
+"""Alternated parent/change pairs of ``bench/run.py``, written as one BENCH_<n>.json.
+
+    python3 scripts/bench_pairs.py --parent PARENT_TREE --change CHANGE_TREE \\
+        --out BENCH_14.json --seed 1401 sandwich-local=10 converge-stefan=3
+
+Each positional argument names a workload and how many pairs to run.  A pair
+runs ``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` once
+in each source tree, the parent first in even pairs and the change first in
+odd ones; seeds count up from ``--seed`` over all pairs.  ``--traced W`` adds
+one pair with ``--trace 1`` (per-layer metrics), and ``--tier1`` times the
+tier-1 test suite once in each tree, after the pairs.  The output holds host
+facts, every pair's end-to-end metrics and, per workload, each metric's
+median and quartiles on both sides, the pairs the change won and the failed
+and attempted operations.  Metric names and their better direction come from
+``BENCHMARK.json``.  Standard library only.
+"""
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import time
+from importlib import metadata
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+
+def end_to_end_metrics(benchmark: dict) -> dict[str, str]:
+    """Name -> "lower" or "higher" for each end-to-end metric of BENCHMARK.json."""
+    return {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+
+
+def quartiles(values: list[float]) -> dict[str, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per workload: for each metric, both sides' median and quartiles, the
+    pairs the change won (ties count for neither), the relative change of
+    the median and the parent's quartile spread; failed and attempted
+    operations summed per side."""
+    summary = {}
+    for workload in dict.fromkeys(p["workload"] for p in pairs):
+        runs = [p for p in pairs if p["workload"] == workload]
+        entry = {"pairs": len(runs)}
+        for name, direction in better.items():
+            sign = 1.0 if direction == "higher" else -1.0
+            wins = sum(1 for p in runs if sign * (p["change"][name] - p["parent"][name]) > 0.0)
+            stats = {side: quartiles([p[side][name] for p in runs]) for side in SIDES}
+            entry[name] = {
+                **stats,
+                "change_wins": wins,
+                "median_change": stats["change"]["median"] / stats["parent"]["median"] - 1.0,
+                "parent_quartile_spread": stats["parent"]["q3"] - stats["parent"]["q1"],
+            }
+        for key, field in (("failed_ops", "failed"), ("attempted_ops", "attempted")):
+            entry[key] = {side: sum(p[side][field] for p in runs) for side in SIDES}
+        summary[workload] = entry
+    return summary
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One ``bench/run.py`` process in tree; its metrics plus the operation counts."""
+    cmd = [
+        sys.executable, "bench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+    ]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} failed in {tree}:\n{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    row = {name: m["value"] for name, m in result["metrics"].items()}
+    row["attempted"] = result["attempted"]
+    row["failed"] = result["failed"]
+    return row
+
+
+def run_tier1(tree: Path) -> dict:
+    """Wall time, pytest's own time and the pass count of the tier-1 suite in tree."""
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    t0 = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True, check=False)
+    wall = time.perf_counter() - t0
+    last = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    passed = re.search(r"(\d+) passed", last)
+    took = re.search(r"in ([\d.]+)s", last)
+    return {
+        "wall_s": round(wall, 2),
+        "pytest_s": float(took.group(1)) if took else None,
+        "passed": int(passed.group(1)) if passed else 0,
+        "summary": last,
+    }
+
+
+def host_facts() -> dict:
+    facts = {"cores": os.cpu_count(), "machine": platform.machine(),
+             "python": platform.python_version()}
+    for package in ("numpy", "scipy"):
+        try:
+            facts[package] = metadata.version(package)
+        except metadata.PackageNotFoundError:
+            facts[package] = None
+    return facts
+
+
+def parse_plan(items: list[str]) -> list[tuple[str, int]]:
+    plan = []
+    for item in items:
+        workload, _, count = item.partition("=")
+        if not workload or not count.isdigit() or int(count) < 1:
+            raise SystemExit(f"expected WORKLOAD=PAIRS, got {item!r}")
+        plan.append((workload, int(count)))
+    return plan
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("plan", nargs="+", help="WORKLOAD=PAIRS, e.g. sandwich-local=10")
+    parser.add_argument("--parent", type=Path, required=True, help="parent source tree")
+    parser.add_argument("--change", type=Path, required=True, help="changed source tree")
+    parser.add_argument("--parent-label", default=None, help="default: the tree's name")
+    parser.add_argument("--change-label", default=None, help="default: the tree's name")
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
+    parser.add_argument("--seconds", type=float, default=36.0)
+    parser.add_argument("--traced", default=None, help="workload of one traced pair")
+    parser.add_argument("--tier1", action="store_true", help="time the tier-1 suite once per tree")
+    args = parser.parse_args(argv)
+    plan = parse_plan(args.plan)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    better = end_to_end_metrics(json.loads((ROOT / "BENCHMARK.json").read_text()))
+
+    seed = args.seed
+    pairs = []
+    for workload, count in plan:
+        for i in range(count):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            pair = {"workload": workload, "seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_bench(trees[side], workload, seed, args.seconds, 0)
+            print(json.dumps(pair), file=sys.stderr)
+            pairs.append(pair)
+            seed += 1
+
+    record = {
+        "what": "Alternated parent/change pairs of `python3 bench/run.py --workload W "
+        f"--seed N --seconds {args.seconds:g} --trace 0`, each side run in its own source "
+        f"tree, seeds {args.seed}-{seed - 1}",
+        "parent": args.parent_label or trees["parent"].name,
+        "change": args.change_label or trees["change"].name,
+        "host": host_facts(),
+        "summary": summarize(pairs, better),
+        "pairs": pairs,
+    }
+    if args.traced:
+        traced = {"workload": args.traced, "seed": seed}
+        for side in SIDES:
+            traced[side] = run_bench(trees[side], args.traced, seed, args.seconds, 1)
+        record["traced_pair"] = traced
+    if args.tier1:
+        record["tier1"] = {
+            "command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors",
+            "runs": "one each, parent first, back to back, after the benchmark pairs",
+            **{side: run_tier1(trees[side]) for side in SIDES},
+        }
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

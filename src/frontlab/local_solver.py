@@ -16,10 +16,13 @@ interior by Crank-Nicolson on diffusion with explicit advection/reaction.
 Every floating-point expression that couples mirrored nodes is written so a
 symmetric state maps to an exactly symmetric successor.  Each tridiagonal
 solve splits its data into mirror-symmetric and antisymmetric halves and
-solves both in one LAPACK ``ptsv`` call, so the solve is exactly
-reflection-equivariant without a second right-hand side.  SciPy, which
-provides that call, is imported on the first solve, so a process that runs
-only nonlocal solves never loads it.
+solves both at once against one block-diagonal matrix, 2 (I - r D2) split
+at the centre, so the solve is exactly reflection-equivariant without a
+second right-hand side.  LAPACK ``pttrf`` factors that matrix once per r
+and ``pttrs`` applies the factor; a step's corrector matrix is the next
+step's predictor matrix, so a solve of N steps factors N + 1 times.  SciPy,
+which provides both calls, is imported on the first solve, so a process
+that runs only nonlocal solves never loads it.
 """
 
 from __future__ import annotations
@@ -152,11 +155,38 @@ def boundary_velocities(
 
 
 @lru_cache(maxsize=1)
-def _lapack_ptsv():
-    """SciPy's LAPACK ``dptsv``, imported once, on the first local solve."""
-    from scipy.linalg.lapack import dptsv
+def _lapack_pt():
+    """SciPy's LAPACK ``dpttrf`` and ``dpttrs``, imported once, on the first
+    local solve."""
+    from scipy.linalg.lapack import dpttrf, dpttrs
 
-    return dptsv
+    return dpttrf, dpttrs
+
+
+@lru_cache(maxsize=2)
+def _split_factor(r: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only LDL^T factor (d, e) of the block-diagonal split of
+    2 (I - r D2) on m nodes, from LAPACK ``pttrf``.
+
+    Two entries suffice: a step's corrector matrix is the next step's
+    predictor matrix, so a solve of N steps factors N + 1 times.
+    """
+    k = m // 2
+    odd = m - 2 * k
+    diag = np.full(m, 2.0 + 4.0 * r)
+    off = np.full(m - 1, -2.0 * r)
+    if odd:
+        diag[k] = 1.0 + 2.0 * r
+    else:
+        diag[k - 1] = 2.0 + 2.0 * r
+        diag[k] = 2.0 + 6.0 * r
+    off[k - 1 + odd] = 0.0
+    d, e, info = _lapack_pt()[0](diag, off, overwrite_d=True, overwrite_e=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"tridiagonal factorization failed: pttrf info = {info}")
+    d.flags.writeable = False
+    e.flags.writeable = False
+    return d, e
 
 
 def _solve_tridiagonal_symmetric(
@@ -167,22 +197,25 @@ def _solve_tridiagonal_symmetric(
     The matrix commutes with index reversal, so it maps the mirror-symmetric
     part s_j = (b_j + b_{m-1-j}) / 2 and the antisymmetric part
     a_j = (b_j - b_{m-1-j}) / 2 of the data to the parts of the solution.
-    Each part is fixed by its values on the half grid up to the centre:
+    Each part is fixed by its values on the half grid up to the centre, and
+    is solved against twice the matrix, 2 (I - r D2), with the unhalved sum
+    2 s_j or difference 2 a_j as data (scaling by 2 is exact):
 
     * s reflects at the centre: for odd m the centre row, halved to
-      -r x_{c-1} + (1/2 + r) x_c = b_c / 2, keeps the block symmetric; for
-      even m the last diagonal entry is 1 + r.
+      -2r x_{c-1} + (1 + 2r) x_c = b_c, keeps the block symmetric; for
+      even m the last diagonal entry is 2 + 2r.
     * a vanishes at the centre: a Dirichlet row for odd m, and a last
-      diagonal entry 1 + 3r for even m.
+      diagonal entry 2 + 6r for even m.
 
     Both blocks (the a block in reverse order, so a_j sits at row m-1-j) are
-    one symmetric positive definite, strictly diagonally dominant system,
-    solved by one LAPACK ``ptsv`` call without pivoting.  Reversing b leaves
-    s unchanged and negates a, and an LDL^T solve of a negated right-hand
-    side is the negated solution, so the result is exactly
-    reflection-equivariant; adding +0.0 at the end maps -0.0 to +0.0, the
-    only way the two could differ.  Needs m >= 2.  The solution is written
-    into ``out`` when given.
+    one symmetric positive definite, strictly diagonally dominant matrix.
+    LAPACK ``pttrf`` factors it without pivoting once per (r, m), in
+    ``_split_factor``, and ``pttrs`` applies the factor: the two calls
+    ``ptsv`` makes.  Reversing b leaves s unchanged and negates a, and an
+    LDL^T solve of a negated right-hand side is the negated solution, so the
+    result is exactly reflection-equivariant; adding +0.0 at the end maps
+    -0.0 to +0.0, the only way the two could differ.  Needs m >= 2.  The
+    solution is written into ``out`` when given.
     """
     m = rhs.size
     k = m // 2
@@ -193,20 +226,10 @@ def _solve_tridiagonal_symmetric(
     np.subtract(head, tail, out=split[:m - k - 1:-1])
     if odd:
         split[k] = rhs[k]
-    split *= 0.5
-    diag = np.full(m, 1.0 + 2.0 * r)
-    off = np.full(m - 1, -r)
-    if odd:
-        diag[k] = 0.5 + r
-    else:
-        diag[k - 1] = 1.0 + r
-        diag[k] = 1.0 + 3.0 * r
-    off[k - 1 + odd] = 0.0
-    _, _, x, info = _lapack_ptsv()(
-        diag, off, split, overwrite_d=True, overwrite_e=True, overwrite_b=True
-    )
+    d, e = _split_factor(r, m)
+    x, info = _lapack_pt()[1](d, e, split, overwrite_b=True)
     if info != 0:
-        raise np.linalg.LinAlgError(f"tridiagonal solve failed: ptsv info = {info}")
+        raise np.linalg.LinAlgError(f"tridiagonal solve failed: pttrs info = {info}")
     if out is None:
         out = np.empty(m)
     sym, anti = x[:k], x[:m - k - 1:-1]
@@ -220,8 +243,8 @@ def _solve_tridiagonal_symmetric(
 
 @lru_cache(maxsize=8)
 def _unit_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only xi_j = j/n and 1 - xi_j, j = 0..n."""
-    xi = np.arange(n + 1) / n
+    """Read-only xi_j = j/n and 1 - xi_j at the interior nodes j = 1..n-1."""
+    xi = np.arange(1, n) / n
     one_minus = 1.0 - xi
     xi.flags.writeable = False
     one_minus.flags.writeable = False
@@ -231,12 +254,14 @@ def _unit_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _explicit_terms(w, t, g, h, vel, dt, vconf, shift, source, t_fail) -> np.ndarray:
     """Advection, reaction, shift and source at the interior nodes of w.
 
-    The advection speed is chi = [(1 - xi) g' + xi h'] / (h - g) with
-    (g', h') = vel.  It is affine in xi, so its CFL ratio is taken at the
-    endpoints, where |chi| is |g'| / (h - g) and |h'| / (h - g); that ratio
-    and dt * L0 are checked first, and a violation is reported at t_fail.
-    The physical nodes are built only for ``source``: the reaction depends on
-    the density alone.
+    The advection term is chi w_xi with chi = [(1 - xi) g' + xi h'] / (h - g)
+    and (g', h') = vel, taken as [(1 - xi) (g' c) + xi (h' c)] times the
+    central difference, c = 1 / (2 (h - g) dxi), so mirrored nodes see
+    mirrored expressions.  chi is affine in xi, so its CFL ratio is taken at
+    the endpoints, where |chi| is |g'| / (h - g) and |h'| / (h - g); that
+    ratio and dt * L0 are checked first, and a violation is reported at
+    t_fail.  The physical nodes are built only for ``source``: the reaction
+    depends on the density alone.
     """
     n = w.size - 1
     dxi = 1.0 / n
@@ -245,12 +270,20 @@ def _explicit_terms(w, t, g, h, vel, dt, vconf, shift, source, t_fail) -> np.nda
         raise CflViolation(f"advection CFL {cfl:.3f} > 1; reduce dt", t_fail)
     check_reaction_step(dt, vconf.L0, t_fail)
     xi, one_minus = _unit_grid(n)
-    chi = (one_minus[1:-1] * vel[0] + xi[1:-1] * vel[1]) / (h - g)
-    terms = chi * (w[2:] - w[:-2]) / (2.0 * dxi)
-    terms += eval_reaction(vconf.reaction, t, None, w[1:-1])
-    terms += shift
+    c = 1.0 / (2.0 * (h - g) * dxi)
+    chi = np.multiply(one_minus, vel[0] * c)
+    terms = np.multiply(xi, vel[1] * c)
+    chi += terms
+    np.subtract(w[2:], w[:-2], out=terms)
+    terms *= chi
+    reaction = eval_reaction(vconf.reaction, t, None, w[1:-1])
+    if isinstance(reaction, float):
+        terms += reaction + shift
+    else:
+        terms += reaction
+        terms += shift
     if source is not None:
-        terms += source(t, (one_minus * g + xi * h)[1:-1])
+        terms += source(t, one_minus * g + xi * h)
     return terms
 
 
@@ -281,7 +314,9 @@ def step(
     boundary velocities and explicit terms, which keeps the discrete mass
     ledger second-order accurate in dt.  ``velocity_override`` pins the
     boundary motion (used by verification harnesses to freeze the domain);
-    ``source`` adds an extra forcing s(t, x).
+    ``source`` adds an extra forcing s(t, x).  The stages are built in
+    place; the corrector's r is the next predictor's, bit for bit, so its
+    factor is reused (see ``_split_factor``).
     """
     w = state.values
     dxi = 1.0 / state.n_cells
@@ -293,12 +328,20 @@ def step(
         vel0 = boundary_velocities(state, knobs, vconf.mu)
 
     t0, t1 = state.t, state.t + dt
-    second = (w[:-2] + w[2:]) - 2.0 * w[1:-1]
+    inner = w[1:-1]
     r0 = vconf.d * dt / (2.0 * gap * gap * dxi * dxi)
     shift = knobs.source_shift
-    explicit0 = _explicit_terms(w, t0, state.g, state.h, vel0, dt, vconf, shift, source, t0)
-    base = w[1:-1] + r0 * second
-    predictor = _crank_nicolson(r0, base + dt * explicit0, t1)
+    explicit = _explicit_terms(w, t0, state.g, state.h, vel0, dt, vconf, shift, source, t0)
+    # base = w + r0 ((w_{j-1} + w_{j+1}) - 2 w_j); rhs holds 2 w_j until the
+    # predictor's right-hand side w + r0 D2 w + dt E0 is built in it.
+    base = np.add(w[:-2], w[2:])
+    rhs = np.multiply(inner, 2.0)
+    base -= rhs
+    base *= r0
+    base += inner
+    np.multiply(explicit, dt, out=rhs)
+    rhs += base
+    predictor = _crank_nicolson(r0, rhs, t1)
     pred_state = FixedDomainState(
         t=t1, g=state.g + dt * vel0[0], h=state.h + dt * vel0[1], values=predictor
     )
@@ -314,10 +357,12 @@ def step(
     if gap1 < MIN_GAP:
         raise DegenerateDomain("domain collapsed within a step", state.t)
 
-    explicit1 = _explicit_terms(predictor, t1, g1, h1, vel1, dt, vconf, shift, source, t0)
+    # The corrector's right-hand side base + (dt / 2) (E0 + E1), in place.
+    explicit += _explicit_terms(predictor, t1, g1, h1, vel1, dt, vconf, shift, source, t0)
+    explicit *= 0.5 * dt
+    explicit += base
     r1 = vconf.d * dt / (2.0 * gap1 * gap1 * dxi * dxi)
-    rhs = base + 0.5 * dt * (explicit0 + explicit1)
-    return FixedDomainState(t=t1, g=g1, h=h1, values=_crank_nicolson(r1, rhs, t1))
+    return FixedDomainState(t=t1, g=g1, h=h1, values=_crank_nicolson(r1, explicit, t1))
 
 
 def initial_state(vconf: ValidatedConfig, n_cells: int) -> FixedDomainState:

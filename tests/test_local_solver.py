@@ -110,8 +110,8 @@ def test_tridiagonal_solve_keeps_symmetric_and_antisymmetric_data_exactly(m):
 
 
 def test_tridiagonal_solve_reflects_signed_zeros_exactly():
-    # Halving the subnormal gives zeros of both signs in the two halves; the
-    # solve must still return the same bytes for the data and its reflection.
+    # A subnormal and zeros of both signs in the split data; the solve must
+    # still return the same bytes for the data and its reflection.
     rhs = np.array([-5e-324, -0.0, -0.0])
     forward = L._solve_tridiagonal_symmetric(1e-3, rhs)
     mirrored = L._solve_tridiagonal_symmetric(1e-3, rhs[::-1])
@@ -125,6 +125,115 @@ def test_tridiagonal_solve_is_reflection_equivariant(case):
     forward = L._solve_tridiagonal_symmetric(r, rhs)
     mirrored = L._solve_tridiagonal_symmetric(r, rhs[::-1])
     assert mirrored.tobytes() == forward[::-1].tobytes()
+
+
+def test_tridiagonal_factorization_failure_is_reported():
+    # r = -1 makes the split matrix indefinite, so pttrf stops with info > 0.
+    with pytest.raises(np.linalg.LinAlgError, match="pttrf info"):
+        L._solve_tridiagonal_symmetric(-1.0, np.ones(8))
+
+
+def solution_bytes(sol) -> bytes:
+    """Boundary tracks and every snapshot of a solution, as raw bytes."""
+    parts = [sol.boundary_times, sol.boundary_g, sol.boundary_h]
+    parts += [s.values for s in sol.snapshots]
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in parts)
+
+
+def count_factorizations(monkeypatch) -> list[int]:
+    """Empty the factor cache and count pttrf calls (their sizes) from now on."""
+    pttrf, pttrs = L._lapack_pt()
+    sizes = []
+
+    def counted(d, e, **kwargs):
+        sizes.append(d.size)
+        return pttrf(d, e, **kwargs)
+
+    monkeypatch.setattr(L, "_lapack_pt", lambda: (counted, pttrs))
+    L._split_factor.cache_clear()
+    return sizes
+
+
+SOLVE_CASES = {
+    "stefan-i1": (P.symmetric_stefan(T=0.05), dict(knobs=L.preset_knobs("i1", 0.05))),
+    "fisher-plain": (P.fisher_kpp_config(T=0.05), {}),
+    "stefan-override-source": (
+        P.symmetric_stefan(T=0.05),
+        dict(velocity_override=(-0.3, 0.5), source=lambda t, x: 0.1 * np.cos(x) * (1.0 + t)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+def test_solve_factors_once_per_step_plus_one(monkeypatch, case):
+    # The corrector's matrix is the next predictor's, so N steps factor N + 1
+    # times, and the cache's two read-only entries are all the state it keeps.
+    cfg, kwargs = SOLVE_CASES[case]
+    vconf = P.validate(cfg)
+    sizes = count_factorizations(monkeypatch)
+    sol = L.solve(vconf, n_cells=96, dt=1e-3, **kwargs)
+    n_steps = sol.boundary_times.size - 1
+    assert n_steps == 50
+    assert sizes == [95] * (n_steps + 1)
+    assert L._split_factor.cache_info().currsize == 2
+    d, e = L._split_factor(0.5, 95)
+    assert not d.flags.writeable and not e.flags.writeable
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+def test_corrector_r_is_next_predictor_r_bitwise(monkeypatch, case):
+    cfg, kwargs = SOLVE_CASES[case]
+    vconf = P.validate(cfg)
+    seen = []
+    solve = L._solve_tridiagonal_symmetric
+
+    def recording(r, rhs, out=None):
+        seen.append(r)
+        return solve(r, rhs, out)
+
+    monkeypatch.setattr(L, "_solve_tridiagonal_symmetric", recording)
+    L.solve(vconf, n_cells=96, dt=1e-3, **kwargs)
+    r = np.array(seen)
+    assert r.size == 100
+    predictor, corrector = r[0::2], r[1::2]
+    # The fronts move, so consecutive steps have different matrices ...
+    assert np.all(predictor[1:] != predictor[:-1])
+    # ... and each corrector's r is the next predictor's, bit for bit.
+    assert corrector[:-1].tobytes() == predictor[1:].tobytes()
+
+
+def test_factor_cache_holds_no_hidden_state():
+    # Solving A, then B, then A again gives A's bytes every time, and the
+    # same bytes as solves that each start from an empty cache.
+    stefan = P.validate(P.symmetric_stefan(T=0.05))
+    fisher = P.validate(P.fisher_kpp_config(T=0.05))
+    knobs = L.preset_knobs("i2", 0.05)
+
+    def solve_a():
+        return solution_bytes(L.solve(stefan, knobs, n_cells=128, dt=1e-3))
+
+    def solve_b():
+        return solution_bytes(L.solve(fisher, n_cells=97, dt=5e-4))
+
+    warm = [solve_a(), solve_b(), solve_a()]
+    cold = []
+    for run in (solve_a, solve_b, solve_a):
+        L._split_factor.cache_clear()
+        cold.append(run())
+    assert warm[0] == warm[2]
+    assert warm == cold
+
+
+def test_tridiagonal_solve_same_bytes_as_cold_cache():
+    # Sizes that share r but differ in m or parity, and alternating r
+    # values, each return what a solve from an empty cache returns.
+    rng = np.random.default_rng(14)
+    cases = [(r, m) for r in (0.3, 0.3, 17.0, 0.3, 17.0) for m in (1023, 1024, 1023)]
+    data = {m: rng.uniform(-1.0, 1.0, m) for m in (1023, 1024)}
+    warm = [L._solve_tridiagonal_symmetric(r, data[m]).tobytes() for r, m in cases]
+    for (r, m), got in zip(cases, warm):
+        L._split_factor.cache_clear()
+        assert L._solve_tridiagonal_symmetric(r, data[m]).tobytes() == got
 
 
 def test_step_preserves_symmetry_exactly(stefan_short):
