@@ -116,7 +116,7 @@ class LocalSolution(Trajectory):
         """Physical node positions and values of snapshot k."""
         state = self.snapshots[k]
         xi = np.arange(state.values.size) / state.n_cells
-        x = (1.0 - xi) * state.g + xi * state.h
+        x = xi[::-1] * state.g + xi * state.h
         return x, state.values.copy()
 
     def profile_at(self, k: int, x) -> np.ndarray:
@@ -243,9 +243,10 @@ def _solve_tridiagonal_symmetric(
 
 @lru_cache(maxsize=8)
 def _unit_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only xi_j = j/n and 1 - xi_j at the interior nodes j = 1..n-1."""
+    """Read-only xi_j = j/n and 1 - xi_j at the interior nodes j = 1..n-1; the
+    latter is xi reversed, (n - j)/n, so mirrored nodes match for every n."""
     xi = np.arange(1, n) / n
-    one_minus = 1.0 - xi
+    one_minus = xi[::-1].copy()
     xi.flags.writeable = False
     one_minus.flags.writeable = False
     return xi, one_minus
@@ -368,7 +369,7 @@ def step(
 def initial_state(vconf: ValidatedConfig, n_cells: int) -> FixedDomainState:
     xi = np.arange(n_cells + 1) / n_cells
     h0 = vconf.h0
-    x = (1.0 - xi) * (-h0) + xi * h0
+    x = xi[::-1] * (-h0) + xi * h0
     values = np.asarray(eval_initial(vconf.initial, x), dtype=float)
     values[0] = 0.0
     values[-1] = 0.0

@@ -1,8 +1,9 @@
 """Eulerian solver for the scaled nonlocal-dispersal free boundary problem.
 
-The density lives on a fixed uniform grid x_j = j * dx (integer-indexed and
-symmetric about 0) while the boundaries g, h move continuously; nodes outside
-(g, h) hold exact zeros.  The dispersal operator is
+The density lives on the uniform grid x_j = j * dx (integer-indexed and
+symmetric about 0) while the boundaries g, h move continuously.  A state
+stores exactly the nodes strictly inside (g, h); every other node is an exact
+zero that is not stored.  The dispersal operator is
 
     L[u](x) = (d c_star / eps^2) [ (J_eps * u)(x) - u(x) ],
 
@@ -38,14 +39,13 @@ A step touches only the nodes strictly inside (g, h), found once per step
 and shared by both front speeds and the rate; the stencil, its scale, the
 flux weights and their sample offsets are computed once per solve.  It calls
 ``boundary_flux`` and ``apply_nonlocal_operator`` by name, and the
-operator's full-grid output becomes the new state.  The flux weights are
-nonnegative, so the fronts never retreat, and f(t, x, 0) = 0, so every node
-outside the interval keeps its exact zero.
-The grid starts just wide enough for the initial interval and its flux
-window, h0 + offset + 2 eps, and doubles on the side a front is about to
-overrun.  Every position is indexed by its global node j = x / dx, never
-relative to the grid's first node, so the result does not depend on how far
-the grid happens to reach.
+operator's output on the stored nodes becomes the new state.  The flux
+weights are nonnegative, so the fronts never retreat, and f(t, x, 0) = 0, so
+every node outside the interval keeps its exact zero.  The first state holds
+v0 on the nodes inside (-h0, h0), and each step pads zeros at the nodes its
+new fronts cover.  Every position is indexed by its global node j = x / dx,
+never relative to the first stored node, so a hand-built state that also
+stores zeros beyond its fronts steps to the same values.
 """
 
 from __future__ import annotations
@@ -96,7 +96,11 @@ class NonlocalVariant:
 
 @dataclass(frozen=True, eq=False)
 class EulerianState:
-    """Grid snapshot: values at x_j = j*dx for j = j_min..j_min+len-1."""
+    """Grid snapshot: values at x_j = j*dx for j = j_min..j_min+len-1.
+
+    A solver state stores exactly the nodes strictly inside (g, h); every
+    other node is an exact zero.  A hand-built state may store more.
+    """
 
     t: float
     g: float
@@ -104,14 +108,6 @@ class EulerianState:
     dx: float
     j_min: int
     values: np.ndarray
-
-    @property
-    def x_min(self) -> float:
-        return self.j_min * self.dx
-
-    @property
-    def x_max(self) -> float:
-        return (self.j_min + self.values.size - 1) * self.dx
 
     def grid(self) -> np.ndarray:
         return (self.j_min + np.arange(self.values.size)) * self.dx
@@ -198,23 +194,28 @@ def flux_weights(kernel: kmod.KernelSpec, n_sub: int) -> np.ndarray:
     return out
 
 
-def _active_window(state: EulerianState) -> tuple[int, int]:
-    """Index range [lo, hi) of the nodes strictly inside (g, h).
+def _window(g: float, h: float, dx: float) -> tuple[int, int]:
+    """The first and last global node j with g < j dx < h.
 
     The floor/ceil guesses are corrected with the comparisons active_mask
     makes, x_j > g and x_j < h, so the window is exactly that mask.
     """
-    dx = state.dx
-    j_lo = math.floor(state.g / dx)
-    while j_lo * dx <= state.g:
+    j_lo = math.floor(g / dx)
+    while j_lo * dx <= g:
         j_lo += 1
-    while (j_lo - 1) * dx > state.g:
+    while (j_lo - 1) * dx > g:
         j_lo -= 1
-    j_hi = math.ceil(state.h / dx)
-    while j_hi * dx >= state.h:
+    j_hi = math.ceil(h / dx)
+    while j_hi * dx >= h:
         j_hi -= 1
-    while (j_hi + 1) * dx < state.h:
+    while (j_hi + 1) * dx < h:
         j_hi += 1
+    return j_lo, j_hi
+
+
+def _active_window(state: EulerianState) -> tuple[int, int]:
+    """Index range [lo, hi) of the stored nodes strictly inside (g, h)."""
+    j_lo, j_hi = _window(state.g, state.h, state.dx)
     lo = max(j_lo - state.j_min, 0)
     hi = min(j_hi - state.j_min + 1, state.values.size)
     return lo, max(lo, hi)
@@ -236,7 +237,9 @@ def _convolve_symmetric(values: np.ndarray, stencil: np.ndarray, lo: int, hi: in
     a, b = lo - n, lo + cols + n
     u = values[max(a, 0) : min(b, values.size)]
     if a < 0 or b > values.size:
-        u = np.concatenate([np.zeros(max(-a, 0)), u, np.zeros(max(b - values.size, 0))])
+        padded = np.zeros(b - a)
+        padded[max(-a, 0) : max(-a, 0) + u.size] = u
+        u = padded
     u = np.ascontiguousarray(u, dtype=float)
     # Row r of this read-only view is u[r : r + cols], r = 0..2n.
     shifted = np.ndarray((2 * n + 1, cols), buffer=u, strides=(u.itemsize, u.itemsize))
@@ -249,9 +252,12 @@ def _convolve_symmetric(values: np.ndarray, stencil: np.ndarray, lo: int, hi: in
     return np.add.reduce(terms, axis=0, initial=-0.0)[:width]
 
 
-def _require_resolution(dx: float, eps: float, t: float):
+def _n_sub(dx: float, eps: float, t: float) -> int:
+    """Grid steps per kernel reach, eps / dx rounded: at least 8, since a dx
+    above eps / 8 raises ResolutionTooCoarse at time t."""
     if dx > eps / 8.0 + 1e-12 * eps:
         raise ResolutionTooCoarse(f"dx = {dx:g} exceeds eps/8 = {eps / 8:g}", t)
+    return int(round(eps / dx))
 
 
 @lru_cache(maxsize=64)
@@ -286,9 +292,9 @@ def apply_nonlocal_operator(
     coincides with the integral over the active interval.  ``window`` is the
     state's active window [lo, hi) when the caller already has it.
     """
-    _require_resolution(state.dx, eps, state.t)
+    n_sub = _n_sub(state.dx, eps, state.t)
     lo, hi = _active_window(state) if window is None else window
-    stencil, scale = _operator_constants(kernel, eps, d, int(round(eps / state.dx)))
+    stencil, scale = _operator_constants(kernel, eps, d, n_sub)
     out = np.zeros_like(state.values)
     rate = out[lo:hi]
     np.subtract(_convolve_symmetric(state.values, stencil, lo, hi), state.values[lo:hi], out=rate)
@@ -300,9 +306,12 @@ def _interp_window(
     values: np.ndarray, j_min: int, dx: float, g: float, h: float, lo: int, hi: int, ys
 ) -> np.ndarray:
     """The reconstruction behind :func:`interp_pinned`, given the active window
-    [lo, hi) of ``values``, whose node 0 sits at x = j_min * dx."""
+    [lo, hi) of ``values``, whose node 0 sits at x = j_min * dx; a side node
+    beyond the stored range reads as zero."""
     x = np.arange(j_min + lo - 1, j_min + hi + 1, dtype=float) * dx
-    u = values[lo - 1 : hi + 1].copy()
+    a, b = max(lo - 1, 0), min(hi + 1, values.size)
+    u = np.zeros(x.size)
+    u[a - lo + 1 : b - lo + 1] = values[a:b]
     if x[0] < g:
         x[0], u[0] = g, 0.0
     if x[-1] > h:
@@ -315,8 +324,8 @@ def interp_pinned(state: EulerianState, ys: np.ndarray) -> np.ndarray:
 
     One ``np.interp`` through the nodes strictly inside (g, h) plus one node
     on each side; a side node beyond its front is replaced by (front, 0), one
-    exactly on it keeps its value.  The grid must reach a node past each
-    front, as every solver state does.
+    exactly on it keeps its value, and one the state does not store reads
+    as zero.
     """
     lo, hi = _active_window(state)
     return _interp_window(state.values, state.j_min, state.dx, state.g, state.h, lo, hi, ys)
@@ -342,8 +351,7 @@ def boundary_flux(
     the nodes under the samples; each sample keeps its bracketing nodes, and
     so its value, byte for byte.
     """
-    _require_resolution(state.dx, eps, state.t)
-    n_sub = max(2, int(round(eps / state.dx)))
+    n_sub = _n_sub(state.dx, eps, state.t)
     offset, coeff, omega, eps_w = _flux_constants(kernel, eps, variant, n_sub)
     if state.h - state.g <= 2.0 * (offset + eps):
         raise DomainTooSmall(
@@ -367,24 +375,6 @@ def boundary_flux(
     raise ValueError("side must be 'left' or 'right'")
 
 
-def _grow_if_needed(state: EulerianState, margin: float) -> EulerianState:
-    """Double the grid extent on the side the boundary is about to overrun."""
-    values, j_min = state.values, state.j_min
-    length = values.size
-    grew = False
-    if state.g - margin <= (j_min + 1) * state.dx:
-        values = np.concatenate([np.zeros(length), values])
-        j_min -= length
-        grew = True
-    j_max = j_min + values.size - 1
-    if state.h + margin >= (j_max - 1) * state.dx:
-        values = np.concatenate([values, np.zeros(length)])
-        grew = True
-    if not grew:
-        return state
-    return EulerianState(state.t, state.g, state.h, state.dx, j_min, values)
-
-
 def step(
     state: EulerianState,
     dt: float,
@@ -398,11 +388,11 @@ def step(
     Under dt * d * c_star / eps^2 <= 1 the value update is a convex
     combination of nonnegative terms plus dt * f, so positivity only depends
     on the reaction respecting its Lipschitz bound.  Only the nodes strictly
-    inside (g, h) are updated; the others keep the operator's exact +0.0.
-    The active window is found once and shared by both front speeds and the
-    operator.
+    inside (g, h) are updated; the others keep the operator's exact +0.0,
+    and the nodes the new fronts cover are padded with +0.0.  The active
+    window is found once and shared by both front speeds and the operator.
     """
-    _require_resolution(state.dx, eps, state.t)
+    _n_sub(state.dx, eps, state.t)
     lam = dt * vconf.d * kmod.c_star(kernel) / (eps * eps)
     if lam > 1.0 + 1e-12:
         raise CflViolation(f"dt*d*c_star/eps^2 = {lam:.3f} > 1; reduce dt", state.t)
@@ -423,8 +413,12 @@ def step(
     check_positivity(window_values, state.t + dt)
     np.maximum(window_values, 0.0, out=window_values)
 
-    out = EulerianState(state.t + dt, g_new, h_new, state.dx, state.j_min, new_values)
-    return _grow_if_needed(out, variant.offset(eps) + eps + 2.0 * state.dx)
+    j_lo, j_hi = _window(g_new, h_new, state.dx)
+    left = max(state.j_min - j_lo, 0)
+    right = max(j_hi - (state.j_min + new_values.size - 1), 0)
+    if left or right:
+        new_values = np.concatenate([np.zeros(left), new_values, np.zeros(right)])
+    return EulerianState(state.t + dt, g_new, h_new, state.dx, state.j_min - left, new_values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,22 +432,21 @@ class NonlocalSolution(Trajectory):
     def snapshot_nodes(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Grid nodes of snapshot k in [g - 2 dx, h + 2 dx] and their values."""
         state = self.snapshots[k]
-        x = state.grid()
+        values = np.concatenate([np.zeros(3), state.values, np.zeros(3)])
+        x = (state.j_min - 3 + np.arange(values.size)) * state.dx
         keep = (x >= state.g - 2.0 * state.dx) & (x <= state.h + 2.0 * state.dx)
-        return x[keep], state.values[keep]
+        return x[keep], values[keep]
 
     def profile_at(self, k: int, x) -> np.ndarray:
         return interp_pinned(self.snapshots[k], np.atleast_1d(np.asarray(x, dtype=float)))
 
 
-def initial_state(vconf: ValidatedConfig, dx: float, extent: float) -> EulerianState:
-    j_max = int(np.ceil(extent / dx)) + 2
-    j = np.arange(-j_max, j_max + 1)
-    x = j * dx
-    values = np.asarray(eval_initial(vconf.initial, x), dtype=float)
+def initial_state(vconf: ValidatedConfig, dx: float) -> EulerianState:
+    """v0 on the nodes strictly inside (-h0, h0)."""
     h0 = vconf.h0
-    values[(x <= -h0) | (x >= h0)] = 0.0
-    return EulerianState(t=0.0, g=-h0, h=h0, dx=dx, j_min=-j_max, values=values)
+    j_lo, j_hi = _window(-h0, h0, dx)
+    values = np.asarray(eval_initial(vconf.initial, np.arange(j_lo, j_hi + 1) * dx), dtype=float)
+    return EulerianState(t=0.0, g=-h0, h=h0, dx=dx, j_min=j_lo, values=values)
 
 
 def check_setup(vconf: ValidatedConfig, eps: float, variant: NonlocalVariant, dx: float):
@@ -463,15 +456,17 @@ def check_setup(vconf: ValidatedConfig, eps: float, variant: NonlocalVariant, dx
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if not 0.0 < dx < math.inf:
         raise ValueError(f"dx must be positive and finite, got {dx}")
-    _require_resolution(dx, eps, 0.0)
+    # 2 h0 / dx bounds the first state's node count; a dx so small that the
+    # ratio overflows gives inf, rejected here before any integer is taken.
+    nodes = 2.0 * vconf.h0 / dx
+    if nodes > MAX_NODES:
+        raise ValueError(f"dx = {dx:g} asks for {nodes:.3g} grid nodes, more than {MAX_NODES}")
+    _n_sub(dx, eps, 0.0)
     offset = variant.offset(eps)
     if 2.0 * (offset + eps) >= 2.0 * vconf.h0:
         raise DomainTooSmall(
             f"offset + eps = {offset + eps:g} leaves no room inside h0 = {vconf.h0:g}", 0.0
         )
-    nodes = 2.0 * np.ceil((vconf.h0 + offset + 2.0 * eps) / dx) + 5.0  # as initial_state
-    if nodes > MAX_NODES:
-        raise ValueError(f"dx = {dx:g} asks for {nodes:.3g} grid nodes, more than {MAX_NODES}")
 
 
 def solve(
@@ -497,7 +492,7 @@ def solve(
 
     if snapshot_times is None:
         snapshot_times = np.linspace(0.0, T, 65)
-    state = initial_state(vconf, dx, vconf.h0 + variant.offset(eps) + 2.0 * eps)
+    state = initial_state(vconf, dx)
     snapshots, (times, gs, hs) = march(state, advance, n_steps, dt_eff, snapshot_times)
     return NonlocalSolution(
         snapshots=snapshots,

@@ -20,7 +20,7 @@ from .errors import CflViolation, OutOfHorizon, PositivityLoss
 
 POSITIVITY_FLOOR = -1e-10
 MAX_STEPS = 10**7  # far above the 512 000 steps of an eps = 0.00625 nonlocal solve to T = 1
-MAX_NODES = 10**6  # far above the ~21 000 nodes of an eps = 0.003125, dx = eps/32 initial grid
+MAX_NODES = 10**6  # far above the 20 479 nodes of an eps = 0.003125, dx = eps/32 first state
 
 
 def check_positivity(values: np.ndarray, t: float) -> None:

@@ -96,7 +96,7 @@ SPECIAL = {"zero": "0", "negative": "-1", "nan": "nan", "inf": "inf", "tiny": "1
 ORDINARY = {"--dt": "1e-3", "--dx": "0.025", "--eps": "0.2", "--c1": "10", "--beta": "0.5",
             "--gamma1": "0.4", "--dx-ratio": "8"}
 # Positive, but far too small: as --dt it asks for 5e10 steps (MAX_STEPS
-# bounds them), as --dx for a grid of about 4e12 nodes (MAX_NODES bounds it).
+# bounds them), as --dx for a grid of 2e12 nodes (MAX_NODES bounds it).
 SMALL = "1e-12"
 SOLVE_OPTIONS = ("--dt", "--dx", "--eps", "--c1", "--beta", "--gamma1")
 CONVERGE_OPTIONS = ("--dt", "--eps", "--c1", "--beta", "--dx-ratio")

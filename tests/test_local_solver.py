@@ -368,11 +368,16 @@ def test_solve_reproducible_bitwise(stefan_short):
 
 
 def test_solve_symmetric_run_exact(stefan_short):
-    sol = L.solve(stefan_short, n_cells=128, dt=2e-4)
-    assert np.max(np.abs(sol.boundary_g + sol.boundary_h)) == 0.0
-    for s in sol.snapshots:
-        assert np.array_equal(s.values, s.values[::-1])
-        assert np.min(s.values) >= 0.0
+    # 1 - xi is built as xi reversed, so any n_cells, not only a power of
+    # two, gives exact mirrors.
+    for n_cells in (128, 96, 1000):
+        sol = L.solve(stefan_short, n_cells=n_cells, dt=2e-4)
+        assert np.max(np.abs(sol.boundary_g + sol.boundary_h)) == 0.0
+        for k, s in enumerate(sol.snapshots):
+            assert np.array_equal(s.values, s.values[::-1])
+            assert np.min(s.values) >= 0.0
+            x, _ = sol.snapshot_nodes(k)
+            assert np.array_equal(x, -x[::-1])
 
 
 @pytest.mark.parametrize("preset", ["i1", "i2"])

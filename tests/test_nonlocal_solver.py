@@ -236,25 +236,31 @@ def interp_pinned_oracle(state, ys):
     dx=st.sampled_from([0.1 / 16, 0.05 / 16, 1.0 / 64, 0.037]),
     ends=st.tuples(st.integers(-60, -3), st.integers(3, 60)),
     fracs=st.tuples(st.sampled_from([0.0, 0.5, 1e-9]), st.sampled_from([0.0, 0.25, 0.999])),
-    pad=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    pad=st.tuples(st.integers(0, 5), st.integers(0, 5)),
     ys=hnp.arrays(dtype=float, shape=40, elements=st.floats(0.0, 1.0)),
 )
 def test_interp_pinned_matches_oracle_exact_at_nodes_zero_beyond_fronts(u, dx, ends, fracs, pad,
                                                                         ys):
-    # A solver state: zeros at every node on or outside [g, h], fronts on
-    # nodes (frac 0) or between them, the grid reaching past both fronts.
+    # A state with zeros at every node on or outside [g, h], fronts on nodes
+    # (frac 0) or between them, storing pad nodes beyond each end of the
+    # window: pad 0, as in a solver state, leaves out the side node.  The
+    # oracle reads the same profile on a grid reaching past both fronts.
     g, h = (ends[0] - fracs[0]) * dx, (ends[1] + fracs[1]) * dx
-    j_min = ends[0] - 1 - pad[0]
-    size = ends[1] + 1 + pad[1] - j_min + 1
-    x = (j_min + np.arange(size)) * dx
-    vals = np.where((x > g) & (x < h), np.resize(u, size), 0.0)
-    state = NL.EulerianState(0.0, g, h, dx, j_min, vals)
+    j_lo, j_hi = NL._window(g, h, dx)
+    j_min = j_lo - 6
+    x = (j_min + np.arange(j_hi - j_min + 7)) * dx
+    vals = np.where((x > g) & (x < h), np.resize(u, x.size), 0.0)
+    wide = NL.EulerianState(0.0, g, h, dx, j_min, vals)
+    kept = slice(6 - pad[0], x.size - 6 + pad[1])
+    state = NL.EulerianState(0.0, g, h, dx, j_lo - pad[0], vals[kept])
     ys = x[0] + ys * (x[-1] - x[0])
 
+    got = NL.interp_pinned(state, ys)
+    assert got.tobytes() == NL.interp_pinned(wide, ys).tobytes()
     # The oracle's fraction y/dx - j carries the rounding of y/dx, so the two
     # agree to a few ulp of max|u| per unit of |y/dx|.
     tol = 4.0 * np.finfo(float).eps * np.max(vals) * np.maximum(np.abs(ys / dx), 1.0)
-    assert np.all(np.abs(NL.interp_pinned(state, ys) - interp_pinned_oracle(state, ys)) <= tol)
+    assert np.all(np.abs(got - interp_pinned_oracle(wide, ys)) <= tol)
     inside = (x > g) & (x < h)
     assert np.array_equal(NL.interp_pinned(state, x[inside]), vals[inside])
     beyond = np.concatenate([[g, h], x[~inside], ys[(ys <= g) | (ys >= h)]])
@@ -262,7 +268,7 @@ def test_interp_pinned_matches_oracle_exact_at_nodes_zero_beyond_fronts(u, dx, e
 
     # Criterion 3's constant profile, u = 1 on every node: a front lying
     # exactly on a node keeps that node's value.
-    ones = NL.EulerianState(0.0, ends[0] * dx, ends[1] * dx, dx, j_min, np.ones(size))
+    ones = NL.EulerianState(0.0, ends[0] * dx, ends[1] * dx, dx, j_min, np.ones(x.size))
     assert np.all(NL.interp_pinned(ones, [ones.g, ones.h]) == 1.0)
 
 
@@ -347,14 +353,15 @@ def boundary_flux_full_window(state, kernel, eps, mu, variant, side):
     ]),
     fracs=st.tuples(st.sampled_from([0.0, 0.5, 1e-9, 0.999]),
                     st.sampled_from([0.0, 0.25, 1e-9, 0.999])),
-    pad=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    pad=st.tuples(st.integers(-1, 4), st.integers(-1, 4)),
     zero_outside=st.booleans(),
 )
 def test_boundary_flux_matches_full_window_bitwise(data, eps, n_sub, variant, fracs, pad,
                                                    zero_outside):
     # Fronts on a node (frac 0) or between nodes; pad 0 ends the grid flush
-    # with the first node at or beyond each front; the unmodified law (offset
-    # 0) samples h itself.
+    # with the first node at or beyond each front, pad -1, as in a solver
+    # state, with the last node inside; the unmodified law (offset 0) samples
+    # h itself.
     dx = eps / n_sub
     reach = math.ceil((variant.offset(eps) + eps) / dx)
     ends = (-reach - data.draw(st.integers(1, 40)), reach + data.draw(st.integers(1, 40)))
@@ -387,7 +394,7 @@ def test_boundary_flux_matches_full_window_bitwise(data, eps, n_sub, variant, fr
 
 
 def test_step_symmetric_state_stays_symmetric(stefan_vconf):
-    state = NL.initial_state(stefan_vconf, dx=0.1 / 16, extent=2.0)
+    state = NL.initial_state(stefan_vconf, dx=0.1 / 16)
     for _ in range(20):
         state = NL.step(state, 5e-4, stefan_vconf, EPAN, 0.1, MOD)
     assert state.g + state.h == 0.0
@@ -395,7 +402,7 @@ def test_step_symmetric_state_stays_symmetric(stefan_vconf):
 
 
 def test_step_cfl_guard(stefan_vconf):
-    state = NL.initial_state(stefan_vconf, dx=0.1 / 16, extent=2.0)
+    state = NL.initial_state(stefan_vconf, dx=0.1 / 16)
     with pytest.raises(CflViolation):
         NL.step(state, 0.1, stefan_vconf, EPAN, 0.1, MOD)
 
@@ -426,7 +433,7 @@ def test_step_preserves_positivity(u, stefan_vconf):
 def test_step_nan_value_is_positivity_loss(stefan_vconf):
     # NaN compares False with everything, so a guard written as
     # "min < floor" would let it through.
-    state = NL.initial_state(stefan_vconf, dx=0.1 / 16, extent=2.0)
+    state = NL.initial_state(stefan_vconf, dx=0.1 / 16)
     state.values[state.values.size // 2] = np.nan
     with pytest.raises(PositivityLoss):
         NL.step(state, 5e-4, stefan_vconf, EPAN, 0.1, MOD)
@@ -438,8 +445,7 @@ def test_step_does_not_depend_on_grid_extent(stefan_vconf):
     eps = 0.05
     dx = eps / 16
     pad = 4096
-    extent = stefan_vconf.h0 + MOD.offset(eps) + 2 * eps  # as solve starts its grid
-    tight = NL.initial_state(stefan_vconf, dx=dx, extent=extent)
+    tight = NL.initial_state(stefan_vconf, dx=dx)
     wide = NL.EulerianState(
         tight.t, tight.g, tight.h, dx, tight.j_min - pad,
         np.concatenate([np.zeros(pad), tight.values, np.zeros(pad)]),
@@ -544,6 +550,20 @@ def test_solve_monotone_boundaries_and_positive(stefan_vconf):
     assert min(float(np.min(s.values)) for s in sol.snapshots) >= 0.0
 
 
+@pytest.mark.parametrize("variant", [MOD, NL.NonlocalVariant("unmodified", c1=K.c_star(EPAN))],
+                         ids=["modified", "unmodified"])
+@pytest.mark.parametrize("config", [P.symmetric_stefan, P.fisher_kpp_config],
+                         ids=["stefan", "fisher"])
+def test_solve_states_store_exactly_their_window(config, variant):
+    # Every snapshot holds the nodes strictly inside (g, h) and no others.
+    vconf = P.validate(config(T=0.1))
+    sol = NL.solve(vconf, EPAN, eps=0.1, variant=variant)
+    assert sol.boundary_h[-1] > sol.boundary_h[0]
+    for s in sol.snapshots:
+        j_lo, j_hi = NL._window(s.g, s.h, s.dx)
+        assert (s.j_min, s.values.size) == (j_lo, j_hi - j_lo + 1)
+
+
 def test_solve_symmetric_run_exact(stefan_vconf):
     sol = NL.solve(stefan_vconf, EPAN, eps=0.1, variant=MOD)
     assert np.max(np.abs(sol.boundary_g + sol.boundary_h)) == 0.0
@@ -619,15 +639,3 @@ def test_variant_validation():
             NL.NonlocalVariant("unmodified", c1=c1)
     with pytest.raises(ValueError):
         NL.NonlocalVariant("other")
-
-
-def test_grid_growth_preserves_run():
-    # Tiny initial extent forces at least one growth; trajectory unaffected.
-    vc = P.validate(P.symmetric_stefan(T=0.1))
-    state = NL.initial_state(vc, dx=0.1 / 16, extent=1.4)
-    grown = NL._grow_if_needed(
-        NL.EulerianState(0.0, -1.35, 1.35, state.dx, state.j_min, state.values),
-        margin=0.2,
-    )
-    assert grown.values.size > state.values.size
-    assert grown.x_min < state.x_min or grown.x_max > state.x_max
