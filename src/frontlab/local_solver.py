@@ -36,8 +36,7 @@ import numpy as np
 from .errors import CflViolation, DegenerateDomain
 from .problem import ValidatedConfig, eval_initial, eval_reaction, require_valid
 from .trajectory import (
-    MAX_NODES, Trajectory, check_positivity, check_reaction_step, march, plan_steps,
-    reaction_dt_cap,
+    MAX_NODES, Trajectory, check_reaction_step, clamp_nonnegative, march, reaction_dt_cap,
 )
 
 MIN_GAP = 1e-6
@@ -294,8 +293,7 @@ def _crank_nicolson(r: float, rhs: np.ndarray, t: float) -> np.ndarray:
     out = np.empty(rhs.size + 2)
     out[0] = out[-1] = 0.0
     _solve_tridiagonal_symmetric(r, rhs, out[1:-1])
-    check_positivity(out, t)
-    np.maximum(out, 0.0, out=out)
+    clamp_nonnegative(out, t)
     return out
 
 
@@ -398,20 +396,8 @@ def solve(
         g0, h0_dot = boundary_velocities(state0, knobs, vconf.mu)
         speed = max(abs(g0), abs(h0_dot), 1e-12)
         dt = min(0.25 * (2.0 * vconf.h0 / n_cells) / speed, T / 64.0, reaction_dt_cap(vconf.L0))
-    n_steps, dt_eff = plan_steps(T, dt)
 
-    def advance(state):
-        return step(state, dt_eff, vconf, knobs, source=source, velocity_override=velocity_override)
+    def advance(state, dt):
+        return step(state, dt, vconf, knobs, source=source, velocity_override=velocity_override)
 
-    if snapshot_times is None:
-        snapshot_times = np.linspace(0.0, T, 65)
-    snapshots, (times, gs, hs) = march(state0, advance, n_steps, dt_eff, snapshot_times)
-    return LocalSolution(
-        snapshots=snapshots,
-        boundary_times=times,
-        boundary_g=gs,
-        boundary_h=hs,
-        n_cells=n_cells,
-        dt=dt_eff,
-        horizon=T,
-    )
+    return march(LocalSolution, state0, advance, T, dt, snapshot_times, n_cells=n_cells)

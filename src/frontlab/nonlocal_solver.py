@@ -60,8 +60,7 @@ from . import kernels as kmod
 from .errors import CflViolation, DomainTooSmall, ResolutionTooCoarse
 from .problem import ValidatedConfig, eval_initial, eval_reaction, require_valid
 from .trajectory import (
-    MAX_NODES, Trajectory, check_positivity, check_reaction_step, march, plan_steps,
-    reaction_dt_cap,
+    MAX_NODES, Trajectory, check_reaction_step, clamp_nonnegative, march, reaction_dt_cap,
 )
 
 CFL_SIGMA = 0.5  # default dt = CFL_SIGMA * eps^2 / (d c_star)
@@ -391,8 +390,9 @@ def step(
     inside (g, h) are updated; the others keep the operator's exact +0.0,
     and the nodes the new fronts cover are padded with +0.0.  The active
     window is found once and shared by both front speeds and the operator.
+    A front may move at most dx per step; a longer move, or a speed that is
+    not a number, raises CflViolation at state.t.
     """
-    _n_sub(state.dx, eps, state.t)
     lam = dt * vconf.d * kmod.c_star(kernel) / (eps * eps)
     if lam > 1.0 + 1e-12:
         raise CflViolation(f"dt*d*c_star/eps^2 = {lam:.3f} > 1; reduce dt", state.t)
@@ -401,6 +401,12 @@ def step(
     window = lo, hi = _active_window(state)
     h_dot = boundary_flux(state, kernel, eps, vconf.mu, variant, "right", window)
     g_dot = boundary_flux(state, kernel, eps, vconf.mu, variant, "left", window)
+    if not (dt * h_dot <= state.dx and -dt * g_dot <= state.dx):
+        raise CflViolation(
+            f"front move h' dt = {dt * h_dot:.3g}, -g' dt = {-dt * g_dot:.3g} in one step "
+            f"exceeds dx = {state.dx:g}; reduce dt",
+            state.t,
+        )
     g_new = state.g + dt * g_dot
     h_new = state.h + dt * h_dot
 
@@ -410,8 +416,7 @@ def step(
     window_values += eval_reaction(vconf.reaction, state.t, None, u)
     window_values *= dt
     window_values += u
-    check_positivity(window_values, state.t + dt)
-    np.maximum(window_values, 0.0, out=window_values)
+    clamp_nonnegative(window_values, state.t + dt)
 
     j_lo, j_hi = _window(g_new, h_new, state.dx)
     left = max(state.j_min - j_lo, 0)
@@ -484,24 +489,11 @@ def solve(
     check_setup(vconf, eps, variant, dx)
     if dt is None:
         dt = min(CFL_SIGMA * eps * eps / (vconf.d * kmod.c_star(kernel)), reaction_dt_cap(vconf.L0))
-    T = vconf.T
-    n_steps, dt_eff = plan_steps(T, dt)
 
-    def advance(state):
-        return step(state, dt_eff, vconf, kernel, eps, variant)
+    def advance(state, dt):
+        return step(state, dt, vconf, kernel, eps, variant)
 
-    if snapshot_times is None:
-        snapshot_times = np.linspace(0.0, T, 65)
-    state = initial_state(vconf, dx)
-    snapshots, (times, gs, hs) = march(state, advance, n_steps, dt_eff, snapshot_times)
-    return NonlocalSolution(
-        snapshots=snapshots,
-        boundary_times=times,
-        boundary_g=gs,
-        boundary_h=hs,
-        dx=dx,
-        dt=dt_eff,
-        eps=eps,
-        variant=variant,
-        horizon=T,
+    return march(
+        NonlocalSolution, initial_state(vconf, dx), advance, vconf.T, dt, snapshot_times,
+        dx=dx, eps=eps, variant=variant,
     )

@@ -1,5 +1,6 @@
-"""What the local and nonlocal solvers share: step planning, the march loop,
-the step guards, and the trajectory type both solutions are read through.
+"""What the local and nonlocal solvers share: the solve driver (``march``:
+step planning, the march loop and the solution it builds), the step guards,
+the positivity clamp, and the trajectory type both solutions are read through.
 
 A trajectory is a dense boundary track (g, h at every step) plus timed
 snapshots of the state.  Subclasses say how a snapshot is evaluated at
@@ -23,11 +24,13 @@ MAX_STEPS = 10**7  # far above the 512 000 steps of an eps = 0.00625 nonlocal so
 MAX_NODES = 10**6  # far above the 20 479 nodes of an eps = 0.003125, dx = eps/32 first state
 
 
-def check_positivity(values: np.ndarray, t: float) -> None:
-    """Raise PositivityLoss if a value is below the floor or not a number."""
+def clamp_nonnegative(values: np.ndarray, t: float) -> None:
+    """Clamp values at 0 in place; raise PositivityLoss at t instead if one is
+    below the floor or not a number."""
     low = float(values.min(initial=0.0))
     if not low >= POSITIVITY_FLOOR:
         raise PositivityLoss(f"value {low:.3e} below positivity floor", t)
+    np.maximum(values, 0.0, out=values)
 
 
 def check_reaction_step(dt: float, L0: float, t: float) -> None:
@@ -58,13 +61,18 @@ def plan_steps(T: float, dt: float) -> tuple[int, float]:
     return n_steps, T / n_steps
 
 
-def march(state, step_fn, n_steps: int, dt: float, snapshot_times):
-    """Apply step_fn n_steps times from state.
+def march(cls, state, step, T: float, dt: float, snapshot_times=None, **fields):
+    """The solve driver: march step(state, dt_eff) from state to T in the
+    steps plan_steps(T, dt) gives and return the trajectory
+    cls(..., dt=dt_eff, horizon=T, **fields).
 
-    Returns the snapshots (copies of the states at the steps nearest the
-    requested times) and the boundary track (t, g, h) at all n_steps + 1
-    states.
+    Its snapshots are copies of the states at the steps nearest the requested
+    times (default 65 evenly spaced in [0, T]), and its boundary track holds
+    (t, g, h) at all n_steps + 1 states.
     """
+    n_steps, dt = plan_steps(T, dt)
+    if snapshot_times is None:
+        snapshot_times = np.linspace(0.0, T, 65)
     want = np.rint(np.asarray(snapshot_times) / dt).astype(int)
     want_set = set(int(k) for k in np.clip(want, 0, n_steps))
     times = np.empty(n_steps + 1)
@@ -79,8 +87,11 @@ def march(state, step_fn, n_steps: int, dt: float, snapshot_times):
             snapshots.append(dataclasses.replace(state, values=state.values.copy()))
         if k == n_steps:
             break
-        state = step_fn(state)
-    return tuple(snapshots), (times, gs, hs)
+        state = step(state, dt)
+    return cls(
+        snapshots=tuple(snapshots), boundary_times=times, boundary_g=gs, boundary_h=hs,
+        dt=dt, horizon=T, **fields,
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,23 @@ def test_solve_nonlocal_coarse_grid_exit_3(stefan_cfg, tmp_path):
     err = json.loads((out / "error.json").read_text())
     assert err["code"] == "resolution_too_coarse"
     assert set(err) == {"code", "message", "time_of_failure"}
+
+
+def test_solve_nonlocal_front_move_exit_3(tmp_path):
+    # mu = 1e5 moves h by about 335 in the first step of dt = 0.002, far
+    # beyond dx = 0.0125: a typed failure at t = 0, not a run that exits 0.
+    cfg = tmp_path / "fast.cfg"
+    problem.save_config(replace(problem.symmetric_stefan(T=0.01), mu=1e5), cfg)
+    out = tmp_path / "run"
+    code = cli.main(
+        ["solve", "--config", str(cfg), "--solver", "nonlocal", "--out", str(out), "--eps", "0.2"]
+    )
+    assert code == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err["code"] == "cfl_violation"
+    assert "front move" in err["message"]
+    assert err["time_of_failure"] == 0.0
+    assert not (out / "boundary.csv").exists()
 
 
 @pytest.mark.parametrize("dx", ["0", "-0.01"])

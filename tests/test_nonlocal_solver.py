@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -202,10 +203,13 @@ def test_kernel_quadratures_do_not_grow_with_steps(monkeypatch):
     assert counts[1] == counts[0]
 
 
-def test_operator_resolution_guard():
+def test_operator_resolution_guard(stefan_vconf):
     st_coarse = make_state(lambda x: np.ones_like(x), dx=0.1 / 4)
     with pytest.raises(ResolutionTooCoarse):
         NL.apply_nonlocal_operator(st_coarse, EPAN, 0.1, d=1.0)
+    with pytest.raises(ResolutionTooCoarse) as info:
+        NL.step(NL.initial_state(stefan_vconf, 0.1 / 4), 1e-4, stefan_vconf, EPAN, 0.1, MOD)
+    assert info.value.time_of_failure == 0.0
 
 
 # -- boundary flux ------------------------------------------------------------
@@ -405,6 +409,17 @@ def test_step_cfl_guard(stefan_vconf):
     state = NL.initial_state(stefan_vconf, dx=0.1 / 16)
     with pytest.raises(CflViolation):
         NL.step(state, 0.1, stefan_vconf, EPAN, 0.1, MOD)
+
+
+def test_step_front_move_guard():
+    # With mu = 1e300 the first speeds are about 1.7e300: the step raises
+    # before it looks for the nodes of a front near 1e297, a search that
+    # would never end past 2^53 dx.
+    vconf = P.validate(replace(P.symmetric_stefan(T=0.01), mu=1e300))
+    state = NL.initial_state(vconf, dx=0.2 / 16)
+    with pytest.raises(CflViolation, match="front move") as info:
+        NL.step(state, 1e-3, vconf, EPAN, 0.2, MOD)
+    assert info.value.time_of_failure == 0.0
 
 
 @settings(max_examples=40, deadline=None)

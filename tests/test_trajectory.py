@@ -3,6 +3,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from frontlab import kernels as K
+from frontlab import local_solver as LS
+from frontlab import nonlocal_solver as NL
+from frontlab import problem as P
 from frontlab import trajectory as TR
 from frontlab.errors import PositivityLoss
 
@@ -15,11 +19,13 @@ class Toy:
     values: np.ndarray
 
 
-def toy_step(dt):
-    def advance(state):
-        return Toy(state.t + dt, state.g - dt, state.h + 2 * dt, state.values + 1.0)
+def toy_step(state, dt):
+    return Toy(state.t + dt, state.g - dt, state.h + 2 * dt, state.values + 1.0)
 
-    return advance
+
+@dataclass(frozen=True, eq=False)
+class ToyTrajectory(TR.Trajectory):
+    label: str
 
 
 @pytest.mark.parametrize(
@@ -54,9 +60,12 @@ def test_plan_steps_rejects_bad_dt(T, dt, message):
 
 
 def test_march_records_track_and_requested_snapshots():
-    n_steps, dt = TR.plan_steps(1.0, 0.1)
     start = Toy(0.0, -1.0, 1.0, np.zeros(3))
-    snaps, (t, g, h) = TR.march(start, toy_step(dt), n_steps, dt, [0.0, 0.31, 0.3, 2.0])
+    sol = TR.march(ToyTrajectory, start, toy_step, 1.0, 0.1, [0.0, 0.31, 0.3, 2.0], label="toy")
+    n_steps, dt = TR.plan_steps(1.0, 0.1)
+    assert isinstance(sol, ToyTrajectory)
+    assert sol.dt == dt and sol.horizon == 1.0 and sol.label == "toy"
+    t, g, h, snaps = sol.boundary_times, sol.boundary_g, sol.boundary_h, sol.snapshots
     assert t.size == g.size == h.size == n_steps + 1
     assert t[0] == 0.0 and t[-1] == pytest.approx(1.0)
     assert np.allclose(g, -1.0 - t) and np.allclose(h, 1.0 + 2 * t)
@@ -65,21 +74,58 @@ def test_march_records_track_and_requested_snapshots():
     assert [s.t for s in snaps] == [t[0], t[3], t[10]]
 
 
+def test_march_defaults_to_65_even_snapshots():
+    sol = TR.march(ToyTrajectory, Toy(0.0, -1.0, 1.0, np.zeros(1)), toy_step, 1.0, 1 / 128,
+                   label="toy")
+    assert np.array_equal(sol.snapshot_times, sol.boundary_times[::2])
+    assert sol.snapshot_times.size == 65
+
+
 def test_march_snapshots_are_copies():
     start = Toy(0.0, -1.0, 1.0, np.zeros(3))
-    snaps, _ = TR.march(start, lambda s: s, 2, 0.5, [0.0, 1.0])
-    snaps[0].values[0] = 7.0
-    assert start.values[0] == 0.0 and snaps[1].values[0] == 0.0
+    sol = TR.march(ToyTrajectory, start, lambda s, dt: s, 1.0, 0.5, [0.0, 1.0], label="toy")
+    sol.snapshots[0].values[0] = 7.0
+    assert start.values[0] == 0.0 and sol.snapshots[1].values[0] == 0.0
 
 
 @pytest.mark.parametrize("bad", [-1e-9, np.nan, -np.inf])
-def test_check_positivity_rejects_low_and_nan(bad):
+def test_clamp_nonnegative_rejects_low_and_nan(bad):
     values = np.array([0.0, 0.5, bad, 0.25])
     with pytest.raises(PositivityLoss) as info:
-        TR.check_positivity(values, 0.125)
+        TR.clamp_nonnegative(values, 0.125)
     assert info.value.time_of_failure == 0.125
 
 
-def test_check_positivity_accepts_values_above_floor():
-    TR.check_positivity(np.array([0.0, -0.5e-10, 1.0]), 0.0)
-    TR.check_positivity(np.array([]), 0.0)
+def test_clamp_nonnegative_clamps_values_above_floor_in_place():
+    values = np.array([0.0, -0.5e-10, 1.0, -1e-300])
+    TR.clamp_nonnegative(values, 0.0)
+    assert values.tolist() == [0.0, 0.0, 1.0, 0.0]
+    assert not np.signbit(values).any()
+    TR.clamp_nonnegative(np.array([]), 0.0)
+
+
+@pytest.mark.parametrize(
+    "module, args",
+    [(LS, {"n_cells": 64, "dt": 5e-3}), (NL, {"kernel": K.KernelSpec("epanechnikov"), "eps": 0.2})],
+    ids=["local", "nonlocal"],
+)
+def test_solve_looks_step_up_at_call_time(monkeypatch, module, args):
+    # A wrapper that replaces the module's step by name sees every step of a
+    # solve and changes no byte of its result.
+    vconf = P.validate(P.symmetric_stefan(T=0.05))
+    plain = module.solve(vconf, **args)
+    original, calls = module.step, []
+
+    def counting(*a, **kw):
+        calls.append(a[0].t)
+        return original(*a, **kw)
+
+    monkeypatch.setattr(module, "step", counting)
+    sol = module.solve(vconf, **args)
+    assert len(calls) == len(sol.boundary_times) - 1 > 1
+    for name in ("boundary_times", "boundary_g", "boundary_h"):
+        assert getattr(sol, name).tobytes() == getattr(plain, name).tobytes()
+    assert len(sol.snapshots) == len(plain.snapshots)
+    for a, b in zip(sol.snapshots, plain.snapshots):
+        assert a.t == b.t and a.values.tobytes() == b.values.tobytes()
+    assert sol.dt == plain.dt
