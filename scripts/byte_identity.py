@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Byte-identity check of frontlab's outputs between two source trees.
+
+    python3 scripts/byte_identity.py --parent PARENT_TREE --change CHANGE_TREE
+
+Runs the six commands of ``RECIPE`` in each tree with
+``PYTHONPATH=<tree>/src python -m frontlab``, from the tree itself (so the
+configs are its own), writing each command's output directory and its
+captured stdout and exit status under a temporary work directory.  It then
+compares the two sides file by file, prints the number of files compared and
+every path that differs or exists on one side only, and exits 1 on any
+difference, keeping the work directory for a look; identical outputs are
+removed.  Standard library only.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SIDES = ("parent", "change")
+EPS = ["--eps", "0.2", "--eps", "0.1", "--eps", "0.05"]
+
+# name -> frontlab arguments; the ones that write files get --out <work>/<side>/out/<name>.
+RECIPE = {
+    "converge-stefan": ["converge", "--config", "configs/stefan.cfg", *EPS,
+                        "--nx", "512", "--dt", "5e-4"],
+    "converge-fisher": ["converge", "--config", "configs/fisher.cfg", *EPS,
+                        "--variant", "unmodified", "--c1", "10", "--kernel", "triangle",
+                        "--nx", "256", "--dt", "1e-3"],
+    "solve-nonlocal-fisher": ["solve", "--config", "configs/fisher.cfg", "--solver", "nonlocal",
+                              "--eps", "0.05"],
+    "solve-local-stefan-i1": ["solve", "--config", "configs/stefan.cfg", "--solver", "local",
+                              "--preset", "i1", "--nx", "1000"],
+    "solve-local-fisher-i2": ["solve", "--config", "configs/fisher.cfg", "--solver", "local",
+                              "--preset", "i2", "--nx", "333"],
+    "verify-all": ["verify", "all"],
+}
+
+
+def run_recipe(tree: Path, work: Path) -> None:
+    """Run every RECIPE command in tree; outputs go to work/out/<name>, and
+    stdout plus the exit status to work/stdout/<name>.txt."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    (work / "stdout").mkdir(parents=True, exist_ok=True)
+    for name, args in RECIPE.items():
+        if args[0] != "verify":
+            args = [*args, "--out", str(work / "out" / name)]
+        print(f"{tree}: frontlab {' '.join(args)}", file=sys.stderr, flush=True)
+        done = subprocess.run([sys.executable, "-m", "frontlab", *args], cwd=tree, env=env,
+                              stdout=subprocess.PIPE)
+        text = done.stdout + f"exit {done.returncode}\n".encode()
+        (work / "stdout" / f"{name}.txt").write_bytes(text)
+
+
+def compare_trees(a: Path, b: Path) -> tuple[int, list[str]]:
+    """Files under a or b, counted once per relative path, and the sorted
+    relative paths whose bytes differ or that exist on one side only."""
+    def files(root: Path) -> set[str]:
+        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+    paths = files(a) | files(b)
+    differing = [
+        rel for rel in sorted(paths)
+        if not ((a / rel).is_file() and (b / rel).is_file()
+                and (a / rel).read_bytes() == (b / rel).read_bytes())
+    ]
+    return len(paths), differing
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="parent source tree")
+    parser.add_argument("--change", type=Path, required=True, help="changed source tree")
+    args = parser.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    work = Path(tempfile.mkdtemp(prefix="byte_identity_"))
+    for side in SIDES:
+        run_recipe(trees[side], work / side)
+    count, differing = compare_trees(work / "parent", work / "change")
+    print(f"{count} files compared (outputs, and stdout with exit status per command), "
+          f"{len(differing)} differ")
+    for rel in differing:
+        print(f"  differs: {rel}")
+    if differing:
+        print(f"outputs kept in {work}")
+        return 1
+    shutil.rmtree(work)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

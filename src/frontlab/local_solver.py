@@ -379,7 +379,6 @@ def solve(
     knobs: PerturbationKnobs = INERT_KNOBS,
     n_cells: int = 512,
     dt: float | None = None,
-    snapshot_times=None,
     *,
     source=None,
     velocity_override: tuple[float, float] | None = None,
@@ -400,4 +399,4 @@ def solve(
     def advance(state, dt):
         return step(state, dt, vconf, knobs, source=source, velocity_override=velocity_override)
 
-    return march(LocalSolution, state0, advance, T, dt, snapshot_times, n_cells=n_cells)
+    return march(LocalSolution, state0, advance, T, dt, n_cells=n_cells)

@@ -35,23 +35,24 @@ folding the even stencil: the terms s_0 u_j and s_m (u_{j-m} + u_{j+m}) fill
 the rows of one array, and one ordered reduction adds the rows in turn, so
 every node sums the same terms in the same order, m = 0..n.
 
-A step touches only the nodes strictly inside (g, h), found once per step
-and shared by both front speeds and the rate; the stencil, its scale, the
-flux weights and their sample offsets are computed once per solve.  It calls
-``boundary_flux`` and ``apply_nonlocal_operator`` by name, and the
-operator's output on the stored nodes becomes the new state.  The flux
-weights are nonnegative, so the fronts never retreat, and f(t, x, 0) = 0, so
-every node outside the interval keeps its exact zero.  The first state holds
-v0 on the nodes inside (-h0, h0), and each step pads zeros at the nodes its
-new fronts cover.  Every position is indexed by its global node j = x / dx,
-never relative to the first stored node, so a hand-built state that also
-stores zeros beyond its fronts steps to the same values.
+A step touches only the nodes strictly inside (g, h).  Each state finds that
+window once, when it is built (``EulerianState.window``), and both front
+speeds, the rate and the reconstruction read it there; the stencil, its
+scale, the flux weights and their sample offsets are computed once per
+solve.  A step calls ``boundary_flux`` and ``apply_nonlocal_operator`` by
+name, and the operator's output on the stored nodes becomes the new state.
+The flux weights are nonnegative, so the fronts never retreat, and
+f(t, x, 0) = 0, so every node outside the interval keeps its exact zero.  The
+first state holds v0 on the nodes inside (-h0, h0), and each step pads zeros
+at the nodes its new fronts cover.  Every position is indexed by its global
+node j = x / dx, never relative to the first stored node, so a hand-built
+state that also stores zeros beyond its fronts steps to the same values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -99,6 +100,8 @@ class EulerianState:
 
     A solver state stores exactly the nodes strictly inside (g, h); every
     other node is an exact zero.  A hand-built state may store more.
+    ``window`` is the index range [lo, hi) of the stored nodes strictly
+    inside (g, h), found once at construction.
     """
 
     t: float
@@ -107,6 +110,13 @@ class EulerianState:
     dx: float
     j_min: int
     values: np.ndarray
+    window: tuple[int, int] = field(init=False)
+
+    def __post_init__(self):
+        j_lo, j_hi = _window(self.g, self.h, self.dx)
+        lo = max(j_lo - self.j_min, 0)
+        hi = min(j_hi - self.j_min + 1, self.values.size)
+        object.__setattr__(self, "window", (lo, max(lo, hi)))
 
     def grid(self) -> np.ndarray:
         return (self.j_min + np.arange(self.values.size)) * self.dx
@@ -197,8 +207,13 @@ def _window(g: float, h: float, dx: float) -> tuple[int, int]:
     """The first and last global node j with g < j dx < h.
 
     The floor/ceil guesses are corrected with the comparisons active_mask
-    makes, x_j > g and x_j < h, so the window is exactly that mask.
+    makes, x_j > g and x_j < h, so the window is exactly that mask.  Below
+    2^52 dx the products j dx rise with j, so the corrections end; a front
+    that is not finite or not below that bound raises ValueError.
     """
+    bound = 2.0**52 * dx
+    if not (abs(g) < bound and abs(h) < bound):
+        raise ValueError(f"fronts g = {g}, h = {h} must be finite and within 2^52 dx = {bound:g}")
     j_lo = math.floor(g / dx)
     while j_lo * dx <= g:
         j_lo += 1
@@ -210,14 +225,6 @@ def _window(g: float, h: float, dx: float) -> tuple[int, int]:
     while (j_hi + 1) * dx < h:
         j_hi += 1
     return j_lo, j_hi
-
-
-def _active_window(state: EulerianState) -> tuple[int, int]:
-    """Index range [lo, hi) of the stored nodes strictly inside (g, h)."""
-    j_lo, j_hi = _window(state.g, state.h, state.dx)
-    lo = max(j_lo - state.j_min, 0)
-    hi = min(j_hi - state.j_min + 1, state.values.size)
-    return lo, max(lo, hi)
 
 
 def _convolve_symmetric(values: np.ndarray, stencil: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -283,16 +290,14 @@ def apply_nonlocal_operator(
     kernel: kmod.KernelSpec,
     eps: float,
     d: float,
-    window: tuple[int, int] | None = None,
 ) -> np.ndarray:
     """(d c_star / eps^2) (J_eps * u - u) on active nodes, zero elsewhere.
 
     Because u vanishes outside (g, h), the zero-extended discrete convolution
-    coincides with the integral over the active interval.  ``window`` is the
-    state's active window [lo, hi) when the caller already has it.
+    coincides with the integral over the active interval.
     """
     n_sub = _n_sub(state.dx, eps, state.t)
-    lo, hi = _active_window(state) if window is None else window
+    lo, hi = state.window
     stencil, scale = _operator_constants(kernel, eps, d, n_sub)
     out = np.zeros_like(state.values)
     rate = out[lo:hi]
@@ -326,7 +331,7 @@ def interp_pinned(state: EulerianState, ys: np.ndarray) -> np.ndarray:
     exactly on it keeps its value, and one the state does not store reads
     as zero.
     """
-    lo, hi = _active_window(state)
+    lo, hi = state.window
     return _interp_window(state.values, state.j_min, state.dx, state.g, state.h, lo, hi, ys)
 
 
@@ -337,18 +342,16 @@ def boundary_flux(
     mu: float,
     variant: NonlocalVariant,
     side: str,
-    window: tuple[int, int] | None = None,
 ) -> float:
     """Signed boundary speed from the near-boundary flux window.
 
     side='right' returns h' >= 0, side='left' returns g' <= 0.  The left side
     reads the reflected state, values[::-1] with mirrored indices, through the
     right-side code path (J is even), which keeps symmetric runs exactly
-    symmetric.  ``window`` is the state's active window [lo, hi) when the
-    caller already has it.  The reconstruction starts one or two nodes below
-    the lowest sample, not at the far front, so ``np.interp`` searches only
-    the nodes under the samples; each sample keeps its bracketing nodes, and
-    so its value, byte for byte.
+    symmetric.  The reconstruction starts one or two nodes below the lowest
+    sample, not at the far front, so ``np.interp`` searches only the nodes
+    under the samples; each sample keeps its bracketing nodes, and so its
+    value, byte for byte.
     """
     n_sub = _n_sub(state.dx, eps, state.t)
     offset, coeff, omega, eps_w = _flux_constants(kernel, eps, variant, n_sub)
@@ -357,7 +360,7 @@ def boundary_flux(
             f"active interval {state.h - state.g:g} below flux window 2*(offset+eps)",
             state.t,
         )
-    lo, hi = _active_window(state) if window is None else window
+    lo, hi = state.window
     values, dx = state.values, state.dx
     if side == "right":
         ys = state.h - offset - eps_w
@@ -388,19 +391,18 @@ def step(
     combination of nonnegative terms plus dt * f, so positivity only depends
     on the reaction respecting its Lipschitz bound.  Only the nodes strictly
     inside (g, h) are updated; the others keep the operator's exact +0.0,
-    and the nodes the new fronts cover are padded with +0.0.  The active
-    window is found once and shared by both front speeds and the operator.
-    A front may move at most dx per step; a longer move, or a speed that is
-    not a number, raises CflViolation at state.t.
+    and the nodes the new fronts cover are padded with +0.0.  Both front
+    speeds and the operator read the state's window.  A front may move at
+    most dx per step; a longer move, or a speed that is not a number, raises
+    CflViolation at state.t.
     """
     lam = dt * vconf.d * kmod.c_star(kernel) / (eps * eps)
     if lam > 1.0 + 1e-12:
         raise CflViolation(f"dt*d*c_star/eps^2 = {lam:.3f} > 1; reduce dt", state.t)
     check_reaction_step(dt, vconf.L0, state.t)
 
-    window = lo, hi = _active_window(state)
-    h_dot = boundary_flux(state, kernel, eps, vconf.mu, variant, "right", window)
-    g_dot = boundary_flux(state, kernel, eps, vconf.mu, variant, "left", window)
+    h_dot = boundary_flux(state, kernel, eps, vconf.mu, variant, "right")
+    g_dot = boundary_flux(state, kernel, eps, vconf.mu, variant, "left")
     if not (dt * h_dot <= state.dx and -dt * g_dot <= state.dx):
         raise CflViolation(
             f"front move h' dt = {dt * h_dot:.3g}, -g' dt = {-dt * g_dot:.3g} in one step "
@@ -410,7 +412,8 @@ def step(
     g_new = state.g + dt * g_dot
     h_new = state.h + dt * h_dot
 
-    new_values = apply_nonlocal_operator(state, kernel, eps, vconf.d, window)
+    new_values = apply_nonlocal_operator(state, kernel, eps, vconf.d)
+    lo, hi = state.window
     u = state.values[lo:hi]
     window_values = new_values[lo:hi]  # L u here, u + dt (L u + f(u)) below
     window_values += eval_reaction(vconf.reaction, state.t, None, u)
@@ -481,7 +484,6 @@ def solve(
     variant: NonlocalVariant = NonlocalVariant(),
     dx: float | None = None,
     dt: float | None = None,
-    snapshot_times=None,
 ) -> NonlocalSolution:
     """March the nonlocal problem from t = 0 to the config horizon."""
     require_valid(vconf)
@@ -493,7 +495,5 @@ def solve(
     def advance(state, dt):
         return step(state, dt, vconf, kernel, eps, variant)
 
-    return march(
-        NonlocalSolution, initial_state(vconf, dx), advance, vconf.T, dt, snapshot_times,
-        dx=dx, eps=eps, variant=variant,
-    )
+    return march(NonlocalSolution, initial_state(vconf, dx), advance, vconf.T, dt,
+                 dx=dx, eps=eps, variant=variant)

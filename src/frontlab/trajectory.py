@@ -61,20 +61,17 @@ def plan_steps(T: float, dt: float) -> tuple[int, float]:
     return n_steps, T / n_steps
 
 
-def march(cls, state, step, T: float, dt: float, snapshot_times=None, **fields):
+def march(cls, state, step, T: float, dt: float, **fields):
     """The solve driver: march step(state, dt_eff) from state to T in the
     steps plan_steps(T, dt) gives and return the trajectory
     cls(..., dt=dt_eff, horizon=T, **fields).
 
-    Its snapshots are copies of the states at the steps nearest the requested
-    times (default 65 evenly spaced in [0, T]), and its boundary track holds
-    (t, g, h) at all n_steps + 1 states.
+    Its snapshots are copies of the states at the steps nearest 65 evenly
+    spaced times in [0, T], one per step however many times round to it, and
+    its boundary track holds (t, g, h) at all n_steps + 1 states.
     """
     n_steps, dt = plan_steps(T, dt)
-    if snapshot_times is None:
-        snapshot_times = np.linspace(0.0, T, 65)
-    want = np.rint(np.asarray(snapshot_times) / dt).astype(int)
-    want_set = set(int(k) for k in np.clip(want, 0, n_steps))
+    want_set = set(np.rint(np.linspace(0.0, T, 65) / dt).astype(int).tolist())
     times = np.empty(n_steps + 1)
     gs = np.empty(n_steps + 1)
     hs = np.empty(n_steps + 1)
@@ -123,7 +120,7 @@ class Trajectory:
         """Linear interpolation in t between snapshots, profile_at within them."""
         if t > self.horizon * (1.0 + 1e-12) + 1e-15:
             raise OutOfHorizon(f"t = {t} beyond horizon {self.horizon}")
-        if t < 0.0:
+        if not t >= 0.0:  # a NaN fails this test too
             raise OutOfHorizon("t must be nonnegative")
         times = self.snapshot_times
         k = int(np.searchsorted(times, t, side="right") - 1)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -116,9 +116,9 @@ def test_operator_matches_full_grid_convolution(u, ends, fracs, pad):
     scale = 0.7 * K.c_star(EPAN) / eps**2  # times max(u) <= 1
     assert np.max(np.abs(out - ref)) <= 1e-14 * scale
     assert np.all(out[~state.active_mask()] == 0.0)
-    # A caller that passes the active window gets the same bytes.
-    window = NL._active_window(state)
-    assert NL.apply_nonlocal_operator(state, EPAN, eps, 0.7, window).tobytes() == out.tobytes()
+    # The operator's nonzero rows lie in the window the state carries.
+    lo, hi = state.window
+    assert not np.any(out[:lo]) and not np.any(out[hi:])
 
 
 @settings(max_examples=20, deadline=None)
@@ -210,6 +210,51 @@ def test_operator_resolution_guard(stefan_vconf):
     with pytest.raises(ResolutionTooCoarse) as info:
         NL.step(NL.initial_state(stefan_vconf, 0.1 / 4), 1e-4, stefan_vconf, EPAN, 0.1, MOD)
     assert info.value.time_of_failure == 0.0
+
+
+# -- state window -------------------------------------------------------------
+
+
+def _front(sign):
+    """A front in units of dx: +0.0 or -0.0, or on a node or between nodes."""
+    off_node = st.builds(lambda j, f: sign * (j + f), st.integers(0, 40),
+                         st.sampled_from([0.0, 0.5, 1e-9, 0.999]))
+    return st.one_of(st.sampled_from([0.0, -0.0]), off_node)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dx=st.sampled_from([0.1 / 16, 1.0 / 64, 0.037]),
+    g=_front(-1.0),
+    h=_front(1.0),
+    j_min=st.integers(-50, 10),
+    size=st.integers(0, 100),
+)
+@example(dx=0.037, g=-3.5, h=2.25, j_min=-50, size=100)  # storage wider than the window
+@example(dx=0.037, g=-40.0, h=40.0, j_min=-50, size=45)  # storage ending inside it
+@example(dx=1.0 / 64, g=-0.0, h=0.0, j_min=-1, size=3)
+def test_state_window_is_active_mask_range(dx, g, h, j_min, size):
+    state = NL.EulerianState(0.0, g * dx, h * dx, dx, j_min, np.zeros(size))
+    lo, hi = state.window
+    assert 0 <= lo <= hi  # an empty window may start past the stored nodes
+    assert np.flatnonzero(state.active_mask()).tolist() == list(range(lo, hi))
+
+
+@pytest.mark.parametrize("front", [-1e300, -np.inf, np.inf, np.nan, -(2.0**52) * 0.01],
+                         ids=["-1e300", "-inf", "inf", "nan", "-2^52dx"])
+@pytest.mark.parametrize("side", ["g", "h"])
+def test_window_rejects_fronts_not_finite_or_past_2_52_dx(front, side):
+    # The node search would never end (-1e300), overflow (inf) or fail on an
+    # untyped conversion (NaN); a typed ValueError comes first, also when a
+    # hand-built state finds its window.
+    dx = 0.01
+    g, h = (front, 1.0) if side == "g" else (-1.0, -front)
+    with pytest.raises(ValueError, match=r"within 2\^52 dx"):
+        NL._window(g, h, dx)
+    with pytest.raises(ValueError, match=r"within 2\^52 dx"):
+        NL.EulerianState(0.0, g, h, dx, 0, np.zeros(3))
+    # Just inside the bound the window is exact.
+    assert NL._window(-(2.0**51) * dx, 2.0**51 * dx, dx) == (1 - 2**51, 2**51 - 1)
 
 
 # -- boundary flux ------------------------------------------------------------
@@ -469,8 +514,8 @@ def test_step_does_not_depend_on_grid_extent(stefan_vconf):
         tight = NL.step(tight, 1e-4, stefan_vconf, EPAN, eps, MOD)
         wide = NL.step(wide, 1e-4, stefan_vconf, EPAN, eps, MOD)
     assert tight.g == wide.g and tight.h == wide.h
-    lo_t, hi_t = NL._active_window(tight)
-    lo_w, hi_w = NL._active_window(wide)
+    lo_t, hi_t = tight.window
+    lo_w, hi_w = wide.window
     assert tight.j_min + lo_t == wide.j_min + lo_w
     assert np.array_equal(tight.values[lo_t:hi_t], wide.values[lo_w:hi_w])
 
@@ -491,9 +536,9 @@ def fronts_state(g, h, dx, jm=400):
 @pytest.mark.parametrize("fronts", FRONTS, ids=FRONT_IDS)
 def test_step_front_speeds_are_boundary_flux_calls(stefan_vconf, monkeypatch, variant, fronts):
     # Each step looks boundary_flux up by name once per side and
-    # apply_nonlocal_operator once, with the step's window (a wrapper that
-    # replaces either sees every call), and the speeds it gets from the shared
-    # window are those of a plain call, byte for byte.
+    # apply_nonlocal_operator once, with no argument beyond the public ones (a
+    # wrapper that replaces either sees every call), and the speeds it gets
+    # are those of a plain call, byte for byte.
     eps, dx, dt = 0.1, 0.1 / 16, 1e-4
     state = fronts_state(*fronts, dx)
     original = NL.boundary_flux
@@ -515,7 +560,7 @@ def test_step_front_speeds_are_boundary_flux_calls(stefan_vconf, monkeypatch, va
         calls.clear()
         operator_calls.clear()
         new = NL.step(state, dt, stefan_vconf, EPAN, eps, variant)
-        assert operator_calls == [(state, (NL._active_window(state),))]
+        assert operator_calls == [(state, ())]
         assert sorted(side for _, side, _ in calls) == ["left", "right"]
         speeds = {}
         for seen, side, speed in calls:
@@ -536,7 +581,7 @@ def test_step_values_are_the_euler_update(fronts):
     vconf = P.validate(P.fisher_kpp_config(T=0.1))
     eps, dx, dt = 0.1, 0.1 / 16, 1e-4
     state = fronts_state(*fronts, dx)
-    lo, hi = NL._active_window(state)
+    lo, hi = state.window
     u = state.values[lo:hi]
     x = state.grid()[lo:hi]
     rate = NL.apply_nonlocal_operator(state, EPAN, eps, vconf.d)[lo:hi]

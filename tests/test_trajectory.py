@@ -8,7 +8,7 @@ from frontlab import local_solver as LS
 from frontlab import nonlocal_solver as NL
 from frontlab import problem as P
 from frontlab import trajectory as TR
-from frontlab.errors import PositivityLoss
+from frontlab.errors import OutOfHorizon, PositivityLoss
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,17 +61,22 @@ def test_plan_steps_rejects_bad_dt(T, dt, message):
 
 def test_march_records_track_and_requested_snapshots():
     start = Toy(0.0, -1.0, 1.0, np.zeros(3))
-    sol = TR.march(ToyTrajectory, start, toy_step, 1.0, 0.1, [0.0, 0.31, 0.3, 2.0], label="toy")
-    n_steps, dt = TR.plan_steps(1.0, 0.1)
+    sol = TR.march(ToyTrajectory, start, toy_step, 1.0, 0.3, label="toy")
+    n_steps, dt = TR.plan_steps(1.0, 0.3)
     assert isinstance(sol, ToyTrajectory)
     assert sol.dt == dt and sol.horizon == 1.0 and sol.label == "toy"
     t, g, h, snaps = sol.boundary_times, sol.boundary_g, sol.boundary_h, sol.snapshots
     assert t.size == g.size == h.size == n_steps + 1
     assert t[0] == 0.0 and t[-1] == pytest.approx(1.0)
     assert np.allclose(g, -1.0 - t) and np.allclose(h, 1.0 + 2 * t)
-    # Nearest steps, duplicates merged, times beyond T clipped to the last step.
-    assert [int(s.values[0]) for s in snaps] == [0, 3, 10]
-    assert [s.t for s in snaps] == [t[0], t[3], t[10]]
+    # Four steps for 65 even times: each time lies within dt/2 of a snapshot,
+    # and the times that round to one step share one snapshot.
+    assert n_steps == 4
+    assert [int(s.values[0]) for s in snaps] == list(range(n_steps + 1))
+    assert [s.t for s in snaps] == list(t)
+    snap_t = np.array([s.t for s in snaps])
+    want = np.linspace(0.0, 1.0, 65)
+    assert np.all(np.min(np.abs(want[:, None] - snap_t), axis=1) <= dt / 2 * (1 + 1e-12))
 
 
 def test_march_defaults_to_65_even_snapshots():
@@ -83,7 +88,8 @@ def test_march_defaults_to_65_even_snapshots():
 
 def test_march_snapshots_are_copies():
     start = Toy(0.0, -1.0, 1.0, np.zeros(3))
-    sol = TR.march(ToyTrajectory, start, lambda s, dt: s, 1.0, 0.5, [0.0, 1.0], label="toy")
+    sol = TR.march(ToyTrajectory, start, lambda s, dt: s, 1.0, 0.5, label="toy")
+    assert len(sol.snapshots) == 3  # one state object at every step
     sol.snapshots[0].values[0] = 7.0
     assert start.values[0] == 0.0 and sol.snapshots[1].values[0] == 0.0
 
@@ -129,3 +135,18 @@ def test_solve_looks_step_up_at_call_time(monkeypatch, module, args):
     for a, b in zip(sol.snapshots, plain.snapshots):
         assert a.t == b.t and a.values.tobytes() == b.values.tobytes()
     assert sol.dt == plain.dt
+
+
+@pytest.mark.parametrize(
+    "module, args",
+    [(LS, {"n_cells": 64, "dt": 5e-3}), (NL, {"kernel": K.KernelSpec("epanechnikov"), "eps": 0.2})],
+    ids=["local", "nonlocal"],
+)
+def test_sample_rejects_t_outside_horizon_and_nan(module, args):
+    sol = module.solve(P.validate(P.symmetric_stefan(T=0.05)), **args)
+    with pytest.raises(OutOfHorizon, match="beyond horizon"):
+        sol.sample(0.06, 0.0)
+    for t in (-1e-3, np.nan):
+        with pytest.raises(OutOfHorizon, match="t must be nonnegative"):
+            sol.sample(t, 0.0)
+    assert sol.sample(0.05, 0.0) > 0.0
