@@ -146,7 +146,10 @@ def fit_rate(pairs) -> RateFit:
     err = np.array([p[1] for p in pairs], dtype=float)
     if eps.size < 3:
         raise DegenerateFit("need at least 3 (eps, error) pairs")
-    if np.unique(eps).size != eps.size:
+    if not np.all((eps > 0.0) & (eps < np.inf)):
+        raise DegenerateFit("eps values must be positive and finite")
+    ordered = np.sort(eps)
+    if np.any(ordered[1:] == ordered[:-1]):
         raise DegenerateFit("eps values must be distinct")
     if np.any(err <= 0.0):
         raise DegenerateFit("errors must be positive (quadrature floor reached?)")

@@ -22,7 +22,17 @@ from .errors import DegenerateKernel
 
 BUILTIN_FAMILIES = ("epanechnikov", "triangle", "quartic")
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# The 8-point Gauss-Legendre rule on [-1, 1], equal bit for bit to
+# numpy.polynomial.legendre.leggauss(8); literals, so that no process loads
+# numpy.polynomial for them.
+_GL_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362,
+])
+_GL_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
+])
 QUADRATURE_PANELS = 256  # Gauss-Legendre panels per integral in integrate_against
 
 
@@ -70,7 +80,7 @@ class KernelSpec:
         """Abscissae in [0, 1] where J may lose smoothness."""
         if self.family == "custom":
             pts = np.concatenate([[0.0], self.table[:, 0], [1.0]])
-            return np.unique(pts)
+            return _sorted_distinct(pts)
         return np.array([0.0, 1.0])
 
 
@@ -114,10 +124,21 @@ def scaled_eval(kernel: KernelSpec, eps: float, x) -> np.ndarray | float:
     return evaluate(kernel, np.asarray(x, dtype=float) / eps) / eps
 
 
+def _sorted_distinct(values) -> np.ndarray:
+    """The sorted distinct values of a finite array: what ``np.unique``
+    returns, bit for bit (of equal values, +-0.0, it keeps the first in sorted
+    order), without the ``numpy.ma`` import ``np.unique`` makes."""
+    s = np.sort(values, axis=None)
+    keep = np.empty(s.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 def _integrate_table(tab: np.ndarray, a: float, b: float) -> float:
     """Exact integral of the piecewise-linear table over [a, b] in [0, 1]."""
     z = np.concatenate([tab[:, 0], [1.0]]) if tab[-1, 0] < 1.0 else tab[:, 0]
-    grid = np.unique(np.clip(np.concatenate([z, [a, b]]), a, b))
+    grid = _sorted_distinct(np.clip(np.concatenate([z, [a, b]]), a, b))
     vals = np.interp(grid, tab[:, 0], tab[:, 1])
     return float(np.trapezoid(vals, grid))
 
@@ -134,7 +155,7 @@ def integrate_against(kernel: KernelSpec, a: float, b: float, phi=None, breakpoi
     if b <= a:
         return 0.0
     cuts = np.concatenate([kernel.breakpoints(), np.asarray(breakpoints, dtype=float)])
-    edges = np.unique(np.clip(np.concatenate([cuts, [a, b]]), a, b))
+    edges = _sorted_distinct(np.clip(np.concatenate([cuts, [a, b]]), a, b))
     total = 0.0
     n_panels = max(QUADRATURE_PANELS, len(edges) - 1)
     for lo, hi in zip(edges[:-1], edges[1:]):

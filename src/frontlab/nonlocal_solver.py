@@ -31,9 +31,10 @@ Left-boundary quantities are evaluated by reading the state mirrored
 (values[::-1] with mirrored indices) through the right-boundary code path;
 with the kernel even this is exact, and it makes symmetric data evolve
 symmetrically to the last bit.  The convolution keeps that property by
-folding the even stencil: the terms s_0 u_j and s_m (u_{j-m} + u_{j+m}) fill
-the rows of one array, and one ordered reduction adds the rows in turn, so
-every node sums the same terms in the same order, m = 0..n.
+folding the even stencil: the data u_j and the pair sums u_{j-m} + u_{j+m}
+fill the rows of one array, and one ``np.einsum`` weights and adds the rows
+in turn, so every node sums the same terms s_m (u_{j-m} + u_{j+m}) in the
+same order, m = 0..n.
 
 A step touches only the nodes strictly inside (g, h).  Each state finds that
 window once, when it is built (``EulerianState.window``), and both front
@@ -43,10 +44,11 @@ solve.  A step calls ``boundary_flux`` and ``apply_nonlocal_operator`` by
 name, and the operator's output on the stored nodes becomes the new state.
 The flux weights are nonnegative, so the fronts never retreat, and
 f(t, x, 0) = 0, so every node outside the interval keeps its exact zero.  The
-first state holds v0 on the nodes inside (-h0, h0), and each step pads zeros
-at the nodes its new fronts cover.  Every position is indexed by its global
-node j = x / dx, never relative to the first stored node, so a hand-built
-state that also stores zeros beyond its fronts steps to the same values.
+first state holds v0 on the nodes inside (-h0, h0), and each new state pads
+zeros at the nodes its fronts newly cover.  Every position is indexed by its
+global node j = x / dx, never relative to the first stored node, so a
+hand-built state that also stores zeros beyond its fronts steps to the same
+values.
 """
 
 from __future__ import annotations
@@ -98,10 +100,11 @@ class NonlocalVariant:
 class EulerianState:
     """Grid snapshot: values at x_j = j*dx for j = j_min..j_min+len-1.
 
-    A solver state stores exactly the nodes strictly inside (g, h); every
-    other node is an exact zero.  A hand-built state may store more.
-    ``window`` is the index range [lo, hi) of the stored nodes strictly
-    inside (g, h), found once at construction.
+    A state stores at least the nodes strictly inside (g, h); every other
+    node is an exact zero.  Construction finds those nodes once, pads the
+    ones not given with zeros (moving ``j_min`` down for the left ones) and
+    keeps their index range [lo, hi) as ``window``.  A solver state stores
+    exactly its window; a hand-built state may store more.
     """
 
     t: float
@@ -114,6 +117,12 @@ class EulerianState:
 
     def __post_init__(self):
         j_lo, j_hi = _window(self.g, self.h, self.dx)
+        left = max(self.j_min - j_lo, 0)
+        right = max(j_hi - (self.j_min + self.values.size - 1), 0)
+        if j_lo <= j_hi and (left or right):
+            padded = np.concatenate([np.zeros(left), self.values, np.zeros(right)])
+            object.__setattr__(self, "values", padded)
+            object.__setattr__(self, "j_min", self.j_min - left)
         lo = max(j_lo - self.j_min, 0)
         hi = min(j_hi - self.j_min + 1, self.values.size)
         object.__setattr__(self, "window", (lo, max(lo, hi)))
@@ -233,13 +242,16 @@ def _convolve_symmetric(values: np.ndarray, stencil: np.ndarray, lo: int, hi: in
     The stencil is folded: node j gets s_0 u_j + sum_m s_m (u_{j-m} + u_{j+m}),
     summed over m = 1..n in the same order at every node.  Each pair sum is
     commutative, so a mirror-symmetric state has an exactly mirror-symmetric
-    image.  The terms fill the rows of one (n + 1, width) array, which
-    ``np.add.reduce`` over the outer axis adds row by row, in order; a
-    matrix-vector product would sum in blocks and lose the exact symmetry.
+    image.  The unscaled pairs fill the rows of one (n + 1, width) array, and
+    ``np.einsum`` (unoptimized, so never BLAS) multiplies each row by its
+    weight and adds it to a running sum, row by row, in order; ``s @ pairs``
+    would sum in blocks and lose the exact symmetry.  einsum's sum starts
+    from +0.0, the m-loop's from its first term, so the two differ only at a
+    node whose every term is -0.0; that node gets the m-loop's -0.0.
     """
     n = stencil.size // 2
     width = hi - lo
-    cols = max(width, 2)  # a single column would be summed pairwise, not in order
+    cols = max(width, 2)  # a single column would be summed in blocks, not in order
     a, b = lo - n, lo + cols + n
     u = values[max(a, 0) : min(b, values.size)]
     if a < 0 or b > values.size:
@@ -250,12 +262,16 @@ def _convolve_symmetric(values: np.ndarray, stencil: np.ndarray, lo: int, hi: in
     # Row r of this read-only view is u[r : r + cols], r = 0..2n.
     shifted = np.ndarray((2 * n + 1, cols), buffer=u, strides=(u.itemsize, u.itemsize))
     shifted.flags.writeable = False
-    terms = np.empty((n + 1, cols))
-    np.multiply(stencil[n], shifted[n], out=terms[0])
-    np.add(shifted[n - 1 :: -1], shifted[n + 1 :], out=terms[1:])
-    terms[1:] *= stencil[n + 1 :, None]
-    # Starting from -0.0 (not the default +0.0) keeps even a -0.0 first row as is.
-    return np.add.reduce(terms, axis=0, initial=-0.0)[:width]
+    pairs = np.empty((n + 1, cols))
+    pairs[0] = shifted[n]
+    np.add(shifted[n - 1 :: -1], shifted[n + 1 :], out=pairs[1:])
+    weights = stencil[n:]
+    out = np.einsum("ij,i->j", pairs, weights)
+    if not out.all():
+        # A zero sum of terms that all carry a sign bit has only -0.0 terms.
+        zero = np.flatnonzero(out == 0.0)
+        out[zero[np.signbit(pairs[:, zero] * weights[:, None]).all(axis=0)]] = -0.0
+    return out[:width]
 
 
 def _n_sub(dx: float, eps: float, t: float) -> int:
@@ -391,10 +407,10 @@ def step(
     combination of nonnegative terms plus dt * f, so positivity only depends
     on the reaction respecting its Lipschitz bound.  Only the nodes strictly
     inside (g, h) are updated; the others keep the operator's exact +0.0,
-    and the nodes the new fronts cover are padded with +0.0.  Both front
-    speeds and the operator read the state's window.  A front may move at
-    most dx per step; a longer move, or a speed that is not a number, raises
-    CflViolation at state.t.
+    and the new state pads +0.0 at the nodes the new fronts cover.  Both
+    front speeds and the operator read the state's window.  A front may move
+    at most dx per step; a longer move, or a speed that is not a number,
+    raises CflViolation at state.t.
     """
     lam = dt * vconf.d * kmod.c_star(kernel) / (eps * eps)
     if lam > 1.0 + 1e-12:
@@ -420,13 +436,7 @@ def step(
     window_values *= dt
     window_values += u
     clamp_nonnegative(window_values, state.t + dt)
-
-    j_lo, j_hi = _window(g_new, h_new, state.dx)
-    left = max(state.j_min - j_lo, 0)
-    right = max(j_hi - (state.j_min + new_values.size - 1), 0)
-    if left or right:
-        new_values = np.concatenate([np.zeros(left), new_values, np.zeros(right)])
-    return EulerianState(state.t + dt, g_new, h_new, state.dx, state.j_min - left, new_values)
+    return EulerianState(state.t + dt, g_new, h_new, state.dx, state.j_min, new_values)
 
 
 @dataclass(frozen=True, eq=False)

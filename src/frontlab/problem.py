@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import NegativeDensity
 
@@ -153,6 +152,36 @@ def eval_initial(spec: InitialDataSpec, x):
     return out
 
 
+# numpy.polynomial.polynomial's polyder, polyval and polytrim for ascending
+# float64 coefficients, in the same order of operations, so K, L0 and every
+# default dt keep their bits; numpy.polynomial itself costs a process about
+# 1 MB and 5 ms to import.
+
+
+def _polyder(c: np.ndarray) -> np.ndarray:
+    """The derivative's coefficients j c_j, j = 1..n; (0 c_0,) for a constant."""
+    if c.size == 1:
+        return c * 0
+    return np.arange(1, c.size) * c[1:]
+
+
+def _polyval(x, c: np.ndarray):
+    """Horner's rule from c[-1] + 0 x, elementwise over a list x."""
+    if isinstance(x, list):  # a scalar stays one: numpy's scalar arithmetic is faster
+        x = np.asarray(x)
+    out = c[-1] + x * 0
+    for i in range(2, c.size + 1):
+        out = c[-i] + out * x
+    return out
+
+
+def _polytrim(c) -> np.ndarray:
+    """c without its trailing exact zeros, keeping at least one coefficient."""
+    c = np.asarray(c, dtype=float)
+    nonzero = np.flatnonzero(c)
+    return c[: nonzero[-1] + 1] if nonzero.size else c[:1] * 0
+
+
 def _sign_changes(c) -> list[float]:
     """The u > 0 where the polynomial with ascending coefficients c changes
     sign, ascending.  Each derivative is monotone between the sign changes of
@@ -160,20 +189,20 @@ def _sign_changes(c) -> list[float]:
     to the last bit however many decades apart the roots lie."""
     chain = [c]
     while len(chain[-1]) > 1:
-        chain.append(P.polyder(chain[-1]))
+        chain.append(_polyder(chain[-1]))
     roots = []
     for p in chain[-2::-1]:  # from the linear derivative up to c itself
         ends, roots = [0.0, *roots], []
         for lo, hi in zip(ends, [*ends[1:], None]):
-            s = np.sign(P.polyval(lo, p))
+            s = np.sign(_polyval(lo, p))
             if hi is None:  # beyond the last end p heads to sign(p[-1]) * inf
                 hi = np.float64(max(1.0, 2.0 * lo))  # a float64 raises on overflow
-                while s == np.sign(P.polyval(hi, p)) != np.sign(p[-1]):
+                while s == np.sign(_polyval(hi, p)) != np.sign(p[-1]):
                     hi *= 2.0
-            if s == 0.0 or np.sign(P.polyval(hi, p)) == s:
+            if s == 0.0 or np.sign(_polyval(hi, p)) == s:
                 continue
             while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
-                lo, hi = (mid, hi) if np.sign(P.polyval(mid, p)) == s else (lo, mid)
+                lo, hi = (mid, hi) if np.sign(_polyval(mid, p)) == s else (lo, mid)
             roots.append(float(hi))
     return roots
 
@@ -239,7 +268,7 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
     else:
         sup_v0 = 0.0
 
-    c = P.polytrim(coeffs) if coeffs else np.zeros(1)
+    c = _polytrim(coeffs) if coeffs else np.zeros(1)
     K = L0 = math.inf
     if c[-1] > 0.0:
         violations.append("(f2): no K found with f <= 0 for u > K")
@@ -248,9 +277,9 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
             with np.errstate(over="raise", invalid="raise"):
                 K = max([0.0, *_sign_changes(c)])
                 u_cap = 1.1 * max(K, sup_v0) + 1.0
-                df = P.polyder(c)
-                u = [0.0, u_cap, *(r for r in _sign_changes(P.polyder(df)) if r < u_cap)]
-                L0 = float(np.max(np.abs(P.polyval(u, df))))
+                df = _polyder(c)
+                u = [0.0, u_cap, *(r for r in _sign_changes(_polyder(df)) if r < u_cap)]
+                L0 = float(np.max(np.abs(_polyval(u, df))))
         except FloatingPointError:
             violations.append("(f2): computing K and L0 overflows the float range")
     return ValidatedConfig(config, K, L0, sup_v0, tuple(violations))

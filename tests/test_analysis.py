@@ -114,6 +114,12 @@ def test_fit_rate_degenerate_inputs():
         A.fit_rate([(0.2, 0.1), (0.1, 0.0), (0.05, 0.01)])
     with pytest.raises(DegenerateFit):
         A.fit_rate([(0.1, 0.1), (0.1, 0.2), (0.05, 0.01)])
+    # log(eps) needs positive finite eps; least squares used to fail in LAPACK.
+    for bad in (np.nan, 0.0, -0.05, np.inf):
+        with pytest.raises(DegenerateFit, match="positive and finite"):
+            A.fit_rate([(0.2, 0.1), (0.1, 0.05), (bad, 0.01)])
+    with pytest.raises(DegenerateFit, match="positive and finite"):
+        A.fit_rate([(0.2, 0.1), (np.nan, 0.05), (np.nan, 0.01)])
 
 
 def test_rate_fit_json_round_trip():

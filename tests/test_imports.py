@@ -1,5 +1,6 @@
 """What a fresh process loads: SciPy only with the first local solve, the
-process pool only for a converge sweep with more than one job.
+process pool only for a converge sweep with more than one job, and neither
+numpy.ma nor numpy.polynomial for nonlocal work.
 
 Each test runs its script in a new interpreter, because this test process
 has long since imported both.  Only module names are asserted, never times.
@@ -19,7 +20,8 @@ import json, sys
 from frontlab import cli, kernels, local_solver, nonlocal_solver, problem
 
 def loaded():
-    return {name: name in sys.modules for name in ("scipy", "concurrent.futures.process")}
+    return {name: name in sys.modules
+            for name in ("scipy", "concurrent.futures.process", "numpy.ma", "numpy.polynomial")}
 
 vconf = problem.validate(problem.symmetric_stefan(T=0.02))
 """
@@ -55,8 +57,10 @@ def test_nonlocal_solve_loads_neither_scipy_nor_the_pool(tmp_path):
         tmp_path,
     )
     assert seen["code"] == 0
-    assert seen["import"] == {"scipy": False, "concurrent.futures.process": False}
-    assert seen["nonlocal"] == {"scipy": False, "concurrent.futures.process": False}
+    none = {"scipy": False, "concurrent.futures.process": False,
+            "numpy.ma": False, "numpy.polynomial": False}
+    assert seen["import"] == none
+    assert seen["nonlocal"] == none
     assert seen["local"]["scipy"]
 
 
@@ -84,7 +88,7 @@ def test_converge_loads_the_pool_only_for_two_jobs(tmp_path):
         tmp_path,
     )
     assert seen["codes"] == [0, 0]
-    assert seen["serial"] == {"scipy": True, "concurrent.futures.process": False}
+    assert seen["serial"]["scipy"] and not seen["serial"]["concurrent.futures.process"]
     # One core gives one worker, and then no pool is started.
     assert seen["pooled"]["concurrent.futures.process"] == (seen["workers"] > 1)
     assert seen["same"]

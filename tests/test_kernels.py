@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from frontlab import kernels as K
 from frontlab.errors import DegenerateKernel
@@ -194,3 +195,20 @@ def test_boundary_weight_matches_exact_tail(w):
     epan = K.KernelSpec("epanechnikov")
     exact = float(poly_moment(POLY["epanechnikov"], 0, Fraction(w).limit_denominator(10**12), 1))
     assert K.boundary_weight(epan, w) == pytest.approx(exact, abs=1e-9)
+
+
+def test_gauss_legendre_literals_equal_leggauss_bitwise():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert K._GL_NODES.tobytes() == nodes.tobytes()
+    assert K._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=hnp.arrays(float, st.integers(0, 40),
+                         elements=st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5]),
+                                            st.floats(-2.0, 2.0))))
+@example(values=np.array([0.0, -0.0, 1.0]))
+@example(values=np.array([-0.0, 0.0, -0.0, 0.0]))
+def test_sorted_distinct_equals_np_unique_bitwise(values):
+    # Equal values, +-0.0 among them, keep the one np.unique keeps.
+    assert K._sorted_distinct(values).tobytes() == np.unique(values).tobytes()

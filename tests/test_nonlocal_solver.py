@@ -182,6 +182,38 @@ def test_convolve_symmetric_matches_m_loop_bitwise(data, n, size, symmetric):
             assert out.tobytes() == out[::-1].tobytes()
 
 
+@pytest.mark.parametrize("n_sub", [8, 16, 32])
+@pytest.mark.parametrize("family", K.BUILTIN_FAMILIES)
+def test_convolve_symmetric_builtin_stencils_long_windows_bitwise(family, n_sub):
+    # The solver's own stencils on windows of about 1 500 nodes: whole,
+    # flush with either end, in the middle, and a mirror-symmetric state.
+    stencil = NL.operator_stencil(K.KernelSpec(family), n_sub)
+    rng = np.random.default_rng(n_sub)
+    u = rng.uniform(0.0, 1.0, 1500)
+    sym = np.concatenate([u[:750][::-1], u[:1], u[:750]])
+    for vals, lo, hi in [(u, 0, 1500), (u, 0, 700), (u, 800, 1500), (u, 13, 1487),
+                         (sym, 0, sym.size), (sym, 5, sym.size - 5)]:
+        out = NL._convolve_symmetric(vals, stencil, lo, hi)
+        assert out.tobytes() == convolve_symmetric_oracle(vals, stencil, lo, hi).tobytes()
+    out = NL._convolve_symmetric(sym, stencil, 5, sym.size - 5)
+    assert out.tobytes() == out[::-1].tobytes()
+
+
+def test_convolve_symmetric_keeps_all_negative_zero_sums():
+    # Every term is -0.0 at the nodes whose reach holds only -0.0 data, so the
+    # m-loop sums to -0.0 there; other zero sums are +0.0, also where the
+    # reach passes the array's end and reads the zero extension's +0.0.
+    stencil = NL.operator_stencil(EPAN, 8)
+    vals = np.full(40, -0.0)
+    vals[30:] = [0.0, 1.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    for lo, hi in [(0, 40), (0, 1), (3, 4), (10, 35)]:
+        out = NL._convolve_symmetric(vals, stencil, lo, hi)
+        want = convolve_symmetric_oracle(vals, stencil, lo, hi)
+        assert out.tobytes() == want.tobytes()
+    assert np.signbit(NL._convolve_symmetric(vals, stencil, 8, 22)).all()
+    assert not np.signbit(NL._convolve_symmetric(vals, stencil, 0, 8)).any()
+
+
 def test_kernel_quadratures_do_not_grow_with_steps(monkeypatch):
     kernel = K.KernelSpec("epanechnikov")
     variant = NL.NonlocalVariant("modified", beta=0.5)
@@ -238,6 +270,33 @@ def test_state_window_is_active_mask_range(dx, g, h, j_min, size):
     lo, hi = state.window
     assert 0 <= lo <= hi  # an empty window may start past the stored nodes
     assert np.flatnonzero(state.active_mask()).tolist() == list(range(lo, hi))
+
+
+def test_state_pads_its_window_with_zeros():
+    # Nodes strictly inside (g, h) that the caller does not store are stored
+    # as +0.0: on the right, and on the left with j_min moved down.
+    dx = 0.1
+    state = NL.EulerianState(0.0, -0.95, 0.55, dx, -2, np.array([0.5, 0.75, 1.0]))
+    assert (state.j_min, state.window) == (-9, (0, 15))
+    assert state.values.tobytes() == np.concatenate(
+        [np.zeros(7), [0.5, 0.75, 1.0], np.zeros(5)]).tobytes()
+    # Storage beyond the window is kept as given, the same array.
+    wide = np.zeros(30)
+    assert NL.EulerianState(0.0, -0.95, 0.55, dx, -15, wide).values is wide
+
+
+def test_step_finds_the_window_once(stefan_vconf, monkeypatch):
+    state = NL.initial_state(stefan_vconf, 0.1 / 16)
+    calls = []
+    original = NL._window
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(NL, "_window", counting)
+    new = NL.step(state, 1e-4, stefan_vconf, EPAN, 0.1, MOD)
+    assert calls == [(new.g, new.h, new.dx)]
 
 
 @pytest.mark.parametrize("front", [-1e300, -np.inf, np.inf, np.nan, -(2.0**52) * 0.01],

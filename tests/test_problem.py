@@ -1,4 +1,5 @@
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -215,6 +216,54 @@ def test_exact_K_and_L0_bound_the_polynomial(coeffs):
     u = np.linspace(0.0, u_cap, 4001)
     df = np.polynomial.polynomial.polyder(coeffs)
     assert np.all(np.abs(np.polynomial.polynomial.polyval(u, df)) <= vconf.L0 * (1.0 + 1e-12))
+
+
+coefficient_arrays = st.lists(
+    st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0])), min_size=1, max_size=6
+).flatmap(lambda c: st.lists(st.sampled_from([0.0, -0.0]), max_size=3).map(lambda z: c + z))
+points = st.one_of(st.floats(-5.0, 5.0), st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=coefficient_arrays, x=points)
+@example(c=[0.0, 0.0], x=-0.0)
+@example(c=[-0.0], x=[0.0, -0.0])
+@example(c=[2.0, -0.0, 0.0], x=1.5)
+def test_polynomial_helpers_equal_numpy_polynomial_bitwise(c, x):
+    # Trailing exact zeros, signed zeros, a constant, and a scalar or list x.
+    npp = np.polynomial.polynomial
+    trimmed = P._polytrim(c)
+    assert trimmed.tobytes() == npp.polytrim(c).tobytes()
+    c = np.array(c)
+    assert P._polyder(c).tobytes() == npp.polyder(c).tobytes()
+    got, want = P._polyval(x, c), npp.polyval(x, c)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_polynomial_helpers_raise_on_overflow_like_numpy():
+    # validate turns an overflow in these helpers into its (f2) violation.
+    c = np.array([0.0, 1e300, -1e300])
+    for helper in (lambda: P._polyval(1e10, c), lambda: P._polyder(c * 1e8)):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            helper()
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs=admissible_polynomials)
+@example(coeffs=(0.0, 1.0, -3.0, 3.0, -1.0))
+@example(coeffs=(0.0, 1.0, -1.5, -6.103515625e-05))
+@example(coeffs=(0.0, 2.0, 0.0, -0.0))
+def test_validate_K_and_L0_match_numpy_polynomial_bitwise(coeffs):
+    config = P.ProblemConfig(reaction=_custom(*coeffs))
+    npp = np.polynomial.polynomial
+    with mock.patch.multiple(P, _polyder=npp.polyder, _polyval=npp.polyval,
+                             _polytrim=npp.polytrim):
+        want = P.validate(config)
+    got = P.validate(config)
+    assert (got.K, got.L0, got.violations) == (want.K, want.L0, want.violations)
+    assert np.array([got.K, got.L0]).tobytes() == np.array([want.K, want.L0]).tobytes()
 
 
 @pytest.mark.parametrize("coeffs", [(0.0, 1.0, -1.0), (0.0, 1.0, 0.0, -1.0)])
