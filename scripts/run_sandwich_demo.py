@@ -1,24 +1,20 @@
 #!/usr/bin/env python3
 """Show the perturbation sandwich around the plain and nonlocal solutions.
 
-Solves the outward- and inward-perturbed local problems at eps = 0.05,
-gamma1 = 0.4 and verifies that they bracket both the unperturbed local run
-and the modified nonlocal run, printing boundary envelopes along the way.
+Runs acceptance criterion 6's solves (``frontlab.checks.sandwich``): the
+outward- and inward-perturbed local problems at eps = 0.05, gamma1 = 0.4
+bracket both the unperturbed local run and the modified nonlocal run.
+Prints the boundary envelopes along the way and the two verdicts.
 """
 
 import numpy as np
 
-from frontlab import analysis, kernels, local_solver, nonlocal_solver, problem
+from frontlab import checks, problem
 
 
 def main():
-    eps, gamma1 = 0.05, 0.4
     vconf = problem.validate(problem.symmetric_stefan(T=1.0))
-    kw = dict(n_cells=1024, dt=1e-4)
-    upper = local_solver.solve(vconf, local_solver.preset_knobs("i1", eps, gamma1), **kw)
-    lower = local_solver.solve(vconf, local_solver.preset_knobs("i2", eps, gamma1), **kw)
-    mid = local_solver.solve(vconf, **kw)
-    nl = nonlocal_solver.solve(vconf, kernels.KernelSpec("epanechnikov"), eps=eps)
+    local_rep, nl_rep, slack, (lower, mid, nl, upper) = checks.sandwich(vconf)
 
     ts = np.linspace(0.0, 1.0, 6)
     print("t      h_lower   h_nonlocal  h_plain   h_upper")
@@ -28,9 +24,6 @@ def main():
             f"{float(mid.h_of(t)):<9.4f} {float(upper.h_of(t)):.4f}"
         )
 
-    local_rep = analysis.sandwich_check(lower, mid, upper, tol=1e-6)
-    slack = 10.0 * eps**gamma1 * vconf.sup_v0
-    nl_rep = analysis.sandwich_check(lower, nl, upper, tol=slack)
     print(f"\nlocal sandwich ok: {local_rep.ok} (worst violation {local_rep.max_violation:.2e})")
     print(f"nonlocal sandwich ok: {nl_rep.ok} (slack {slack:.3f})")
 

@@ -77,18 +77,6 @@ class RateFit:
             r_squared=data["r_squared"],
         )
 
-    def to_csv(self) -> str:
-        """Two plot-ready columns (eps, error) for log-log axes."""
-        lines = ["eps,error"]
-        for e, v in zip(self.eps, self.errors):
-            lines.append(f"{e:.17g},{v:.17g}")
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_csv(text: str) -> "RateFit":
-        pairs = [tuple(map(float, line.split(","))) for line in text.strip().splitlines()[1:]]
-        return fit_rate(pairs)
-
 
 def _lattice(solutions, time_samples: int, space_samples: int):
     T = solutions[0].horizon

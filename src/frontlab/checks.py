@@ -1,9 +1,10 @@
-"""Property measurements shared by ``frontlab verify`` and the acceptance gate.
+"""Property criteria of the acceptance gate, run by ``frontlab verify``.
 
-Each measurement is computed by one function here and returned as a number
-(or as the reports it is read from); callers apply their own thresholds.
-``SUITES`` holds the verdicts of ``frontlab verify``: each suite returns
-``(label, ok)`` pairs at desk-scale resolutions.
+``CRITERIA`` maps a criterion number of the gate (``tests/test_acceptance.py``)
+to a function of no arguments that returns ``(ok, label)``; the label carries
+the measured detail.  Each criterion's resolutions and thresholds are written
+here only.  Criteria 7 and 9 read the files of ``frontlab converge`` and its
+rerun, so they stay in the acceptance tests.
 """
 
 from __future__ import annotations
@@ -13,6 +14,10 @@ import numpy as np
 from . import analysis, kernels, local_solver, nonlocal_solver, problem
 
 EPAN = kernels.KernelSpec("epanechnikov")
+
+
+def _stefan() -> problem.ValidatedConfig:
+    return problem.validate(problem.symmetric_stefan(T=1.0))
 
 
 def _state(dx: float, profile) -> nonlocal_solver.EulerianState:
@@ -34,129 +39,128 @@ def operator_error(eps: float, u, u_xx) -> float:
     return float(np.max(np.abs(out[interior] - u_xx(x[interior]))))
 
 
-def constant_flux_error(eps: float, dx: float, mu: float, variant) -> float:
-    """Relative error of h' on the profile u = 1 against the tail-mass identity.
-
-    On u = 1 the flux window integrates W over [0, 1], which is 1/c_zero, so
-    h' = mu * coefficient / c_zero for either flux law.
-    """
-    h_dot = nonlocal_solver.boundary_flux(_state(dx, np.ones_like), EPAN, eps, mu, variant, "right")
-    expected = mu * variant.coefficient(EPAN, eps) / kernels.c_zero(EPAN)
-    return abs(h_dot - expected) / expected
-
-
 def max_mass_residual(sol, vconf) -> float:
     """Largest |residual| of the mass ledger with coefficient d / mu."""
     return float(np.max(np.abs(analysis.mass_residual(sol, vconf, vconf.d / vconf.mu)[:, 1])))
 
 
-def c1_halving_ratio(vconf, eps: float) -> float:
-    """Mass residual of the unmodified law at c1 = c*/2 over that at c1 = c*."""
-    c_star = kernels.c_star(EPAN)
-
-    def residual(c1):
-        variant = nonlocal_solver.NonlocalVariant("unmodified", c1=c1)
-        return max_mass_residual(nonlocal_solver.solve(vconf, EPAN, eps=eps, variant=variant), vconf)
-
-    return residual(0.5 * c_star) / residual(c_star)
-
-
-def sandwich(vconf, n_cells: int, dt: float, dx_ratio: float, local_tol: float,
-             time_samples: int):
+def sandwich(vconf):
     """Sandwich reports of the plain local run and a nonlocal run at eps = 0.05.
 
     Both must sit between the i2 (lower) and i1 (upper) local runs with
-    gamma1 = 0.4: the plain run within ``local_tol``, the nonlocal run (at
-    dx = eps/dx_ratio) within the slack 10 eps^gamma1 sup v0.  Returns the
-    two reports and the runs (lower, nonlocal, upper).
+    gamma1 = 0.4, all at nx = 1024 and dt = 1e-4: the plain run within 1e-6,
+    the nonlocal run (at dx = eps/16) within the slack 10 eps^gamma1 sup v0.
+    Returns the two reports, the slack and the runs (lower, plain, nonlocal,
+    upper).
     """
     eps, gamma1 = 0.05, 0.4
-    kw = dict(n_cells=n_cells, dt=dt)
+    kw = dict(n_cells=1024, dt=1e-4)
     upper = local_solver.solve(vconf, local_solver.preset_knobs("i1", eps, gamma1), **kw)
     lower = local_solver.solve(vconf, local_solver.preset_knobs("i2", eps, gamma1), **kw)
     mid = local_solver.solve(vconf, **kw)
-    nl = nonlocal_solver.solve(vconf, EPAN, eps=eps, dx=eps / dx_ratio)
+    nl = nonlocal_solver.solve(vconf, EPAN, eps=eps, dx=eps / 16.0)
     slack = 10.0 * eps**gamma1 * vconf.sup_v0
     return (
-        analysis.sandwich_check(lower, mid, upper, tol=local_tol, time_samples=time_samples),
-        analysis.sandwich_check(lower, nl, upper, tol=slack, time_samples=time_samples),
-        (lower, nl, upper),
+        analysis.sandwich_check(lower, mid, upper, tol=1e-6),
+        analysis.sandwich_check(lower, nl, upper, tol=slack),
+        slack,
+        (lower, mid, nl, upper),
     )
 
 
-def _nonnegative(sol) -> bool:
-    return min(float(np.min(s.values)) for s in sol.snapshots) >= 0.0
+def criterion_1():
+    ok = abs(kernels.c_star(EPAN) - 10.0) <= 1e-10
+    ok &= abs(kernels.c_zero(EPAN) - 16.0 / 3.0) <= 1e-10
+    for family in kernels.BUILTIN_FAMILIES:
+        kern = kernels.KernelSpec(family)
+        ok &= kernels.c_zero(kern) < kernels.c_star(kern)
+    return ok, "kernel constants and flux/operator ordering"
 
 
-def kernel_suite():
-    tri = kernels.KernelSpec("triangle")
-    checks = [
-        ("c_star(epanechnikov) = 10", abs(kernels.c_star(EPAN) - 10.0) <= 1e-10),
-        ("c_zero(epanechnikov) = 16/3", abs(kernels.c_zero(EPAN) - 16.0 / 3.0) <= 1e-10),
-        ("c_star(triangle) = 12", abs(kernels.c_star(tri) - 12.0) <= 1e-10),
-        ("c_zero(triangle) = 6", abs(kernels.c_zero(tri) - 6.0) <= 1e-10),
-    ]
-    for name in ("epanechnikov", "triangle", "quartic"):
-        kern = kernels.KernelSpec(name)
-        checks.append((f"c_zero < c_star ({name})", kernels.c_zero(kern) < kernels.c_star(kern)))
-        checks.append((f"tail weight W(0) = 1/2 ({name})",
-                       abs(kernels.boundary_weight(kern, 0.0) - 0.5) <= 1e-12))
-    return checks
+def criterion_2():
+    e_quad = operator_error(0.1, np.square, lambda x: 2.0)
+    e_quad_half = operator_error(0.05, np.square, lambda x: 2.0)
+    ok = e_quad <= 0.04
+    # The moment-matched stencil is exact on quadratics, so both errors sit at
+    # the rounding floor; accept either a strict decrease or both at floor.
+    ok &= (e_quad_half < e_quad) or max(e_quad, e_quad_half) <= 1e-8
+    e_sin = operator_error(0.1, np.sin, lambda x: -np.sin(x))
+    e_sin_half = operator_error(0.05, np.sin, lambda x: -np.sin(x))
+    ok &= e_sin <= 0.02 and e_sin_half < e_sin
+    return ok, (f"operator consistency (x^2 err {e_quad:.2e}, sin ratio "
+                f"{e_sin / e_sin_half:.2f})")
 
 
-def local_suite():
-    vconf = problem.validate(problem.symmetric_stefan(T=0.2))
-    sol = local_solver.solve(vconf, n_cells=256, dt=2e-4)
-    inert = local_solver.solve(vconf, local_solver.preset_knobs("i1", 0.0), n_cells=64, dt=5e-4)
-    plain = local_solver.solve(vconf, n_cells=64, dt=5e-4)
-    identical = all(
-        np.array_equal(a.values, b.values) for a, b in zip(inert.snapshots, plain.snapshots)
-    )
-    return [
-        ("boundaries move monotonically", bool(np.all(np.diff(sol.boundary_h) > 0.0))),
-        ("symmetry defect <= 1e-10", analysis.symmetry_defect(sol, 16, 512) <= 1e-10),
-        ("values stay nonnegative", _nonnegative(sol)),
-        ("mass residual <= 1e-3", max_mass_residual(sol, vconf) <= 1e-3),
-        ("eps = 0 knobs are inert bit-for-bit", identical),
-    ]
+def criterion_3():
+    # On u = 1 the flux window integrates W over [0, 1], which is 1/c_zero, so
+    # h' = mu * coefficient / c_zero for either flux law.
+    eps = 0.05
+    state = _state(eps / 16.0, np.ones_like)
+    variants = (nonlocal_solver.NonlocalVariant("modified", beta=0.5),
+                nonlocal_solver.NonlocalVariant("unmodified", c1=kernels.c_star(EPAN)))
+    ok = True
+    for mu in (1.0, 2.5):
+        for variant in variants:
+            h_dot = nonlocal_solver.boundary_flux(state, EPAN, eps, mu, variant, "right")
+            expected = mu * variant.coefficient(EPAN, eps) / kernels.c_zero(EPAN)
+            ok &= abs(h_dot - expected) / expected <= 1e-6
+    return ok, "constant-profile flux matches the tail-mass identity"
 
 
-def nonlocal_suite():
-    modified = nonlocal_solver.NonlocalVariant("modified", beta=0.5)
-    vconf = problem.validate(problem.symmetric_stefan(T=0.1))
-    sol = nonlocal_solver.solve(vconf, EPAN, eps=0.1)
-    return [
-        ("operator consistency on x^2 <= 0.04",
-         operator_error(0.1, np.square, lambda x: 2.0) <= 0.04),
-        ("constant-profile flux matches tail identity",
-         constant_flux_error(0.1, 0.1 / 32.0, 1.0, modified) <= 1e-6),
-        ("symmetric run stays symmetric", analysis.symmetry_defect(sol, 16, 512) <= 1e-10),
-        ("values stay nonnegative", _nonnegative(sol)),
-    ]
+def criterion_4():
+    vconf = _stefan()
+    ok = True
+    for sol in (local_solver.solve(vconf, n_cells=512, dt=2.5e-4),
+                nonlocal_solver.solve(vconf, EPAN, eps=0.1)):
+        ok &= float(np.max(np.abs(sol.boundary_g + sol.boundary_h))) <= 1e-10
+        ok &= analysis.symmetry_defect(sol) <= 1e-10
+    return ok, "symmetric data evolves symmetrically in both solvers"
 
 
-def sandwich_suite():
-    vconf = problem.validate(problem.symmetric_stefan(T=0.3))
-    local_rep, nl_rep, _ = sandwich(vconf, 512, 2e-4, 8.0, 1e-5, 33)
-    return [
-        ("perturbed local runs bracket the plain one", local_rep.ok),
-        ("nonlocal run sits between perturbed local runs", nl_rep.ok),
-    ]
+def criterion_5():
+    vconf = _stefan()
+
+    def residual(n_cells, dt):
+        return max_mass_residual(local_solver.solve(vconf, n_cells=n_cells, dt=dt), vconf)
+
+    coarse = residual(512, 1e-4)
+    fine = residual(1024, 5e-5)
+    ok = coarse <= 1e-3 and coarse >= 3.0 * fine
+    return ok, f"mass ledger closes ({coarse:.2e} -> {fine:.2e}, ratio {coarse / fine:.2f})"
 
 
-def mass_suite():
-    vconf = problem.validate(problem.symmetric_stefan(T=0.3))
-    local_sol = local_solver.solve(vconf, n_cells=256, dt=2e-4)
-    return [
-        ("local mass residual <= 1e-3", max_mass_residual(local_sol, vconf) <= 1e-3),
-        ("halved flux constant inflates the residual >= 5x", c1_halving_ratio(vconf, 0.1) >= 5.0),
-    ]
+def criterion_6():
+    local_rep, nl_rep, _, (lower, _, nl, upper) = sandwich(_stefan())
+    ok = local_rep.ok and nl_rep.ok
+    # Domain inclusions for the nonlocal middle hold without any slack.
+    ts = np.linspace(0.0, 1.0, 64)
+    ok &= bool(np.all(lower.g_of(ts) >= nl.g_of(ts) - 1e-9))
+    ok &= bool(np.all(nl.g_of(ts) >= upper.g_of(ts) - 1e-9))
+    ok &= bool(np.all(lower.h_of(ts) <= nl.h_of(ts) + 1e-9))
+    ok &= bool(np.all(nl.h_of(ts) <= upper.h_of(ts) + 1e-9))
+    return ok, (f"perturbed runs sandwich plain and nonlocal solutions "
+                f"(worst {max(local_rep.max_violation, 0):.2e})")
 
 
-SUITES = {
-    "kernel": kernel_suite,
-    "local": local_suite,
-    "nonlocal": nonlocal_suite,
-    "sandwich": sandwich_suite,
-    "mass": mass_suite,
+def criterion_8():
+    vconf = _stefan()
+
+    def residual(c1):
+        variant = nonlocal_solver.NonlocalVariant("unmodified", c1=c1)
+        return max_mass_residual(nonlocal_solver.solve(vconf, EPAN, eps=0.05, variant=variant),
+                                 vconf)
+
+    c_star = kernels.c_star(EPAN)
+    ratio = residual(0.5 * c_star) / residual(c_star)
+    return ratio >= 5.0, f"halving the flux constant inflates the mass residual {ratio:.1f}x"
+
+
+CRITERIA = {
+    1: criterion_1,
+    2: criterion_2,
+    3: criterion_3,
+    4: criterion_4,
+    5: criterion_5,
+    6: criterion_6,
+    8: criterion_8,
 }

@@ -6,8 +6,8 @@ Subcommands:
               boundary/snapshot CSVs plus run metadata
     converge  run a local reference and a family of nonlocal runs across eps,
               writing an (eps, errors) sweep CSV and a fitted rate JSON
-    verify    run a named property suite at desk-scale resolutions and print
-              a pass/fail table
+    verify    run the acceptance gate's property criteria (1-6 and 8, from
+              ``frontlab.checks``) and print the gate's line for each
 
 Exit codes: 0 success, 2 inadmissible input, 3 solver failure.  On every
 exit-2 or exit-3 failure both ``solve`` and ``converge`` write
@@ -34,8 +34,6 @@ from pathlib import Path
 
 from . import analysis, checks, kernels, local_solver, nonlocal_solver, problem, runio
 from .errors import FrontlabError, SolverError
-
-VERIFY_SUITES = (*checks.SUITES, "all")
 
 
 def _fail(out: Path, code: str, message, status: int = 2, time_of_failure=None) -> int:
@@ -189,7 +187,6 @@ def _sweep(vconf, out, eps_list, variant, kernel, reference_nx, reference_dt, dx
     runio.write_sweep_csv(rows, out / "sweep.csv")
     fit = analysis.fit_rate([(r[0], r[1]) for r in rows])
     runio.atomic_write_text(out / "ratefit.json", fit.to_json() + "\n")
-    runio.atomic_write_text(out / "ratefit.csv", fit.to_csv())
     for eps, sup, ge, he in rows:
         print(f"eps={eps:g}: sup_error={sup:.6g} g_error={ge:.6g} h_error={he:.6g}")
     print(f"gamma_hat={fit.gamma_hat:.4f} r_squared={fit.r_squared:.4f}")
@@ -218,14 +215,15 @@ def cmd_converge(
     return _guarded(config_path, out_dir, run)
 
 
-def cmd_verify(suite: str = "all") -> int:
-    """Run a named property suite; print a pass/fail table; 0 iff all pass."""
-    names = list(checks.SUITES) if suite == "all" else [suite]
+def cmd_verify(which: str = "all") -> int:
+    """Run criterion ``which`` (a number) or ``all`` of ``checks.CRITERIA`` in
+    key order; print the gate's line for each; 0 iff all pass."""
+    numbers = list(checks.CRITERIA) if which == "all" else [int(which)]
     all_ok = True
-    for name in names:
-        for label, ok in checks.SUITES[name]():
-            all_ok &= bool(ok)
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {label}")
+    for n in numbers:
+        ok, label = checks.CRITERIA[n]()
+        all_ok &= bool(ok)
+        print(f"criterion {n}: {'PASS' if ok else 'FAIL'} - {label}")
     return 0 if all_ok else 1
 
 
@@ -265,16 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--dx-ratio", type=float, default=16.0, help="eps/dx for nonlocal runs")
     pc.add_argument("--jobs", type=int, default=1)
 
-    pv = sub.add_parser("verify", help="run a property suite")
-    pv.add_argument("suite", nargs="?", choices=VERIFY_SUITES, default="all")
+    pv = sub.add_parser("verify", help="run acceptance criteria 1-6 and 8")
+    pv.add_argument("which", nargs="?", choices=(*map(str, checks.CRITERIA), "all"),
+                    default="all")
     return parser
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--verify" in argv:  # flag spelling accepted as an alias
-        k = argv.index("--verify")
-        argv = ["verify"] + argv[k + 1 : k + 2]
     args = build_parser().parse_args(argv)
 
     if args.command == "solve":
@@ -288,7 +283,7 @@ def main(argv=None) -> int:
                           args.dx_ratio, args.jobs)
 
         return _guarded(args.config, args.out, run)
-    return cmd_verify(args.suite)
+    return cmd_verify(args.which)
 
 
 if __name__ == "__main__":

@@ -128,13 +128,6 @@ def test_rate_fit_json_round_trip():
     assert again == fit
 
 
-def test_rate_fit_csv_round_trip():
-    fit = A.fit_rate([(0.2, 0.11), (0.1, 0.06), (0.05, 0.028)])
-    again = A.RateFit.from_csv(fit.to_csv())
-    assert again.eps == fit.eps and again.errors == fit.errors
-    assert again.gamma_hat == pytest.approx(fit.gamma_hat, abs=1e-15)
-
-
 def test_error_report_json(local_sol, nonlocal_sol):
     import json
 

@@ -323,53 +323,33 @@ def test_sweep_workers_bounded_by_runs_and_cores():
     assert cli._workers(2, 1) == 1
 
 
-def test_verify_kernel_suite(capsys):
-    assert cli.cmd_verify("kernel") == 0
-    out = capsys.readouterr().out
-    assert "[PASS]" in out and "[FAIL]" not in out
-
-
-VERIFY_ALL_LINES = [
-    "[PASS] kernel: c_star(epanechnikov) = 10",
-    "[PASS] kernel: c_zero(epanechnikov) = 16/3",
-    "[PASS] kernel: c_star(triangle) = 12",
-    "[PASS] kernel: c_zero(triangle) = 6",
-    "[PASS] kernel: c_zero < c_star (epanechnikov)",
-    "[PASS] kernel: tail weight W(0) = 1/2 (epanechnikov)",
-    "[PASS] kernel: c_zero < c_star (triangle)",
-    "[PASS] kernel: tail weight W(0) = 1/2 (triangle)",
-    "[PASS] kernel: c_zero < c_star (quartic)",
-    "[PASS] kernel: tail weight W(0) = 1/2 (quartic)",
-    "[PASS] local: boundaries move monotonically",
-    "[PASS] local: symmetry defect <= 1e-10",
-    "[PASS] local: values stay nonnegative",
-    "[PASS] local: mass residual <= 1e-3",
-    "[PASS] local: eps = 0 knobs are inert bit-for-bit",
-    "[PASS] nonlocal: operator consistency on x^2 <= 0.04",
-    "[PASS] nonlocal: constant-profile flux matches tail identity",
-    "[PASS] nonlocal: symmetric run stays symmetric",
-    "[PASS] nonlocal: values stay nonnegative",
-    "[PASS] sandwich: perturbed local runs bracket the plain one",
-    "[PASS] sandwich: nonlocal run sits between perturbed local runs",
-    "[PASS] mass: local mass residual <= 1e-3",
-    "[PASS] mass: halved flux constant inflates the residual >= 5x",
-]
-
-
-def test_verify_all_suites(capsys):
+def test_verify_all_runs_criteria_in_key_order(capsys, monkeypatch):
+    monkeypatch.setattr(checks, "CRITERIA", {2: lambda: (True, "b 1.0"), 5: lambda: (True, "e")})
     assert cli.cmd_verify("all") == 0
-    assert capsys.readouterr().out.splitlines() == VERIFY_ALL_LINES
+    assert capsys.readouterr().out.splitlines() == [
+        "criterion 2: PASS - b 1.0",
+        "criterion 5: PASS - e",
+    ]
 
 
 def test_verify_failing_check_exit_1(capsys, monkeypatch):
-    monkeypatch.setitem(checks.SUITES, "kernel", lambda: [("holds", True), ("broken", False)])
-    assert cli.cmd_verify("kernel") == 1
-    assert capsys.readouterr().out.splitlines() == ["[PASS] kernel: holds", "[FAIL] kernel: broken"]
+    monkeypatch.setattr(checks, "CRITERIA",
+                        {1: lambda: (True, "holds"), 3: lambda: (False, "broken")})
+    assert cli.cmd_verify("all") == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "criterion 1: PASS - holds",
+        "criterion 3: FAIL - broken",
+    ]
+    assert cli.cmd_verify("3") == 1
 
 
-def test_verify_flag_alias(capsys):
-    assert cli.main(["--verify", "kernel"]) == 0
-    assert "[PASS]" in capsys.readouterr().out
+@pytest.mark.parametrize("which", ["7", "kernel"])
+def test_verify_unknown_criterion_exit_2(which, capsys):
+    # Criterion 7 checks converge's files, so verify does not offer it.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", which])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_round_trip_csv(tmp_path, stefan_cfg):
