@@ -2,18 +2,22 @@
 """Alternated parent/change pairs of ``bench/run.py``, written as one BENCH_<n>.json.
 
     python3 scripts/bench_pairs.py --parent PARENT_TREE --change CHANGE_TREE \\
-        --out BENCH_14.json --seed 1401 sandwich-local=10 converge-stefan=3
+        --out BENCH_14.json --seed 1401 sandwich-local=10 converge-stefan=3 --solves 10
 
 Each positional argument names a workload and how many pairs to run.  A pair
 runs ``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` once
 in each source tree, the parent first in even pairs and the change first in
 odd ones; seeds count up from ``--seed`` over all pairs.  ``--traced W`` adds
 one pair with ``--trace 1`` (per-layer metrics), and ``--tier1`` times the
-tier-1 test suite once in each tree, after the pairs.  The output holds host
-facts, every pair's end-to-end metrics and, per workload, each metric's
-median and quartiles on both sides, the pairs the change won and the failed
-and attempted operations.  Metric names and their better direction come from
-``BENCHMARK.json``.  Standard library only.
+tier-1 test suite once in each tree, after the pairs.  ``--solves N`` runs N
+alternated pairs of each single solve in ``SOLVES``, one fresh
+``python -m frontlab solve`` process per side, and records each child's wall
+time and peak RSS (from ``os.wait4``, which reports that child alone).  The
+output holds host facts, every pair's end-to-end metrics and, per workload
+or solve, each metric's median and quartiles on both sides, the pairs the
+change won and the failed and attempted operations.  Workload metric names
+and their better direction come from ``BENCHMARK.json``.  Standard library
+only.
 """
 
 import argparse
@@ -24,6 +28,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from importlib import metadata
 from pathlib import Path
@@ -31,6 +36,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+# name -> frontlab solve arguments (without --out): the single solves of the
+# ROADMAP's performance aim.
+SOLVES = {
+    "solve-local": ["--config", "configs/stefan.cfg", "--solver", "local",
+                    "--nx", "2048", "--dt", "1e-4"],
+    "solve-nonlocal": ["--config", "configs/stefan.cfg", "--solver", "nonlocal", "--eps", "0.05"],
+}
+SOLVE_METRICS = {"wall_s": "lower", "peak_rss_mb": "lower"}
 
 
 def end_to_end_metrics(benchmark: dict) -> dict[str, str]:
@@ -39,7 +52,9 @@ def end_to_end_metrics(benchmark: dict) -> dict[str, str]:
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    """Median and quartiles; one value is all three (quantiles needs two)."""
+    q1, median, q3 = statistics.quantiles(values * 2 if len(values) == 1 else values, n=4,
+                                          method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
 
@@ -84,6 +99,35 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     return row
 
 
+def run_solve(tree: Path, name: str) -> dict:
+    """One fresh ``python -m frontlab solve`` process in tree: its wall time,
+    its own peak RSS and whether it failed (a nonzero exit)."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    with tempfile.TemporaryDirectory(prefix="bench_solve_") as out:
+        cmd = [sys.executable, "-m", "frontlab", "solve", *SOLVES[name], "--out", out]
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0,  # KiB on Linux
+            "attempted": 1, "failed": int(proc.returncode != 0)}
+
+
+def run_solve_pairs(trees: dict[str, Path], count: int) -> list[dict]:
+    """count alternated pairs of every solve in SOLVES, parent first in even pairs."""
+    pairs = []
+    for name in SOLVES:
+        for i in range(count):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            pair = {"workload": name, "first": order[0]}
+            for side in order:
+                pair[side] = run_solve(trees[side], name)
+            print(json.dumps(pair), file=sys.stderr)
+            pairs.append(pair)
+    return pairs
+
+
 def run_tier1(tree: Path) -> dict:
     """Wall time, pytest's own time and the pass count of the tier-1 suite in tree."""
     path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
@@ -125,7 +169,7 @@ def parse_plan(items: list[str]) -> list[tuple[str, int]]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("plan", nargs="+", help="WORKLOAD=PAIRS, e.g. sandwich-local=10")
+    parser.add_argument("plan", nargs="*", help="WORKLOAD=PAIRS, e.g. sandwich-local=10")
     parser.add_argument("--parent", type=Path, required=True, help="parent source tree")
     parser.add_argument("--change", type=Path, required=True, help="changed source tree")
     parser.add_argument("--parent-label", default=None, help="default: the tree's name")
@@ -135,8 +179,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=36.0)
     parser.add_argument("--traced", default=None, help="workload of one traced pair")
     parser.add_argument("--tier1", action="store_true", help="time the tier-1 suite once per tree")
+    parser.add_argument("--solves", type=int, default=0, metavar="N",
+                        help="alternated pairs of each single solve")
     args = parser.parse_args(argv)
     plan = parse_plan(args.plan)
+    if args.solves < 0 or not (plan or args.solves):
+        parser.error("give WORKLOAD=PAIRS items, a positive --solves, or both")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     better = end_to_end_metrics(json.loads((ROOT / "BENCHMARK.json").read_text()))
 
@@ -167,6 +215,15 @@ def main(argv=None) -> int:
         for side in SIDES:
             traced[side] = run_bench(trees[side], args.traced, seed, args.seconds, 1)
         record["traced_pair"] = traced
+    if args.solves:
+        solve_pairs = run_solve_pairs(trees, args.solves)
+        record["solves"] = {
+            "what": f"{args.solves} alternated pairs per solve of a fresh `python -m frontlab "
+            "solve` process in each tree; wall time and the child's own peak RSS (os.wait4)",
+            "commands": {name: "frontlab solve " + " ".join(a) for name, a in SOLVES.items()},
+            "summary": summarize(solve_pairs, SOLVE_METRICS),
+            "pairs": solve_pairs,
+        }
     if args.tier1:
         record["tier1"] = {
             "command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors",

@@ -8,13 +8,16 @@ Runs the six commands of ``RECIPE`` in each tree with
 configs are its own), writing each command's output directory and its
 captured stdout and exit status under a temporary work directory.  It then
 compares the two sides file by file, prints the number of files compared and
-every path that differs or exists on one side only, and exits 1 on any
-difference, keeping the work directory for a look; identical outputs are
-removed.  Standard library only.
+every path that differs or exists on one side only (for a CSV or JSON file
+on both sides, with the largest absolute difference between its numeric
+fields), and exits 1 on any difference, keeping the work directory for a
+look; identical outputs are removed.  Standard library only.
 """
 
 import argparse
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -22,6 +25,10 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# A decimal or exponent number, or a NaN / infinity as Python or JSON writes it.
+NUMBER = re.compile(
+    rb"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?|(?<![A-Za-z_])[-+]?(?:NaN|nan|Infinity|inf)\b"
+)
 EPS = ["--eps", "0.2", "--eps", "0.1", "--eps", "0.05"]
 
 # name -> frontlab arguments; the ones that write files get --out <work>/<side>/out/<name>.
@@ -71,6 +78,35 @@ def compare_trees(a: Path, b: Path) -> tuple[int, list[str]]:
     return len(paths), differing
 
 
+def largest_numeric_difference(a: bytes, b: bytes) -> float | None:
+    """Largest |x - y| over the numeric fields of two texts, paired in order
+    (fields written alike count 0, and a NaN difference counts as inf); None
+    when the two hold different numbers of numeric fields."""
+    xs, ys = NUMBER.findall(a), NUMBER.findall(b)
+    if len(xs) != len(ys):
+        return None
+    worst = 0.0
+    for x, y in zip(xs, ys):
+        if x != y:
+            diff = abs(float(x) - float(y))
+            worst = max(worst, math.inf if math.isnan(diff) else diff)
+    return worst
+
+
+def describe(a: Path, b: Path, differing: list[str]) -> list[str]:
+    """One line per differing path; a CSV or JSON file on both sides also
+    gets the largest difference between its numeric fields."""
+    lines = []
+    for rel in differing:
+        line = f"  differs: {rel}"
+        if Path(rel).suffix in (".csv", ".json") and (a / rel).is_file() and (b / rel).is_file():
+            diff = largest_numeric_difference((a / rel).read_bytes(), (b / rel).read_bytes())
+            line += ("; numeric field counts differ" if diff is None
+                     else f"; largest numeric difference {diff:.3g}")
+        lines.append(line)
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent source tree")
@@ -84,8 +120,8 @@ def main(argv=None) -> int:
     count, differing = compare_trees(work / "parent", work / "change")
     print(f"{count} files compared (outputs, and stdout with exit status per command), "
           f"{len(differing)} differ")
-    for rel in differing:
-        print(f"  differs: {rel}")
+    for line in describe(work / "parent", work / "change", differing):
+        print(line)
     if differing:
         print(f"outputs kept in {work}")
         return 1

@@ -20,16 +20,22 @@ solves both at once against one block-diagonal matrix, 2 (I - r D2) split
 at the centre, so the solve is exactly reflection-equivariant without a
 second right-hand side.  LAPACK ``pttrf`` factors that matrix once per r
 and ``pttrs`` applies the factor; a step's corrector matrix is the next
-step's predictor matrix, so a solve of N steps factors N + 1 times.  SciPy,
-which provides both calls, is imported on the first solve, so a process
-that runs only nonlocal solves never loads it.
+step's predictor matrix, so a solve of N steps factors N + 1 times.  Both
+calls come from SciPy's LAPACK extension ``scipy.linalg._flapack``, loaded
+on the first solve without the ``scipy.linalg`` package (see
+``_lapack_pt``), so a process that runs only nonlocal solves never loads
+SciPy and a local one loads only its top-level package and that extension.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -155,11 +161,30 @@ def boundary_velocities(
 
 @lru_cache(maxsize=1)
 def _lapack_pt():
-    """SciPy's LAPACK ``dpttrf`` and ``dpttrs``, imported once, on the first
-    local solve."""
-    from scipy.linalg.lapack import dpttrf, dpttrs
+    """SciPy's LAPACK ``dpttrf`` and ``dpttrs``, loaded once, on the first
+    local solve.
 
-    return dpttrf, dpttrs
+    Only the top-level ``scipy`` package is imported, which runs SciPy's
+    distributor init so its bundled LAPACK library is found; the extension
+    ``scipy.linalg._flapack`` is then loaded from its file under its own
+    name, without the ``scipy.linalg`` package init.  An extension already
+    in ``sys.modules`` is reused, so the functions are the objects
+    ``scipy.linalg.lapack`` exports whichever is loaded first.
+    """
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        directory = os.path.join(scipy.__path__[0], "linalg")
+        finder = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        if spec is None:
+            raise ImportError(f"no {name} extension in {directory}", name=name, path=directory)
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module.dpttrf, module.dpttrs
 
 
 @lru_cache(maxsize=2)

@@ -275,11 +275,20 @@ def _convolve_symmetric(values: np.ndarray, stencil: np.ndarray, lo: int, hi: in
 
 
 def _n_sub(dx: float, eps: float, t: float) -> int:
-    """Grid steps per kernel reach, eps / dx rounded: at least 8, since a dx
-    above eps / 8 raises ResolutionTooCoarse at time t."""
+    """Grid steps per kernel reach, the integer eps / dx: at least 8, since a
+    dx above eps / 8 raises ResolutionTooCoarse at time t.
+
+    The stencil reaches n_sub dx while the operator scale and the flux
+    samples use eps, so a ratio off an integer by more than 1e-9 of itself
+    raises ValueError rather than silently rescaling the diffusion.
+    """
     if dx > eps / 8.0 + 1e-12 * eps:
         raise ResolutionTooCoarse(f"dx = {dx:g} exceeds eps/8 = {eps / 8:g}", t)
-    return int(round(eps / dx))
+    ratio = eps / dx
+    n_sub = round(ratio)
+    if abs(ratio - n_sub) > 1e-9 * ratio:
+        raise ValueError(f"eps/dx = {ratio:.12g} is not an integer (eps = {eps:g}, dx = {dx:g})")
+    return n_sub
 
 
 @lru_cache(maxsize=64)

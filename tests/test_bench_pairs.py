@@ -68,3 +68,29 @@ def test_plan_rejects_malformed_entries(bad):
 
 def test_plan_keeps_order_and_counts():
     assert bench_pairs.parse_plan(["a=10", "b=3"]) == [("a", 10), ("b", 3)]
+
+
+def solve_side(wall, rss, failed=0):
+    return {"wall_s": wall, "peak_rss_mb": rss, "attempted": 1, "failed": failed}
+
+
+def test_solve_summary_of_wall_time_and_peak_rss():
+    rows = [{"workload": "solve-local", "first": "parent",
+             "parent": solve_side(p, 60.0 + i), "change": solve_side(c, 37.0, failed=int(c > 3.0))}
+            for i, (p, c) in enumerate([(2.8, 2.6), (2.9, 2.7), (2.7, 3.1)])]
+    rows.append({"workload": "solve-nonlocal", "first": "change",
+                 "parent": solve_side(1.2, 32.4), "change": solve_side(1.1, 32.4)})
+    summary = bench_pairs.summarize(rows, bench_pairs.SOLVE_METRICS)
+    assert list(summary) == ["solve-local", "solve-nonlocal"]
+    local = summary["solve-local"]
+    assert local["wall_s"]["change_wins"] == 2
+    assert local["wall_s"]["parent"] == pytest.approx({"median": 2.8, "q1": 2.75, "q3": 2.85})
+    assert local["peak_rss_mb"]["change_wins"] == 3
+    assert local["peak_rss_mb"]["median_change"] == pytest.approx(37.0 / 61.0 - 1.0)
+    assert local["failed_ops"] == {"parent": 0, "change": 1}
+    assert local["attempted_ops"] == {"parent": 3, "change": 3}
+    # One pair: its values are the median and both quartiles; equal RSS is a tie.
+    single = summary["solve-nonlocal"]
+    assert single["wall_s"]["change"] == {"median": 1.1, "q1": 1.1, "q3": 1.1}
+    assert single["wall_s"]["parent_quartile_spread"] == 0.0
+    assert single["peak_rss_mb"]["change_wins"] == 0

@@ -36,3 +36,39 @@ def test_changed_and_one_sided_files_are_listed(tmp_path):
 def test_missing_side_counts_every_file(tmp_path):
     a = write(tmp_path / "a", {"x": b"1", "y/z": b"2"})
     assert byte_identity.compare_trees(a, tmp_path / "absent") == (2, ["x", "y/z"])
+
+
+def test_differing_csv_and_json_report_their_largest_numeric_difference(tmp_path):
+    a = write(tmp_path / "a", {
+        "run/boundary.csv": b"t,g,h\n0,-1,1\n0.5,-1.25,1.2500000000000002\n",
+        "run/metadata.json": b'{"nx": 64, "sup": 0.1, "name": "eps_0.1"}\n',
+        "run/ratefit.json": b'{"gamma": NaN}\n',
+        "sweep.csv": b"eps,err\n0.1,0.5\n",
+        "stdout/solve.txt": b"h = 1.0\n",
+        "only_parent.csv": b"1\n",
+    })
+    b = write(tmp_path / "b", {
+        "run/boundary.csv": b"t,g,h\n0,-1,1\n0.5,-1.2500000000000004,1.25\n",
+        "run/metadata.json": b'{"nx": 64, "sup": 0.125, "name": "eps_0.10"}\n',
+        "run/ratefit.json": b'{"gamma": 0.5}\n',
+        "sweep.csv": b"eps,err\n0.1,0.5\n0.05,0.4\n",
+        "stdout/solve.txt": b"h = 2.0\n",
+    })
+    count, differing = byte_identity.compare_trees(a, b)
+    assert count == 6
+    assert byte_identity.describe(a, b, differing) == [
+        "  differs: only_parent.csv",
+        "  differs: run/boundary.csv; largest numeric difference 4.44e-16",
+        "  differs: run/metadata.json; largest numeric difference 0.025",
+        "  differs: run/ratefit.json; largest numeric difference inf",
+        "  differs: stdout/solve.txt",
+        "  differs: sweep.csv; numeric field counts differ",
+    ]
+
+
+def test_numeric_difference_pairs_fields_in_order():
+    diff = byte_identity.largest_numeric_difference
+    assert diff(b"1e-3,-2,.5,inf", b"0.001,-2.0,0.5,inf") == 0.0
+    assert diff(b"[1.5e+2, NaN]", b"[150.25, NaN]") == 0.25
+    assert diff(b'{"information": -Infinity}', b'{"information": -Infinity}') == 0.0
+    assert diff(b"1,2", b"1") is None

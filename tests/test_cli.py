@@ -124,6 +124,8 @@ def test_solve_nonlocal_bad_dx_exit_2(stefan_cfg, tmp_path, dx):
         # Grids too large to allocate, rejected before any array is asked for.
         ("nonlocal", "--dx=1e-12", "dx = 1e-12 asks for 2e+12 grid nodes, more than 1000000"),
         ("nonlocal", "--dx=5e-324", "asks for inf grid nodes, more than 1000000"),  # overflows
+        # eps = 0.1 over dx = 0.1/16.5: the stencil would reach 16 dx, not eps.
+        ("nonlocal", "--dx=0.006060606060606061", "eps/dx = 16.5 is not an integer"),
         ("local", "--nx=1000001", "n_cells = 1000001 is more than MAX_NODES = 1000000"),
     ],
 )
@@ -234,13 +236,14 @@ def test_converge_bad_config_writes_error_json(tmp_path, config_text, code, mess
         (["--eps", "0.1000001"], "own run dir"),
         (["--dx-ratio", "0"], "dx_ratio must be positive and finite"),
         (["--dx-ratio", "-8"], "dx_ratio must be positive and finite"),
+        (["--dx-ratio", "16.5"], "eps/dx = 16.5 is not an integer"),
         (["--jobs", "0"], "jobs must be at least 1, got 0"),
         (["--jobs", "-3"], "jobs must be at least 1, got -3"),
         (["--nx", "1000001"], "n_cells = 1000001 is more than MAX_NODES = 1000000"),
     ],
     ids=["beta", "kernel", "no-c1", "nx", "negative-eps", "nan-eps", "repeated-eps",
-         "colliding-eps", "zero-dx-ratio", "negative-dx-ratio", "zero-jobs", "negative-jobs",
-         "huge-nx"],
+         "colliding-eps", "zero-dx-ratio", "negative-dx-ratio", "fractional-dx-ratio",
+         "zero-jobs", "negative-jobs", "huge-nx"],
 )
 def test_converge_bad_arguments_exit_2(stefan_cfg, tmp_path, extra, message):
     out = tmp_path / "sweep"

@@ -1,5 +1,9 @@
+import re
+import sys
+
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -131,6 +135,14 @@ def test_tridiagonal_factorization_failure_is_reported():
     # r = -1 makes the split matrix indefinite, so pttrf stops with info > 0.
     with pytest.raises(np.linalg.LinAlgError, match="pttrf info"):
         L._solve_tridiagonal_symmetric(-1.0, np.ones(8))
+
+
+def test_lapack_loader_names_a_missing_extension(monkeypatch, tmp_path):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    L._lapack_pt.cache_clear()
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        L._lapack_pt()
 
 
 def solution_bytes(sol) -> bytes:

@@ -244,6 +244,25 @@ def test_operator_resolution_guard(stefan_vconf):
     assert info.value.time_of_failure == 0.0
 
 
+@pytest.mark.parametrize("ratio", [16.5, 12.4])
+def test_fractional_eps_over_dx_is_rejected(stefan_vconf, ratio):
+    # The stencil would reach round(eps/dx) dx while the scale d c*/eps^2
+    # uses eps: on x^2 the operator gave 2d times 0.940 (16.5) or 0.937 (12.4).
+    state = make_state(lambda x: x * x, dx=0.1 / ratio)
+    with pytest.raises(ValueError, match="is not an integer"):
+        NL.apply_nonlocal_operator(state, EPAN, 0.1, d=1.0)
+    with pytest.raises(ValueError, match="is not an integer"):
+        NL.solve(stefan_vconf, EPAN, eps=0.1, variant=MOD, dx=0.1 / ratio)
+
+
+@pytest.mark.parametrize("ratio", [11, 16, 20])
+def test_integer_eps_over_dx_is_exact_on_quadratics(ratio):
+    state = make_state(lambda x: x * x, dx=0.1 / ratio)  # 0.1 / (0.1/11) is 11 - 2e-15
+    out = NL.apply_nonlocal_operator(state, EPAN, 0.1, d=1.0)
+    interior = np.abs(state.grid()) < 1.8
+    assert np.max(np.abs(out[interior] - 2.0)) <= 1e-10
+
+
 # -- state window -------------------------------------------------------------
 
 
