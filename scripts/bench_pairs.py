@@ -15,9 +15,11 @@ alternated pairs of each single solve in ``SOLVES``, one fresh
 time and peak RSS (from ``os.wait4``, which reports that child alone).  The
 output holds host facts, every pair's end-to-end metrics and, per workload
 or solve, each metric's median and quartiles on both sides, the pairs the
-change won and the failed and attempted operations.  Workload metric names
-and their better direction come from ``BENCHMARK.json``.  Standard library
-only.
+change won, a verdict (gain, regression, unresolved or no regression) and
+the failed and attempted operations.  Metric names, their better direction
+and their bounds come from ``BENCHMARK.json``; a solve's wall time and peak
+RSS take the bounds of the workload metrics of the same names.  Standard
+library only.
 """
 
 import argparse
@@ -51,6 +53,11 @@ def end_to_end_metrics(benchmark: dict) -> dict[str, str]:
     return {m["name"]: m["better"] for m in benchmark["end_to_end"]}
 
 
+def end_to_end_bounds(benchmark: dict) -> dict[str, float]:
+    """Name -> the relative bound of each end-to-end metric of BENCHMARK.json."""
+    return {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
+
+
 def quartiles(values: list[float]) -> dict[str, float]:
     """Median and quartiles; one value is all three (quantiles needs two)."""
     q1, median, q3 = statistics.quantiles(values * 2 if len(values) == 1 else values, n=4,
@@ -58,25 +65,54 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload: for each metric, both sides' median and quartiles, the
-    pairs the change won (ties count for neither), the relative change of
-    the median and the parent's quartile spread; failed and attempted
-    operations summed per side."""
+def compare(parent: list[float], change: list[float], direction: str, bound: float) -> dict:
+    """One metric on alternated pairs (parent[i], change[i]): both sides'
+    median and quartiles, the pairs the change won (ties count for neither),
+    the relative change of the median, the parent's quartile spread and a
+    verdict, given the metric's relative bound:
+
+    - "gain": the change wins at least 9 of 10 pairs and its median is
+      better by more than the parent's quartile spread;
+    - "regression": its median is worse than the parent's by more than
+      ``bound`` of the parent's median;
+    - "unresolved": the parent's quartile spread exceeds ``bound`` of its
+      median and not every change run beats every parent run;
+    - "no regression": any other case.
+    """
+    sign = 1.0 if direction == "higher" else -1.0
+    stats = {"parent": quartiles(parent), "change": quartiles(change)}
+    median = {side: stats[side]["median"] for side in SIDES}
+    spread = stats["parent"]["q3"] - stats["parent"]["q1"]
+    wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0.0)
+    better_by = sign * (median["change"] - median["parent"])
+    if wins >= 0.9 * len(parent) and better_by > spread:
+        verdict = "gain"
+    elif better_by < -bound * abs(median["parent"]):
+        verdict = "regression"
+    elif spread > bound * abs(median["parent"]) and not all(
+            sign * (c - p) > 0.0 for p in parent for c in change):
+        verdict = "unresolved"
+    else:
+        verdict = "no regression"
+    return {
+        **stats,
+        "change_wins": wins,
+        "median_change": median["change"] / median["parent"] - 1.0,
+        "parent_quartile_spread": spread,
+        "verdict": verdict,
+    }
+
+
+def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
+    """Per workload: :func:`compare` for each metric, with its bound from
+    ``bounds``; failed and attempted operations summed per side."""
     summary = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         runs = [p for p in pairs if p["workload"] == workload]
         entry = {"pairs": len(runs)}
         for name, direction in better.items():
-            sign = 1.0 if direction == "higher" else -1.0
-            wins = sum(1 for p in runs if sign * (p["change"][name] - p["parent"][name]) > 0.0)
-            stats = {side: quartiles([p[side][name] for p in runs]) for side in SIDES}
-            entry[name] = {
-                **stats,
-                "change_wins": wins,
-                "median_change": stats["change"]["median"] / stats["parent"]["median"] - 1.0,
-                "parent_quartile_spread": stats["parent"]["q3"] - stats["parent"]["q1"],
-            }
+            entry[name] = compare([p["parent"][name] for p in runs],
+                                  [p["change"][name] for p in runs], direction, bounds[name])
         for key, field in (("failed_ops", "failed"), ("attempted_ops", "attempted")):
             entry[key] = {side: sum(p[side][field] for p in runs) for side in SIDES}
         summary[workload] = entry
@@ -186,7 +222,8 @@ def main(argv=None) -> int:
     if args.solves < 0 or not (plan or args.solves):
         parser.error("give WORKLOAD=PAIRS items, a positive --solves, or both")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    better = end_to_end_metrics(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better, bounds = end_to_end_metrics(benchmark), end_to_end_bounds(benchmark)
 
     seed = args.seed
     pairs = []
@@ -207,7 +244,7 @@ def main(argv=None) -> int:
         "parent": args.parent_label or trees["parent"].name,
         "change": args.change_label or trees["change"].name,
         "host": host_facts(),
-        "summary": summarize(pairs, better),
+        "summary": summarize(pairs, better, bounds),
         "pairs": pairs,
     }
     if args.traced:
@@ -221,7 +258,7 @@ def main(argv=None) -> int:
             "what": f"{args.solves} alternated pairs per solve of a fresh `python -m frontlab "
             "solve` process in each tree; wall time and the child's own peak RSS (os.wait4)",
             "commands": {name: "frontlab solve " + " ".join(a) for name, a in SOLVES.items()},
-            "summary": summarize(solve_pairs, SOLVE_METRICS),
+            "summary": summarize(solve_pairs, SOLVE_METRICS, bounds),
             "pairs": solve_pairs,
         }
     if args.tier1:

@@ -117,13 +117,6 @@ def evaluate(kernel: KernelSpec, z) -> np.ndarray | float:
     return out
 
 
-def scaled_eval(kernel: KernelSpec, eps: float, x) -> np.ndarray | float:
-    """The concentrated kernel (1/eps) * J(x/eps), supported in [-eps, eps]."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    return evaluate(kernel, np.asarray(x, dtype=float) / eps) / eps
-
-
 def _sorted_distinct(values) -> np.ndarray:
     """The sorted distinct values of a finite array: what ``np.unique``
     returns, bit for bit (of equal values, +-0.0, it keeps the first in sorted

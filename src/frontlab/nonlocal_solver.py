@@ -19,13 +19,27 @@ Boundary motion follows the flux law
 
 with W the kernel tail mass, offset = eps^beta and coeff = c_zero eps^-beta
 for the modified variant, offset = 0 and coeff = c1 / eps for the unmodified
-one.  The w-integral uses exact-moment hat weights of W, so a constant
-profile reproduces the Fubini identity to rounding.  Between nodes, u is read
-through one reconstruction (``interp_pinned``, also behind ``profile_at``):
-the linear interpolant through the nodes inside (g, h) and one node on each
-side, a side node beyond its front replaced by (front, 0).  It is exact at
-the nodes and, with the zeros outside (g, h), zero at and beyond the fronts;
-a node exactly on a front keeps its value.
+one.  The w-integral uses exact-moment hat weights omega_i of W at
+w_i = i / n_sub, so a constant profile reproduces the Fubini identity to
+rounding.  Between nodes, u is read as one reconstruction reads it
+(``interp_pinned``, also behind ``profile_at``): the linear interpolant
+through the nodes inside (g, h) and one node on each side, a side node beyond
+its front replaced by (front, 0).  It is exact at the nodes and, with the
+zeros outside (g, h), zero at and beyond the fronts; a node exactly on a
+front keeps its value.
+
+The flux samples y0 - i dx, y0 = h - offset, are spaced by the grid's dx,
+which is eps / n_sub to within the 1e-9 that ``_n_sub`` allows, so they share
+one cell fraction theta of y0 / dx = K + theta.  The weighted sum is then two
+dot products with adjacent slices of u,
+
+    (1 - theta) sum_i omega_i u_{K-i} + theta sum_i omega_i u_{K+1-i}.
+
+Under the modified law every node the samples read lies strictly inside
+(g, h).  Under the unmodified law (offset 0) sample 0 sits at h; when its
+cell's upper node lies beyond h, it reads u_K (h - y0) / (h - x_K), exactly 0
+at y0 = h, while a node exactly on h keeps its value.  The sum differs from
+the ``interp_pinned`` quadrature at rounding level only.
 
 Left-boundary quantities are evaluated by reading the state mirrored
 (values[::-1] with mirrored indices) through the right-boundary code path;
@@ -39,16 +53,15 @@ same order, m = 0..n.
 A step touches only the nodes strictly inside (g, h).  Each state finds that
 window once, when it is built (``EulerianState.window``), and both front
 speeds, the rate and the reconstruction read it there; the stencil, its
-scale, the flux weights and their sample offsets are computed once per
-solve.  A step calls ``boundary_flux`` and ``apply_nonlocal_operator`` by
-name, and the operator's output on the stored nodes becomes the new state.
-The flux weights are nonnegative, so the fronts never retreat, and
-f(t, x, 0) = 0, so every node outside the interval keeps its exact zero.  The
-first state holds v0 on the nodes inside (-h0, h0), and each new state pads
-zeros at the nodes its fronts newly cover.  Every position is indexed by its
-global node j = x / dx, never relative to the first stored node, so a
-hand-built state that also stores zeros beyond its fronts steps to the same
-values.
+scale and the flux weights are computed once per solve.  A step calls
+``boundary_flux`` and ``apply_nonlocal_operator`` by name, and the operator's
+output on the stored nodes becomes the new state.  The flux weights are
+nonnegative, so the fronts never retreat, and f(t, x, 0) = 0, so every node
+outside the interval keeps its exact zero.  The first state holds v0 on the
+nodes inside (-h0, h0), and each new state pads zeros at the nodes its fronts
+newly cover.  Every position is indexed by its global node j = x / dx, never
+relative to the first stored node, so a hand-built state that also stores
+zeros beyond its fronts steps to the same values.
 """
 
 from __future__ import annotations
@@ -242,8 +255,9 @@ def _convolve_symmetric(values: np.ndarray, stencil: np.ndarray, lo: int, hi: in
     The stencil is folded: node j gets s_0 u_j + sum_m s_m (u_{j-m} + u_{j+m}),
     summed over m = 1..n in the same order at every node.  Each pair sum is
     commutative, so a mirror-symmetric state has an exactly mirror-symmetric
-    image.  The unscaled pairs fill the rows of one (n + 1, width) array, and
-    ``np.einsum`` (unoptimized, so never BLAS) multiplies each row by its
+    image.  The window and its n-node reach on each side are copied into one
+    zero buffer; the unscaled pairs fill the rows of one (n + 1, width) array,
+    and ``np.einsum`` (unoptimized, so never BLAS) multiplies each row by its
     weight and adds it to a running sum, row by row, in order; ``s @ pairs``
     would sum in blocks and lose the exact symmetry.  einsum's sum starts
     from +0.0, the m-loop's from its first term, so the two differ only at a
@@ -252,16 +266,12 @@ def _convolve_symmetric(values: np.ndarray, stencil: np.ndarray, lo: int, hi: in
     n = stencil.size // 2
     width = hi - lo
     cols = max(width, 2)  # a single column would be summed in blocks, not in order
-    a, b = lo - n, lo + cols + n
-    u = values[max(a, 0) : min(b, values.size)]
-    if a < 0 or b > values.size:
-        padded = np.zeros(b - a)
-        padded[max(-a, 0) : max(-a, 0) + u.size] = u
-        u = padded
-    u = np.ascontiguousarray(u, dtype=float)
-    # Row r of this read-only view is u[r : r + cols], r = 0..2n.
+    a = lo - n
+    u = np.zeros(cols + 2 * n)
+    src = values[max(a, 0) : a + u.size]
+    u[max(-a, 0) : max(-a, 0) + src.size] = src
+    # Row r of this view of the private buffer is u[r : r + cols], r = 0..2n.
     shifted = np.ndarray((2 * n + 1, cols), buffer=u, strides=(u.itemsize, u.itemsize))
-    shifted.flags.writeable = False
     pairs = np.empty((n + 1, cols))
     pairs[0] = shifted[n]
     np.add(shifted[n - 1 :: -1], shifted[n + 1 :], out=pairs[1:])
@@ -278,9 +288,10 @@ def _n_sub(dx: float, eps: float, t: float) -> int:
     """Grid steps per kernel reach, the integer eps / dx: at least 8, since a
     dx above eps / 8 raises ResolutionTooCoarse at time t.
 
-    The stencil reaches n_sub dx while the operator scale and the flux
-    samples use eps, so a ratio off an integer by more than 1e-9 of itself
-    raises ValueError rather than silently rescaling the diffusion.
+    The stencil reaches n_sub dx and the flux samples lie dx apart while
+    the operator scale and the flux law use eps, so a ratio off an integer by
+    more than 1e-9 of itself raises ValueError rather than silently
+    rescaling the diffusion.
     """
     if dx > eps / 8.0 + 1e-12 * eps:
         raise ResolutionTooCoarse(f"dx = {dx:g} exceeds eps/8 = {eps / 8:g}", t)
@@ -302,12 +313,11 @@ def _operator_constants(
 @lru_cache(maxsize=64)
 def _flux_constants(
     kernel: kmod.KernelSpec, eps: float, variant: NonlocalVariant, n_sub: int
-) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """offset, coeff, the flux weights and the sample offsets eps * i/n_sub."""
-    eps_w = eps * (np.arange(n_sub + 1) / n_sub)
-    eps_w.flags.writeable = False
-    offset, coeff = variant.offset(eps), variant.coefficient(kernel, eps)
-    return offset, coeff, flux_weights(kernel, n_sub), eps_w
+) -> tuple[float, float, np.ndarray]:
+    """offset, coeff and the flux weights in reverse order, omega_n..omega_0."""
+    reversed_weights = flux_weights(kernel, n_sub)[::-1].copy()
+    reversed_weights.flags.writeable = False
+    return variant.offset(eps), variant.coefficient(kernel, eps), reversed_weights
 
 
 def apply_nonlocal_operator(
@@ -319,33 +329,21 @@ def apply_nonlocal_operator(
     """(d c_star / eps^2) (J_eps * u - u) on active nodes, zero elsewhere.
 
     Because u vanishes outside (g, h), the zero-extended discrete convolution
-    coincides with the integral over the active interval.
+    coincides with the integral over the active interval.  The rate is
+    computed in the convolution's own array, which is the result when the
+    state stores exactly its window, as a solver state does.
     """
     n_sub = _n_sub(state.dx, eps, state.t)
     lo, hi = state.window
     stencil, scale = _operator_constants(kernel, eps, d, n_sub)
-    out = np.zeros_like(state.values)
-    rate = out[lo:hi]
-    np.subtract(_convolve_symmetric(state.values, stencil, lo, hi), state.values[lo:hi], out=rate)
+    rate = _convolve_symmetric(state.values, stencil, lo, hi)
+    rate -= state.values[lo:hi]
     rate *= scale
+    if rate.size == state.values.size:
+        return rate
+    out = np.zeros_like(state.values)
+    out[lo:hi] = rate
     return out
-
-
-def _interp_window(
-    values: np.ndarray, j_min: int, dx: float, g: float, h: float, lo: int, hi: int, ys
-) -> np.ndarray:
-    """The reconstruction behind :func:`interp_pinned`, given the active window
-    [lo, hi) of ``values``, whose node 0 sits at x = j_min * dx; a side node
-    beyond the stored range reads as zero."""
-    x = np.arange(j_min + lo - 1, j_min + hi + 1, dtype=float) * dx
-    a, b = max(lo - 1, 0), min(hi + 1, values.size)
-    u = np.zeros(x.size)
-    u[a - lo + 1 : b - lo + 1] = values[a:b]
-    if x[0] < g:
-        x[0], u[0] = g, 0.0
-    if x[-1] > h:
-        x[-1], u[-1] = h, 0.0
-    return np.interp(ys, x, u)
 
 
 def interp_pinned(state: EulerianState, ys: np.ndarray) -> np.ndarray:
@@ -357,7 +355,46 @@ def interp_pinned(state: EulerianState, ys: np.ndarray) -> np.ndarray:
     as zero.
     """
     lo, hi = state.window
-    return _interp_window(state.values, state.j_min, state.dx, state.g, state.h, lo, hi, ys)
+    values, dx = state.values, state.dx
+    x = np.arange(state.j_min + lo - 1, state.j_min + hi + 1, dtype=float) * dx
+    a, b = max(lo - 1, 0), min(hi + 1, values.size)
+    u = np.zeros(x.size)
+    u[a - lo + 1 : b - lo + 1] = values[a:b]
+    if x[0] < state.g:
+        x[0], u[0] = state.g, 0.0
+    if x[-1] > state.h:
+        x[-1], u[-1] = state.h, 0.0
+    return np.interp(ys, x, u)
+
+
+def _flux_sum(values: np.ndarray, j_min: int, dx: float, h: float, top: int, y0: float,
+              reversed_weights: np.ndarray) -> float:
+    """sum_i omega_i u(y0 - i dx), i = 0..n: the two-slice sum, with the
+    pinned partial cell, of the module docstring.
+
+    ``values`` holds node j_min + k at index k, ``top`` is the last node
+    strictly below h, y0 <= h, and the weights come reversed,
+    omega_n..omega_0, so each slice meets them in storage order.
+    """
+    n = reversed_weights.size - 1
+    q = y0 / dx
+    # y0 / dx can round past a front lying on node top + 1; K stays below
+    # it and theta at most 1, so both slice weights stay nonnegative.
+    k = min(math.floor(q), top)
+    theta = min(q - k, 1.0)
+    s = k - n - j_min  # index of node K - n
+    if k == top and (k + 1) * dx > h:
+        # Sample 0 lies in the partial cell [x_K, h], pinned to (h, 0).
+        inner = reversed_weights[:-1]
+        pinned = float(reversed_weights[-1] * values[s + n]) * (h - y0) / (h - k * dx)
+        return ((1.0 - theta) * float(np.dot(inner, values[s : s + n]))
+                + theta * float(np.dot(inner, values[s + 1 : s + n + 1]))
+                + pinned)
+    nodes = values[s : s + n + 2]
+    if nodes.size < n + 2:  # node K + 1 lies on h and is not stored
+        nodes = np.append(nodes, 0.0)
+    return ((1.0 - theta) * float(np.dot(reversed_weights, nodes[:-1]))
+            + theta * float(np.dot(reversed_weights, nodes[1:])))
 
 
 def boundary_flux(
@@ -370,16 +407,17 @@ def boundary_flux(
 ) -> float:
     """Signed boundary speed from the near-boundary flux window.
 
-    side='right' returns h' >= 0, side='left' returns g' <= 0.  The left side
-    reads the reflected state, values[::-1] with mirrored indices, through the
-    right-side code path (J is even), which keeps symmetric runs exactly
-    symmetric.  The reconstruction starts one or two nodes below the lowest
-    sample, not at the far front, so ``np.interp`` searches only the nodes
-    under the samples; each sample keeps its bracketing nodes, and so its
-    value, byte for byte.
+    side='right' returns h' >= 0, side='left' returns g' <= 0.  The sum over
+    the samples is the two-slice sum of :func:`_flux_sum`, with the partial
+    cell below the front pinned to (front, 0) as :func:`interp_pinned` pins
+    it.  The left side reads the reflected state, values[::-1] with mirrored
+    indices, through the right-side code path (J is even), so the left speed
+    is exactly minus the right speed of the mirrored state, and symmetric
+    runs stay exactly symmetric.  The samples are spaced by dx, which equals
+    eps / n_sub to within ``_n_sub``'s 1e-9 tolerance.
     """
     n_sub = _n_sub(state.dx, eps, state.t)
-    offset, coeff, omega, eps_w = _flux_constants(kernel, eps, variant, n_sub)
+    offset, coeff, reversed_weights = _flux_constants(kernel, eps, variant, n_sub)
     if state.h - state.g <= 2.0 * (offset + eps):
         raise DomainTooSmall(
             f"active interval {state.h - state.g:g} below flux window 2*(offset+eps)",
@@ -388,17 +426,16 @@ def boundary_flux(
     lo, hi = state.window
     values, dx = state.values, state.dx
     if side == "right":
-        ys = state.h - offset - eps_w
-        start = max(lo, math.floor(ys[-1] / dx) - state.j_min)
-        u = _interp_window(values, state.j_min, dx, state.g, state.h, start, hi, ys)
-        return mu * coeff * float(np.dot(omega, u))
+        top = state.j_min + hi - 1
+        total = _flux_sum(values, state.j_min, dx, state.h, top, state.h - offset,
+                          reversed_weights)
+        return mu * coeff * total
     if side == "left":
-        size = values.size
-        ys = -state.g - offset - eps_w
-        j_min = -(state.j_min + size - 1)
-        start = max(size - hi, math.floor(ys[-1] / dx) - j_min)
-        u = _interp_window(values[::-1], j_min, dx, -state.h, -state.g, start, size - lo, ys)
-        return -mu * coeff * float(np.dot(omega, u))
+        j_min = -(state.j_min + values.size - 1)
+        top = -(state.j_min + lo)
+        total = _flux_sum(values[::-1], j_min, dx, -state.g, top, -state.g - offset,
+                          reversed_weights)
+        return -mu * coeff * total
     raise ValueError("side must be 'left' or 'right'")
 
 

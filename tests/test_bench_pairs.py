@@ -11,6 +11,7 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 BETTER = {"wall_s": "lower", "node_steps_per_s": "higher"}
+BOUNDS = {"wall_s": 0.25, "node_steps_per_s": 0.25}
 
 
 def side(wall, rate, attempted=10, failed=0):
@@ -32,7 +33,7 @@ def synthetic_pairs():
 
 
 def test_summary_medians_quartiles_wins_and_failures():
-    summary = bench_pairs.summarize(synthetic_pairs(), BETTER)
+    summary = bench_pairs.summarize(synthetic_pairs(), BETTER, BOUNDS)
     assert list(summary) == ["w", "other"]
     w = summary["w"]
     assert w["pairs"] == 5
@@ -52,12 +53,50 @@ def test_summary_medians_quartiles_wins_and_failures():
     assert other["pairs"] == 2
     assert other["wall_s"]["change_wins"] == 0
     assert other["node_steps_per_s"]["change_wins"] == 0
+    # 3 of 5 wins is no gain, and the median is better, so no regression.
+    assert wall["verdict"] == "no regression"
+    # The "other" rate is 10% worse in the median, inside its 25% bound.
+    assert other["node_steps_per_s"]["verdict"] == "no regression"
+
+
+PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 100.5, 99.5, 103.0, 97.0, 100.0]
+
+
+@pytest.mark.parametrize("change, direction, expected", [
+    # Every pair won, the median 15% better against a 2% spread.
+    ([p * 1.15 for p in PARENT], "higher", "gain"),
+    ([p * 0.85 for p in PARENT], "lower", "gain"),
+    # Nine of ten pairs won still counts.
+    ([p * 1.15 for p in PARENT[:9]] + [PARENT[9] * 0.99], "higher", "gain"),
+    # Eight of ten is no gain; the median is better, so no regression.
+    ([p * 1.15 for p in PARENT[:8]] + [p * 0.99 for p in PARENT[8:]], "higher", "no regression"),
+    # Worse by 30% against a 25% bound, in either direction.
+    ([p * 0.7 for p in PARENT], "higher", "regression"),
+    ([p * 1.3 for p in PARENT], "lower", "regression"),
+    # Worse by 20%: within the bound.
+    ([p * 1.2 for p in PARENT], "lower", "no regression"),
+])
+def test_verdict_on_synthetic_pairs(change, direction, expected):
+    assert bench_pairs.compare(PARENT, change, direction, 0.25)["verdict"] == expected
+
+
+def test_verdict_unresolved_only_when_the_parent_spreads_past_the_bound():
+    # Parent quartiles 1.0 and 2.0 about a median of 1.5: a spread of 67%.
+    parent = [1.0, 2.0] * 5
+    assert bench_pairs.compare(parent, [1.4, 1.9] * 5, "lower", 0.25)["verdict"] == "unresolved"
+    # Every change run below every parent run: resolved although no gain.
+    assert bench_pairs.compare(parent, [0.9] * 10, "lower", 0.25)["verdict"] == "no regression"
+    # A bound wider than the spread: no regression.
+    assert bench_pairs.compare(parent, [1.4, 1.9] * 5, "lower", 1.0)["verdict"] == "no regression"
+    # A regression beyond the bound is named as such even then.
+    assert bench_pairs.compare(parent, [3.0] * 10, "lower", 0.25)["verdict"] == "regression"
 
 
 def test_metric_directions_come_from_the_benchmark_declaration():
-    benchmark = {"end_to_end": [{"name": "wall_s", "better": "lower"},
-                                {"name": "node_steps_per_s", "better": "higher"}]}
+    benchmark = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25},
+                                {"name": "node_steps_per_s", "better": "higher", "bound": 0.1}]}
     assert bench_pairs.end_to_end_metrics(benchmark) == BETTER
+    assert bench_pairs.end_to_end_bounds(benchmark) == {"wall_s": 0.25, "node_steps_per_s": 0.1}
 
 
 @pytest.mark.parametrize("bad", ["sandwich-local", "=3", "w=0", "w=x"])
@@ -80,13 +119,15 @@ def test_solve_summary_of_wall_time_and_peak_rss():
             for i, (p, c) in enumerate([(2.8, 2.6), (2.9, 2.7), (2.7, 3.1)])]
     rows.append({"workload": "solve-nonlocal", "first": "change",
                  "parent": solve_side(1.2, 32.4), "change": solve_side(1.1, 32.4)})
-    summary = bench_pairs.summarize(rows, bench_pairs.SOLVE_METRICS)
+    summary = bench_pairs.summarize(rows, bench_pairs.SOLVE_METRICS,
+                                    {"wall_s": 0.25, "peak_rss_mb": 0.05})
     assert list(summary) == ["solve-local", "solve-nonlocal"]
     local = summary["solve-local"]
     assert local["wall_s"]["change_wins"] == 2
     assert local["wall_s"]["parent"] == pytest.approx({"median": 2.8, "q1": 2.75, "q3": 2.85})
     assert local["peak_rss_mb"]["change_wins"] == 3
     assert local["peak_rss_mb"]["median_change"] == pytest.approx(37.0 / 61.0 - 1.0)
+    assert local["peak_rss_mb"]["verdict"] == "gain"
     assert local["failed_ops"] == {"parent": 0, "change": 1}
     assert local["attempted_ops"] == {"parent": 3, "change": 3}
     # One pair: its values are the median and both quartiles; equal RSS is a tie.

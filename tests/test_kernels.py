@@ -85,24 +85,6 @@ def test_degenerate_kernel_rejected():
             K.c_zero(spike)
 
 
-def test_scaled_eval():
-    epan = K.KernelSpec("epanechnikov")
-    assert K.scaled_eval(epan, 0.1, 0.0) == pytest.approx(7.5, abs=1e-12)
-    assert K.scaled_eval(epan, 0.1, 0.2) == 0.0
-
-
-def test_scaled_eval_unit_mass(builtin):
-    # Gauss-Legendre panels on [-eps, eps]; exact for the polynomial profiles.
-    eps = 0.1
-    nodes, wts = np.polynomial.legendre.leggauss(12)
-    edges = np.linspace(-eps, eps, 65)
-    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-    x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * wts[None, :]).ravel()
-    mass = float(np.dot(w, K.scaled_eval(builtin, eps, x)))
-    assert mass == pytest.approx(1.0, abs=1e-10)
-
-
 def test_boundary_weight_endpoints(builtin):
     assert K.boundary_weight(builtin, 0.0) == pytest.approx(0.5, abs=1e-12)
     assert K.boundary_weight(builtin, 1.0) == 0.0

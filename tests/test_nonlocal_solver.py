@@ -457,16 +457,51 @@ def test_flux_weights_sum_to_first_moment():
 
 
 def boundary_flux_full_window(state, kernel, eps, mu, variant, side):
-    """boundary_flux with the reconstruction over the whole active window."""
-    n_sub = max(2, int(round(eps / state.dx)))
-    offset, coeff, omega, eps_w = NL._flux_constants(kernel, eps, variant, n_sub)
+    """The flux law read through interp_pinned over the whole active window,
+    at the samples front - offset - eps i/n_sub."""
+    n_sub = round(eps / state.dx)
+    omega = NL.flux_weights(kernel, n_sub)
+    offset, coeff = variant.offset(eps), variant.coefficient(kernel, eps)
+    eps_w = eps * (np.arange(n_sub + 1) / n_sub)
     if side == "right":
         return mu * coeff * float(np.dot(omega, NL.interp_pinned(state, state.h - offset - eps_w)))
-    size = state.values.size
-    mirrored = NL.EulerianState(state.t, -state.h, -state.g, state.dx,
-                                -(state.j_min + size - 1), state.values[::-1])
     ys = -state.g - offset - eps_w
-    return -mu * coeff * float(np.dot(omega, NL.interp_pinned(mirrored, ys)))
+    return -mu * coeff * float(np.dot(omega, NL.interp_pinned(mirrored(state), ys)))
+
+
+def mirrored(state):
+    """The state reflected about x = 0, its values copied."""
+    size = state.values.size
+    return NL.EulerianState(state.t, -state.h, -state.g, state.dx,
+                            -(state.j_min + size - 1), state.values[::-1].copy())
+
+
+FLUX_VARIANTS = [
+    NL.NonlocalVariant("modified", beta=0.3), MOD, NL.NonlocalVariant("modified", beta=0.7),
+    NL.NonlocalVariant("unmodified", c1=K.c_star(EPAN)),
+]
+
+
+@st.composite
+def flux_states(draw, eps, n_sub, variant):
+    """A state whose fronts lie on a node (frac 0) or between nodes; pad 0
+    ends the grid flush with the first node at or beyond each front, pad -1,
+    as in a solver state, with the last node inside; its values beyond the
+    fronts are zeros or arbitrary.  The unmodified law (offset 0) samples h
+    itself."""
+    dx = eps / n_sub
+    reach = math.ceil((variant.offset(eps) + eps) / dx)
+    ends = (-reach - draw(st.integers(1, 40)), reach + draw(st.integers(1, 40)))
+    fracs = (draw(st.sampled_from([0.0, 0.5, 1e-9, 0.999])),
+             draw(st.sampled_from([0.0, 0.25, 1e-9, 0.999])))
+    pad = (draw(st.integers(-1, 4)), draw(st.integers(-1, 4)))
+    g, h = (ends[0] - fracs[0]) * dx, (ends[1] + fracs[1]) * dx
+    j_min = math.floor(g / dx) - pad[0]
+    size = math.ceil(h / dx) + pad[1] - j_min + 1
+    x = (j_min + np.arange(size)) * dx
+    u = draw(hnp.arrays(float, size, elements=st.floats(0.0, 1e3)))
+    vals = np.where((x > g) & (x < h), u, 0.0) if draw(st.booleans()) else u
+    return NL.EulerianState(0.0, g, h, dx, j_min, vals)
 
 
 @settings(max_examples=150, deadline=None)
@@ -474,47 +509,87 @@ def boundary_flux_full_window(state, kernel, eps, mu, variant, side):
     data=st.data(),
     eps=st.sampled_from([0.2, 0.1, 0.05]),
     n_sub=st.sampled_from([8, 11, 16]),
-    variant=st.sampled_from([
-        NL.NonlocalVariant("modified", beta=0.3), MOD, NL.NonlocalVariant("modified", beta=0.7),
-        NL.NonlocalVariant("unmodified", c1=K.c_star(EPAN)),
-    ]),
-    fracs=st.tuples(st.sampled_from([0.0, 0.5, 1e-9, 0.999]),
-                    st.sampled_from([0.0, 0.25, 1e-9, 0.999])),
-    pad=st.tuples(st.integers(-1, 4), st.integers(-1, 4)),
-    zero_outside=st.booleans(),
+    variant=st.sampled_from(FLUX_VARIANTS),
 )
-def test_boundary_flux_matches_full_window_bitwise(data, eps, n_sub, variant, fracs, pad,
-                                                   zero_outside):
-    # Fronts on a node (frac 0) or between nodes; pad 0 ends the grid flush
-    # with the first node at or beyond each front, pad -1, as in a solver
-    # state, with the last node inside; the unmodified law (offset 0) samples
-    # h itself.
-    dx = eps / n_sub
-    reach = math.ceil((variant.offset(eps) + eps) / dx)
-    ends = (-reach - data.draw(st.integers(1, 40)), reach + data.draw(st.integers(1, 40)))
-    g, h = (ends[0] - fracs[0]) * dx, (ends[1] + fracs[1]) * dx
-    j_min = math.floor(g / dx) - pad[0]
-    size = math.ceil(h / dx) + pad[1] - j_min + 1
-    x = (j_min + np.arange(size)) * dx
-    u = data.draw(hnp.arrays(float, size, elements=st.floats(0.0, 1e3)))
-    vals = np.where((x > g) & (x < h), u, 0.0) if zero_outside else u
-    state = NL.EulerianState(0.0, g, h, dx, j_min, vals)
+def test_boundary_flux_matches_full_window_oracle(data, eps, n_sub, variant):
+    # The two-slice sum regroups the reconstruction's arithmetic and spaces
+    # its samples by dx instead of eps/n_sub, so it agrees with interp_pinned
+    # to rounding: a few ulp of the largest term the sum can hold.
+    state = data.draw(flux_states(eps, n_sub, variant))
+    mu = 1.3
+    omega = NL.flux_weights(EPAN, n_sub)
+    scale = mu * variant.coefficient(EPAN, eps) * float(np.sum(omega)) * np.max(state.values)
+    for side in ("right", "left"):
+        speed = NL.boundary_flux(state, EPAN, eps, mu, variant, side)
+        expected = boundary_flux_full_window(state, EPAN, eps, mu, variant, side)
+        assert abs(speed - expected) <= 1e-14 * scale
 
-    spans = []
-    original = NL._interp_window
 
-    def recording(values, j_min, dx, g, h, lo, hi, ys):
-        spans.append(hi - lo)
-        return original(values, j_min, dx, g, h, lo, hi, ys)
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    eps=st.sampled_from([0.2, 0.1, 0.05]),
+    n_sub=st.sampled_from([8, 11, 16]),
+    variant=st.sampled_from(FLUX_VARIANTS),
+)
+def test_boundary_flux_left_is_mirrored_right_bitwise(data, eps, n_sub, variant):
+    # The left side reads the mirrored state through the right side's code.
+    state = data.draw(flux_states(eps, n_sub, variant))
+    flipped = mirrored(state)
+    for a, b in [(state, flipped), (flipped, state)]:
+        left = NL.boundary_flux(a, EPAN, eps, 1.3, variant, "left")
+        right = NL.boundary_flux(b, EPAN, eps, 1.3, variant, "right")
+        assert np.float64(left).tobytes() == np.float64(-right).tobytes()
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(NL, "_interp_window", recording)
-        for side in ("right", "left"):
-            speed = NL.boundary_flux(state, EPAN, eps, 1.3, variant, side)
-            expected = boundary_flux_full_window(state, EPAN, eps, 1.3, variant, side)
-            assert np.float64(speed).tobytes() == np.float64(expected).tobytes()
-    # Each side reads only the nodes under its samples, not the whole window.
-    assert len(spans) == 4 and max(spans[0], spans[2]) <= reach + 3
+
+@pytest.mark.parametrize("stored", [False, True], ids=["front_node_unstored", "front_node_stored"])
+@pytest.mark.parametrize("ends", [(-70, 90), (-71, 93), (-69, 97)])
+def test_boundary_flux_unmodified_front_on_a_node(ends, stored):
+    # Offset 0 puts sample 0 on the front itself.  A front exactly on a node
+    # reads that node's value: its exact zero when the state does not store
+    # it, as in a solver state, and the stored value otherwise.
+    eps, dx = 0.1, 0.1 / 16
+    variant = NL.NonlocalVariant("unmodified", c1=K.c_star(EPAN))
+    g, h = ends[0] * dx, ends[1] * dx
+    j_lo, j_hi = NL._window(g, h, dx)
+    x = np.arange(j_lo - 1, j_hi + 2) * dx
+    vals = 1.0 + 0.5 * np.sin(7.0 * x)
+    state = NL.EulerianState(0.0, g, h, dx, j_lo - 1, vals) if stored else (
+        NL.EulerianState(0.0, g, h, dx, j_lo, vals[1:-1]))
+    scale = K.c_star(EPAN) / eps * float(np.sum(NL.flux_weights(EPAN, 16))) * 1.5
+    for side in ("right", "left"):
+        speed = NL.boundary_flux(state, EPAN, eps, 1.0, variant, side)
+        expected = boundary_flux_full_window(state, EPAN, eps, 1.0, variant, side)
+        assert abs(speed - expected) <= 1e-14 * scale
+    # Sample 0 carries the front node's value with its weight omega_0.
+    omega0 = NL.flux_weights(EPAN, 16)[0] * K.c_star(EPAN) / eps
+    unstored = NL.EulerianState(0.0, g, h, dx, j_lo, vals[1:-1])
+    gap = (NL.boundary_flux(state, EPAN, eps, 1.0, variant, "right")
+           - NL.boundary_flux(unstored, EPAN, eps, 1.0, variant, "right"))
+    assert gap == pytest.approx(omega0 * vals[-1] if stored else 0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("fracs", [(0.0, 0.0), (0.3, 0.6), (1e-9, 0.999)])
+@pytest.mark.parametrize("beta", [0.3, 0.5, 0.7])
+def test_boundary_flux_linear_profile_is_analytic(beta, fracs):
+    # The reconstruction is exact on a linear profile and the hat weights
+    # integrate w W(w) exactly, so the flux law's integral is
+    # u(y0) M1 - u' eps M2 / 2 (M_k = integral_0^1 z^k J, y0 = front - offset)
+    # to rounding, for either front.
+    eps, mu = 0.1, 1.3
+    dx = eps / 16
+    variant = NL.NonlocalVariant("modified", beta=beta)
+    g, h = (-100 - fracs[0]) * dx, (120 + fracs[1]) * dx
+    x = np.arange(-101, 122) * dx
+    a, b = 2.0, 0.75
+    state = NL.EulerianState(0.0, g, h, dx, -101, np.where((x > g) & (x < h), a + b * x, 0.0))
+    m1, m2 = K.moment(EPAN, 1), K.moment(EPAN, 2)
+    offset, coeff = variant.offset(eps), variant.coefficient(EPAN, eps)
+    right = mu * coeff * ((a + b * (h - offset)) * m1 - b * eps * m2 / 2.0)
+    left = -mu * coeff * ((a + b * (g + offset)) * m1 + b * eps * m2 / 2.0)
+    for side, want in (("right", right), ("left", left)):
+        assert NL.boundary_flux(state, EPAN, eps, mu, variant, side) == pytest.approx(want,
+                                                                                     rel=1e-14)
 
 
 # -- step ---------------------------------------------------------------------
