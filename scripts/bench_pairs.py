@@ -164,20 +164,33 @@ def run_solve_pairs(trees: dict[str, Path], count: int) -> list[dict]:
     return pairs
 
 
+def parse_pytest_summary(line: str) -> dict:
+    """The passed, failed and error counts and the seconds of a pytest
+    summary line such as "3 failed, 338 passed, 1 error in 40.12s"; a count
+    the line does not name is 0, and missing seconds are None."""
+    counts = {key: re.search(rf"(\d+) {word}\b", line)
+              for key, word in (("passed", "passed"), ("failed", "failed"),
+                                ("errors", "errors?"))}
+    took = re.search(r"in ([\d.]+)s", line)
+    return {
+        "pytest_s": float(took.group(1)) if took else None,
+        **{key: int(m.group(1)) if m else 0 for key, m in counts.items()},
+    }
+
+
 def run_tier1(tree: Path) -> dict:
-    """Wall time, pytest's own time and the pass count of the tier-1 suite in tree."""
+    """Wall time, pytest's exit status, own time and pass, fail and error
+    counts of the tier-1 suite in tree."""
     path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     t0 = time.perf_counter()
     proc = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True, check=False)
     wall = time.perf_counter() - t0
     last = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
-    passed = re.search(r"(\d+) passed", last)
-    took = re.search(r"in ([\d.]+)s", last)
     return {
         "wall_s": round(wall, 2),
-        "pytest_s": float(took.group(1)) if took else None,
-        "passed": int(passed.group(1)) if passed else 0,
+        "exit_status": proc.returncode,
+        **parse_pytest_summary(last),
         "summary": last,
     }
 

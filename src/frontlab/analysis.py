@@ -2,7 +2,8 @@
 
 All comparisons treat solutions through the zero-extension convention, so a
 point outside the active interval contributes the true value 0.  Sup norms
-are evaluated on finite space-time lattices; at the default density the
+are evaluated on one fixed space-time lattice, TIME_SAMPLES equally spaced
+times on [0, T] by SPACE_SAMPLES equally spaced points; at that density the
 lattice under-reads the true sup by less than the interpolation error the
 reconstructions already carry.
 """
@@ -17,8 +18,8 @@ import numpy as np
 from .errors import DegenerateFit, HorizonMismatch
 from .problem import ValidatedConfig, eval_reaction
 
-DEFAULT_TIME_SAMPLES = 64
-DEFAULT_SPACE_SAMPLES = 1024
+TIME_SAMPLES = 64
+SPACE_SAMPLES = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,16 +79,18 @@ class RateFit:
         )
 
 
-def _lattice(solutions, time_samples: int, space_samples: int):
+def _lattice(solutions):
+    """TIME_SAMPLES times on [0, T] and SPACE_SAMPLES points spanning every
+    solution's fronts, padded by 2% of that span on each side."""
     T = solutions[0].horizon
     for sol in solutions[1:]:
         if abs(sol.horizon - T) > 1e-12 * max(1.0, T):
             raise HorizonMismatch(f"horizons differ: {sol.horizon} vs {T}")
-    ts = np.linspace(0.0, T, time_samples)
+    ts = np.linspace(0.0, T, TIME_SAMPLES)
     lo = min(float(np.min(sol.boundary_g)) for sol in solutions)
     hi = max(float(np.max(sol.boundary_h)) for sol in solutions)
     pad = 0.02 * (hi - lo)
-    xs = np.linspace(lo - pad, hi + pad, space_samples)
+    xs = np.linspace(lo - pad, hi + pad, SPACE_SAMPLES)
     return ts, xs
 
 
@@ -97,14 +100,10 @@ def _eps_or_none(sol) -> float | None:
     return None if eps is None else float(eps)
 
 
-def sup_error(
-    a,
-    b,
-    time_samples: int = DEFAULT_TIME_SAMPLES,
-    space_samples: int = DEFAULT_SPACE_SAMPLES,
-) -> ErrorReport:
-    """Sup-norm solution and boundary deviations over a shared lattice."""
-    ts, xs = _lattice((a, b), time_samples, space_samples)
+def sup_error(a, b) -> ErrorReport:
+    """Sup-norm solution and boundary deviations over the shared lattice of
+    ``_lattice``."""
+    ts, xs = _lattice((a, b))
     per_time = np.array(
         [float(np.max(np.abs(a.sample(t, xs) - b.sample(t, xs)))) for t in ts]
     )
@@ -112,8 +111,8 @@ def sup_error(
     h_sup = float(np.max(np.abs(a.h_of(ts) - b.h_of(ts))))
     meta = {
         "horizon": float(a.horizon),
-        "time_samples": time_samples,
-        "space_samples": space_samples,
+        "time_samples": TIME_SAMPLES,
+        "space_samples": SPACE_SAMPLES,
         "eps_a": _eps_or_none(a),
         "eps_b": _eps_or_none(b),
         "dt_a": float(a.dt),
@@ -139,8 +138,8 @@ def fit_rate(pairs) -> RateFit:
     ordered = np.sort(eps)
     if np.any(ordered[1:] == ordered[:-1]):
         raise DegenerateFit("eps values must be distinct")
-    if np.any(err <= 0.0):
-        raise DegenerateFit("errors must be positive (quadrature floor reached?)")
+    if not np.all((err > 0.0) & (err < np.inf)):
+        raise DegenerateFit("errors must be positive and finite")
     x = np.log(eps)
     y = np.log(err)
     slope, intercept = np.polyfit(x, y, 1)
@@ -189,20 +188,14 @@ class SandwichReport:
     where: tuple[str, float, float]
 
 
-def sandwich_check(
-    lower,
-    mid,
-    upper,
-    tol: float,
-    time_samples: int = DEFAULT_TIME_SAMPLES,
-    space_samples: int = DEFAULT_SPACE_SAMPLES,
-) -> SandwichReport:
-    """Verify domain inclusions and pointwise ordering lower <= mid <= upper.
+def sandwich_check(lower, mid, upper, tol: float) -> SandwichReport:
+    """Verify domain inclusions and pointwise ordering lower <= mid <= upper
+    on the shared lattice of ``_lattice``.
 
     Violations are returned as data, not raised; ``ok`` means every lattice
     violation is within the caller-supplied slack.
     """
-    ts, xs = _lattice((lower, mid, upper), time_samples, space_samples)
+    ts, xs = _lattice((lower, mid, upper))
     worst = 0.0
     where = ("none", 0.0, 0.0)
 
@@ -236,15 +229,13 @@ def sandwich_check(
     return SandwichReport(ok=worst <= tol, max_violation=worst, where=where)
 
 
-def symmetry_defect(
-    sol,
-    time_samples: int = DEFAULT_TIME_SAMPLES,
-    space_samples: int = DEFAULT_SPACE_SAMPLES,
-) -> float:
-    """Max lattice asymmetry |u(t,x) - u(t,-x)| plus sup |g + h|."""
-    ts = np.linspace(0.0, sol.horizon, time_samples)
+def symmetry_defect(sol) -> float:
+    """Max lattice asymmetry |u(t,x) - u(t,-x)| plus sup |g + h|, over
+    TIME_SAMPLES times on [0, T] and SPACE_SAMPLES points on [0, 1.02 r],
+    r the largest front distance from 0."""
+    ts = np.linspace(0.0, sol.horizon, TIME_SAMPLES)
     hi = max(float(np.max(sol.boundary_h)), -float(np.min(sol.boundary_g)))
-    xs = np.linspace(0.0, 1.02 * hi, space_samples)
+    xs = np.linspace(0.0, 1.02 * hi, SPACE_SAMPLES)
     worst = 0.0
     for t in ts:
         worst = max(worst, float(np.max(np.abs(sol.sample(t, xs) - sol.sample(t, -xs)))))

@@ -76,6 +76,7 @@ class HorizonMismatch(FrontlabError):
 
 
 class DegenerateFit(FrontlabError):
-    """Rate fit received non-positive errors (quadrature floor reached)."""
+    """Rate fit inputs admit no slope: too few or repeated eps, or an eps or
+    error that is not positive and finite (a zero error: quadrature floor)."""
 
     code = "degenerate_fit"

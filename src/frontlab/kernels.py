@@ -8,7 +8,10 @@ the scaled solvers:
     c_star = 1 / integral_0^1 J(z) z^2 dz   (normalizes the dispersal operator)
     c_zero = 1 / integral_0^1 J(z) z  dz    (normalizes the boundary flux)
 
-and the boundary-flux weight W(w) = integral_w^1 J(z) dz.
+The boundary flux weighs the tail mass W(w) = integral_w^1 J(z) dz, which
+is integrate_against(kernel, w, 1.0) and by Fubini has integral 1 / c_zero
+over [0, 1]; the solver's flux weights integrate J against hat
+antiderivatives instead of evaluating W (``nonlocal_solver.flux_weights``).
 """
 
 from __future__ import annotations
@@ -203,13 +206,3 @@ def c_zero(kernel: KernelSpec) -> float:
         raise DegenerateKernel("flux constant not below operator constant")
     return value
 
-
-def boundary_weight(kernel: KernelSpec, w: float) -> float:
-    """Tail mass W(w) = integral_w^1 J(z) dz for w in [0, 1].
-
-    W is nonincreasing with W(0) = 1/2 and W(1) = 0, and by Fubini
-    integral_0^1 W(w) dw = 1 / c_zero.
-    """
-    if w < 0.0 or w > 1.0:
-        raise ValueError("w must lie in [0, 1]")
-    return integrate_against(kernel, w, 1.0)

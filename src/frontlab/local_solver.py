@@ -276,8 +276,8 @@ def _unit_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     return xi, one_minus
 
 
-def _explicit_terms(w, t, g, h, vel, dt, vconf, shift, source, t_fail) -> np.ndarray:
-    """Advection, reaction, shift and source at the interior nodes of w.
+def _explicit_terms(w, t, g, h, vel, dt, vconf, shift, t_fail) -> np.ndarray:
+    """Advection, reaction and shift at the interior nodes of w.
 
     The advection term is chi w_xi with chi = [(1 - xi) g' + xi h'] / (h - g)
     and (g', h') = vel, taken as [(1 - xi) (g' c) + xi (h' c)] times the
@@ -285,8 +285,8 @@ def _explicit_terms(w, t, g, h, vel, dt, vconf, shift, source, t_fail) -> np.nda
     mirrored expressions.  chi is affine in xi, so its CFL ratio is taken at
     the endpoints, where |chi| is |g'| / (h - g) and |h'| / (h - g); that
     ratio and dt * L0 are checked first, and a violation is reported at
-    t_fail.  The physical nodes are built only for ``source``: the reaction
-    depends on the density alone.
+    t_fail.  The reaction depends on the density alone, so the physical
+    nodes are never built.
     """
     n = w.size - 1
     dxi = 1.0 / n
@@ -307,8 +307,6 @@ def _explicit_terms(w, t, g, h, vel, dt, vconf, shift, source, t_fail) -> np.nda
     else:
         terms += reaction
         terms += shift
-    if source is not None:
-        terms += source(t, one_minus * g + xi * h)
     return terms
 
 
@@ -327,35 +325,31 @@ def step(
     dt: float,
     vconf: ValidatedConfig,
     knobs: PerturbationKnobs = INERT_KNOBS,
-    *,
-    source=None,
-    velocity_override: tuple[float, float] | None = None,
 ) -> FixedDomainState:
     """Advance one step of size dt by a predictor-corrector sweep.
 
     The predictor is a plain Euler/Crank-Nicolson step with coefficients
     frozen at t_n; the corrector re-advances with trapezoidal averages of the
     boundary velocities and explicit terms, which keeps the discrete mass
-    ledger second-order accurate in dt.  ``velocity_override`` pins the
-    boundary motion (used by verification harnesses to freeze the domain);
-    ``source`` adds an extra forcing s(t, x).  The stages are built in
-    place; the corrector's r is the next predictor's, bit for bit, so its
-    factor is reused (see ``_split_factor``).
+    ledger second-order accurate in dt.  The front speeds come from
+    ``boundary_velocities`` and the explicit terms from ``_explicit_terms``,
+    both called by module name, so a test can pin the fronts or add a
+    forcing by replacing them.  The stages are built in place; the
+    corrector's r is the next predictor's, bit for bit, so its factor is
+    reused (see ``_split_factor``).
     """
     w = state.values
     dxi = 1.0 / state.n_cells
     gap = state.width
     if gap < MIN_GAP:
         raise DegenerateDomain(f"domain collapsed: h - g = {gap:.3e}", state.t)
-    vel0 = velocity_override
-    if vel0 is None:
-        vel0 = boundary_velocities(state, knobs, vconf.mu)
+    vel0 = boundary_velocities(state, knobs, vconf.mu)
 
     t0, t1 = state.t, state.t + dt
     inner = w[1:-1]
     r0 = vconf.d * dt / (2.0 * gap * gap * dxi * dxi)
     shift = knobs.source_shift
-    explicit = _explicit_terms(w, t0, state.g, state.h, vel0, dt, vconf, shift, source, t0)
+    explicit = _explicit_terms(w, t0, state.g, state.h, vel0, dt, vconf, shift, t0)
     # base = w + r0 ((w_{j-1} + w_{j+1}) - 2 w_j); rhs holds 2 w_j until the
     # predictor's right-hand side w + r0 D2 w + dt E0 is built in it.
     base = np.add(w[:-2], w[2:])
@@ -372,9 +366,7 @@ def step(
     if pred_state.width < MIN_GAP:
         raise DegenerateDomain("domain collapsed within a step", state.t)
 
-    vel1 = velocity_override
-    if vel1 is None:
-        vel1 = boundary_velocities(pred_state, knobs, vconf.mu)
+    vel1 = boundary_velocities(pred_state, knobs, vconf.mu)
     g1 = state.g + dt * (0.5 * (vel0[0] + vel1[0]))
     h1 = state.h + dt * (0.5 * (vel0[1] + vel1[1]))
     gap1 = h1 - g1
@@ -382,7 +374,7 @@ def step(
         raise DegenerateDomain("domain collapsed within a step", state.t)
 
     # The corrector's right-hand side base + (dt / 2) (E0 + E1), in place.
-    explicit += _explicit_terms(predictor, t1, g1, h1, vel1, dt, vconf, shift, source, t0)
+    explicit += _explicit_terms(predictor, t1, g1, h1, vel1, dt, vconf, shift, t0)
     explicit *= 0.5 * dt
     explicit += base
     r1 = vconf.d * dt / (2.0 * gap1 * gap1 * dxi * dxi)
@@ -404,9 +396,6 @@ def solve(
     knobs: PerturbationKnobs = INERT_KNOBS,
     n_cells: int = 512,
     dt: float | None = None,
-    *,
-    source=None,
-    velocity_override: tuple[float, float] | None = None,
 ) -> LocalSolution:
     """March the front-fixed problem from t = 0 to the config horizon."""
     require_valid(vconf)
@@ -422,6 +411,6 @@ def solve(
         dt = min(0.25 * (2.0 * vconf.h0 / n_cells) / speed, T / 64.0, reaction_dt_cap(vconf.L0))
 
     def advance(state, dt):
-        return step(state, dt, vconf, knobs, source=source, velocity_override=velocity_override)
+        return step(state, dt, vconf, knobs)
 
     return march(LocalSolution, state0, advance, T, dt, n_cells=n_cells)

@@ -259,11 +259,11 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
     if config.h0 > 0.0:
         xs = np.linspace(-config.h0, config.h0, 513)[1:-1]
         v0 = eval_initial(initial, xs)
-        if np.any(v0 <= 0.0):
+        if not np.all(v0 > 0.0):
             violations.append("(1.2a): v0 not positive on (-h0, h0)")
         sup_v0 = float(np.max(v0)) if v0.size else 0.0
         sl, sr = _initial_slopes(initial)
-        if min(sl, sr) <= 1e-6:
+        if not (sl > 1e-6 and sr > 1e-6):
             violations.append("(1.2a): v0 has vanishing one-sided slope at +-h0")
     else:
         sup_v0 = 0.0

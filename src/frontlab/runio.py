@@ -52,18 +52,8 @@ def write_snapshot_csv(x: np.ndarray, v: np.ndarray, path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_snapshot_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return data[:, 0], data[:, 1]
-
-
 def write_metadata_json(meta: dict, path) -> None:
     atomic_write_text(path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
-
-
-def read_metadata_json(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def write_sweep_csv(rows, path) -> None:

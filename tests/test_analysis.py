@@ -50,24 +50,23 @@ def shifted_copy(sol, c):
 
 
 def test_sup_error_identity(local_sol):
-    rep = A.sup_error(local_sol, local_sol, 16, 128)
+    rep = A.sup_error(local_sol, local_sol)
     assert rep.overall_sup == 0.0
     assert rep.boundary_sup == (0.0, 0.0)
     assert np.max(rep.per_time_sup) == rep.overall_sup
 
 
 def test_sup_error_constant_shift(local_sol):
-    rep = A.sup_error(local_sol, shifted_copy(local_sol, 0.25), 16, 256)
+    rep = A.sup_error(local_sol, shifted_copy(local_sol, 0.25))
     assert rep.overall_sup == pytest.approx(0.25, abs=1e-12)
 
 
 def test_sup_error_is_pseudometric(local_sol, nonlocal_sol, vconf):
     third = L.solve(vconf, n_cells=96, dt=5e-4)
-    kw = dict(time_samples=16, space_samples=256)
-    ab = A.sup_error(local_sol, nonlocal_sol, **kw).overall_sup
-    ba = A.sup_error(nonlocal_sol, local_sol, **kw).overall_sup
-    ac = A.sup_error(local_sol, third, **kw).overall_sup
-    cb = A.sup_error(third, nonlocal_sol, **kw).overall_sup
+    ab = A.sup_error(local_sol, nonlocal_sol).overall_sup
+    ba = A.sup_error(nonlocal_sol, local_sol).overall_sup
+    ac = A.sup_error(local_sol, third).overall_sup
+    cb = A.sup_error(third, nonlocal_sol).overall_sup
     assert ab == ba
     assert ab <= ac + cb + 1e-12
 
@@ -120,6 +119,11 @@ def test_fit_rate_degenerate_inputs():
             A.fit_rate([(0.2, 0.1), (0.1, 0.05), (bad, 0.01)])
     with pytest.raises(DegenerateFit, match="positive and finite"):
         A.fit_rate([(0.2, 0.1), (np.nan, 0.05), (np.nan, 0.01)])
+    # A NaN or infinite error would give gamma_hat = nan, which to_json
+    # refuses with a bare ValueError.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DegenerateFit, match="errors must be positive and finite"):
+            A.fit_rate([(0.2, 0.1), (0.1, bad), (0.05, 0.02)])
 
 
 def test_rate_fit_json_round_trip():
@@ -134,14 +138,16 @@ def test_error_report_json(local_sol, nonlocal_sol):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
 
-    rep = A.sup_error(local_sol, nonlocal_sol, 8, 128)
+    rep = A.sup_error(local_sol, nonlocal_sol)
     data = json.loads(rep.to_json(), parse_constant=reject)
     assert data["overall_sup"] == rep.overall_sup
     assert data["boundary_sup_g"] == rep.boundary_sup[0]
-    assert len(data["per_time_sup"]) == 8
+    assert len(data["per_time_sup"]) == A.TIME_SAMPLES == 64
+    assert data["meta"]["time_samples"] == 64
+    assert data["meta"]["space_samples"] == A.SPACE_SAMPLES == 1024
     assert data["meta"]["eps_b"] == 0.1
     assert data["meta"]["eps_a"] is None  # the local solution has no eps
-    swapped = A.sup_error(nonlocal_sol, local_sol, 8, 128)
+    swapped = A.sup_error(nonlocal_sol, local_sol)
     assert json.loads(swapped.to_json(), parse_constant=reject)["meta"]["eps_b"] is None
     fit = A.fit_rate([(0.2, 0.11), (0.1, 0.06), (0.05, 0.028)])
     json.loads(fit.to_json(), parse_constant=reject)
@@ -183,22 +189,22 @@ def test_mass_residual_tracks_reaction_term():
 
 
 def test_sandwich_identity(local_sol):
-    rep = A.sandwich_check(local_sol, local_sol, local_sol, tol=0.0, time_samples=8, space_samples=128)
+    rep = A.sandwich_check(local_sol, local_sol, local_sol, tol=0.0)
     assert rep.ok
     assert rep.max_violation <= 0.0
 
 
 def test_sandwich_detects_violation(local_sol):
     shifted = shifted_copy(local_sol, 0.3)
-    rep = A.sandwich_check(shifted, local_sol, shifted, tol=1e-6, time_samples=8, space_samples=128)
+    rep = A.sandwich_check(shifted, local_sol, shifted, tol=1e-6)
     assert not rep.ok
     assert rep.max_violation == pytest.approx(0.3, abs=1e-10)
     assert rep.where[0] == "value: lower > mid"
 
 
 def test_symmetry_defect_zero_for_symmetric(local_sol, nonlocal_sol):
-    assert A.symmetry_defect(local_sol, 16, 256) <= 1e-13
-    assert A.symmetry_defect(nonlocal_sol, 16, 256) <= 1e-13
+    assert A.symmetry_defect(local_sol) <= 1e-13
+    assert A.symmetry_defect(nonlocal_sol) <= 1e-13
 
 
 def test_symmetry_defect_detects_shift(vconf):
@@ -210,4 +216,4 @@ def test_symmetry_defect_detects_shift(vconf):
     )
     vc = P.validate(cfg)
     sol = L.solve(vc, n_cells=64, dt=5e-4)
-    assert A.symmetry_defect(sol, 16, 256) > 1e-3
+    assert A.symmetry_defect(sol) > 1e-3

@@ -135,3 +135,16 @@ def test_solve_summary_of_wall_time_and_peak_rss():
     assert single["wall_s"]["change"] == {"median": 1.1, "q1": 1.1, "q3": 1.1}
     assert single["wall_s"]["parent_quartile_spread"] == 0.0
     assert single["peak_rss_mb"]["change_wins"] == 0
+
+
+@pytest.mark.parametrize("line, expected", [
+    ("3 failed, 338 passed, 1 error in 40.12s",
+     {"passed": 338, "failed": 3, "errors": 1, "pytest_s": 40.12}),
+    ("341 passed in 51.99s", {"passed": 341, "failed": 0, "errors": 0, "pytest_s": 51.99}),
+    ("1 failed, 2 passed, 3 warnings, 2 errors in 3723.00s (1:02:03)",
+     {"passed": 2, "failed": 1, "errors": 2, "pytest_s": 3723.0}),
+    ("no tests ran in 0.01s", {"passed": 0, "failed": 0, "errors": 0, "pytest_s": 0.01}),
+    ("", {"passed": 0, "failed": 0, "errors": 0, "pytest_s": None}),
+], ids=["mixed", "all-passed", "warnings-and-errors", "none-ran", "no-summary"])
+def test_pytest_summary_counts(line, expected):
+    assert bench_pairs.parse_pytest_summary(line) == expected

@@ -37,7 +37,7 @@ def test_solve_local_writes_outputs(stefan_cfg, tmp_path):
     assert snaps
     t, g, h = runio.read_boundary_csv(out / "boundary.csv")
     assert t[0] == 0.0 and g[0] == -1.0 and h[0] == 1.0
-    x, v = runio.read_snapshot_csv(snaps[0])
+    v = np.loadtxt(snaps[0], delimiter=",", skiprows=1, ndmin=2)[:, 1]
     assert v.max() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -182,7 +182,7 @@ def test_solve_nonlocal_run(stefan_cfg, tmp_path):
          "--out", str(out), "--eps", "0.2"]
     )
     assert code == 0
-    meta = runio.read_metadata_json(out / "metadata.json")
+    meta = json.loads((out / "metadata.json").read_text())
     assert meta["eps"] == 0.2
     assert meta["variant"] == "modified"
     assert meta["kernel"] == "epanechnikov"
@@ -208,8 +208,11 @@ SWEEP_ARGS = ["--eps", "0.2", "--eps", "0.1", "--eps", "0.05",
         ("d = 1\nmu = 1\nh0 = 1\nT = 0.1\n"
          "reaction.family = zero\ninitial.family = quadratic_bump\ninitial.V = 0\n",
          "invalid_config", "(1.2a)"),
+        ("d = 1\nmu = 1\nh0 = 1\nT = 0.1\n"
+         "reaction.family = zero\ninitial.family = quadratic_bump\ninitial.V = nan\n",
+         "invalid_config", "(1.2a)"),
     ],
-    ids=["missing", "invalid"],
+    ids=["missing", "invalid", "nan-height"],
 )
 def test_converge_bad_config_writes_error_json(tmp_path, config_text, code, message):
     cfg = tmp_path / "sweep.cfg"

@@ -85,9 +85,11 @@ def test_degenerate_kernel_rejected():
             K.c_zero(spike)
 
 
+# The boundary flux weighs the tail mass W(w) = integral_w^1 J(z) dz, which
+# is integrate_against(kernel, w, 1.0).
 def test_boundary_weight_endpoints(builtin):
-    assert K.boundary_weight(builtin, 0.0) == pytest.approx(0.5, abs=1e-12)
-    assert K.boundary_weight(builtin, 1.0) == 0.0
+    assert K.integrate_against(builtin, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
+    assert K.integrate_against(builtin, 1.0, 1.0) == 0.0
 
 
 def test_boundary_weight_epanechnikov_midpoint():
@@ -95,12 +97,12 @@ def test_boundary_weight_epanechnikov_midpoint():
     exact = poly_moment(POLY["epanechnikov"], 0, Fraction(1, 2), 1)
     assert exact == Fraction(5, 32)
     epan = K.KernelSpec("epanechnikov")
-    assert K.boundary_weight(epan, 0.5) == pytest.approx(0.15625, abs=1e-12)
+    assert K.integrate_against(epan, 0.5, 1.0) == pytest.approx(0.15625, abs=1e-12)
 
 
 def test_boundary_weight_monotone(builtin):
     w = np.linspace(0.0, 1.0, 1000)
-    vals = np.array([K.boundary_weight(builtin, wi) for wi in w])
+    vals = np.array([K.integrate_against(builtin, wi, 1.0) for wi in w])
     assert np.all(np.diff(vals) <= 1e-14)
 
 
@@ -112,7 +114,7 @@ def test_fubini_identity(builtin):
         hi = lo + 1.0 / 64.0
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         for zi, wi in zip(mid + half * nodes, half * wts):
-            total += wi * K.boundary_weight(builtin, zi)
+            total += wi * K.integrate_against(builtin, zi, 1.0)
     assert total * K.c_zero(builtin) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -176,7 +178,7 @@ def test_custom_tables_have_unit_mass_and_ordered_constants(vals):
 def test_boundary_weight_matches_exact_tail(w):
     epan = K.KernelSpec("epanechnikov")
     exact = float(poly_moment(POLY["epanechnikov"], 0, Fraction(w).limit_denominator(10**12), 1))
-    assert K.boundary_weight(epan, w) == pytest.approx(exact, abs=1e-9)
+    assert K.integrate_against(epan, w, 1.0) == pytest.approx(exact, abs=1e-9)
 
 
 def test_gauss_legendre_literals_equal_leggauss_bitwise():

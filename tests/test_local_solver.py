@@ -166,22 +166,49 @@ def count_factorizations(monkeypatch) -> list[int]:
     return sizes
 
 
+def freeze_fronts(monkeypatch, vel):
+    """Pin the front speeds to vel: step reads them from boundary_velocities."""
+    monkeypatch.setattr(L, "boundary_velocities", lambda state, knobs, mu: vel)
+
+
+def add_forcing(monkeypatch, forcing):
+    """Add forcing(t, x) at the interior nodes as the last explicit term."""
+    explicit_terms = L._explicit_terms
+
+    def forced(w, t, g, h, *args):
+        terms = explicit_terms(w, t, g, h, *args)
+        xi, one_minus = L._unit_grid(w.size - 1)
+        terms += forcing(t, one_minus * g + xi * h)
+        return terms
+
+    monkeypatch.setattr(L, "_explicit_terms", forced)
+
+
+def freeze_and_force(monkeypatch):
+    freeze_fronts(monkeypatch, (-0.3, 0.5))
+    add_forcing(monkeypatch, lambda t, x: 0.1 * np.cos(x) * (1.0 + t))
+
+
 SOLVE_CASES = {
-    "stefan-i1": (P.symmetric_stefan(T=0.05), dict(knobs=L.preset_knobs("i1", 0.05))),
-    "fisher-plain": (P.fisher_kpp_config(T=0.05), {}),
-    "stefan-override-source": (
-        P.symmetric_stefan(T=0.05),
-        dict(velocity_override=(-0.3, 0.5), source=lambda t, x: 0.1 * np.cos(x) * (1.0 + t)),
-    ),
+    "stefan-i1": (P.symmetric_stefan(T=0.05), dict(knobs=L.preset_knobs("i1", 0.05)), None),
+    "fisher-plain": (P.fisher_kpp_config(T=0.05), {}, None),
+    "stefan-override-source": (P.symmetric_stefan(T=0.05), {}, freeze_and_force),
 }
+
+
+def solve_case(monkeypatch, case):
+    """The case's validated config and solve arguments, its seams in place."""
+    cfg, kwargs, seams = SOLVE_CASES[case]
+    if seams is not None:
+        seams(monkeypatch)
+    return P.validate(cfg), kwargs
 
 
 @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
 def test_solve_factors_once_per_step_plus_one(monkeypatch, case):
     # The corrector's matrix is the next predictor's, so N steps factor N + 1
     # times, and the cache's two read-only entries are all the state it keeps.
-    cfg, kwargs = SOLVE_CASES[case]
-    vconf = P.validate(cfg)
+    vconf, kwargs = solve_case(monkeypatch, case)
     sizes = count_factorizations(monkeypatch)
     sol = L.solve(vconf, n_cells=96, dt=1e-3, **kwargs)
     n_steps = sol.boundary_times.size - 1
@@ -194,8 +221,7 @@ def test_solve_factors_once_per_step_plus_one(monkeypatch, case):
 
 @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
 def test_corrector_r_is_next_predictor_r_bitwise(monkeypatch, case):
-    cfg, kwargs = SOLVE_CASES[case]
-    vconf = P.validate(cfg)
+    vconf, kwargs = solve_case(monkeypatch, case)
     seen = []
     solve = L._solve_tridiagonal_symmetric
 
@@ -277,7 +303,7 @@ def nodewise_advection_cfl(g, h, vel, dt, n):
     return dt * float(np.max(np.abs(chi))) / (1.0 / n)
 
 
-def test_oversized_dt_fails_where_the_nodewise_cfl_first_exceeds_one():
+def test_oversized_dt_fails_where_the_nodewise_cfl_first_exceeds_one(monkeypatch):
     # Fronts pinned to move inward at 1/2 each: the domain shrinks, the
     # advection CFL ratio grows, and the run fails mid-way, at the step
     # (predictor at g, h or corrector at the new fronts) and with the ratio
@@ -295,31 +321,31 @@ def test_oversized_dt_fails_where_the_nodewise_cfl_first_exceeds_one():
             break
         g, h, t = g1, h1, t + dt
     assert over and 0.5 < t < vconf.T
+    freeze_fronts(monkeypatch, vel)
     with pytest.raises(CflViolation) as info:
-        L.solve(vconf, n_cells=n, dt=0.03, velocity_override=vel)
+        L.solve(vconf, n_cells=n, dt=0.03)
     assert info.value.time_of_failure == t
     assert str(info.value) == f"advection CFL {over[0]:.3f} > 1; reduce dt"
 
 
-def test_step_positivity_loss(stefan_short):
+def test_step_positivity_loss(stefan_short, monkeypatch):
     state = L.initial_state(stefan_short, 64)
+    freeze_fronts(monkeypatch, (0.0, 0.0))
+    add_forcing(monkeypatch, lambda t, x: -30.0 * np.ones_like(x))
     with pytest.raises(PositivityLoss):
         st = state
         for _ in range(200):
-            st = L.step(st, 1e-3, stefan_short, source=lambda t, x: -30.0 * np.ones_like(x),
-                        velocity_override=(0.0, 0.0))
+            st = L.step(st, 1e-3, stefan_short)
 
 
-def test_step_negative_predictor_is_positivity_loss(stefan_short):
+def test_step_negative_predictor_is_positivity_loss(stefan_short, monkeypatch):
     # The predictor dips below zero (to about -0.013) and the corrector's
-    # source would lift it back; clamping the predictor must not hide that.
+    # forcing would lift it back; clamping the predictor must not hide that.
     state = L.initial_state(stefan_short, 64)
-
-    def source(t, x):
-        return np.full_like(x, -100.0 if t == 0.0 else 100.0)
-
+    freeze_fronts(monkeypatch, (0.0, 0.0))
+    add_forcing(monkeypatch, lambda t, x: np.full_like(x, -100.0 if t == 0.0 else 100.0))
     with pytest.raises(PositivityLoss) as info:
-        L.step(state, 1e-3, stefan_short, source=source, velocity_override=(0.0, 0.0))
+        L.step(state, 1e-3, stefan_short)
     assert info.value.time_of_failure == pytest.approx(1e-3)
 
 
@@ -332,7 +358,7 @@ def test_step_nan_value_is_positivity_loss(stefan_short):
         L.step(state, 1e-4, stefan_short)
 
 
-def test_manufactured_solution_convergence(stefan_short):
+def test_manufactured_solution_convergence(stefan_short, monkeypatch):
     # Frozen boundaries, forcing chosen so v*(t,x) = exp(-t)(1 - x^2) is exact.
     vconf = P.validate(P.symmetric_stefan(T=0.1))
 
@@ -342,11 +368,12 @@ def test_manufactured_solution_convergence(stefan_short):
     def forcing(t, x):
         return -np.exp(-t) * (1.0 - x**2) + 2.0 * np.exp(-t)
 
+    freeze_fronts(monkeypatch, (0.0, 0.0))
+    add_forcing(monkeypatch, forcing)
     errors = []
     cells = [32, 64, 128, 256]
     for n in cells:
-        sol = L.solve(vconf, n_cells=n, dt=0.1 / n, source=forcing,
-                      velocity_override=(0.0, 0.0))
+        sol = L.solve(vconf, n_cells=n, dt=0.1 / n)
         x, w = sol.snapshot_nodes(len(sol.snapshots) - 1)
         errors.append(np.max(np.abs(w - exact(0.1, x))))
     order = np.polyfit(np.log(1.0 / np.asarray(cells, float)), np.log(errors), 1)[0]

@@ -34,6 +34,15 @@ def test_validate_flat_bump_rejected():
         P.require_valid(vc)
 
 
+def test_validate_nan_height_rejected():
+    # Every comparison with NaN is False, so tests written as "v0 <= 0" or
+    # "slope <= 1e-6" would let V = nan through with sup_v0 = nan.
+    vc = P.validate(P.ProblemConfig(initial=P.InitialDataSpec(family="quadratic_bump", V=np.nan)))
+    assert not vc.ok
+    assert "(1.2a): v0 not positive on (-h0, h0)" in vc.violations
+    assert "(1.2a): v0 has vanishing one-sided slope at +-h0" in vc.violations
+
+
 def test_validate_nonzero_constant_term_rejected():
     cfg = P.ProblemConfig(
         reaction=P.ReactionSpec(family="custom_polynomial", coefficients=(1e-3, 1.0, -1.0))
