@@ -68,16 +68,6 @@ class RateFit:
             allow_nan=False,
         )
 
-    @staticmethod
-    def from_json(text: str) -> "RateFit":
-        data = json.loads(text)
-        return RateFit(
-            eps=tuple(data["eps"]),
-            errors=tuple(data["errors"]),
-            gamma_hat=data["gamma_hat"],
-            r_squared=data["r_squared"],
-        )
-
 
 def _lattice(solutions):
     """TIME_SAMPLES times on [0, T] and SPACE_SAMPLES points spanning every
@@ -171,7 +161,7 @@ def mass_residual(sol, vconf: ValidatedConfig, coefficient: float) -> np.ndarray
     for k in range(n):
         x, u = sol.snapshot_nodes(k)
         masses[k] = np.trapezoid(u, x)
-        f = eval_reaction(vconf.reaction, float(ts[k]), x, u)
+        f = eval_reaction(vconf.reaction, u)
         f_integrals[k] = np.trapezoid(np.broadcast_to(f, u.shape), x)
     cum_f = np.concatenate(
         [[0.0], np.cumsum(0.5 * (f_integrals[1:] + f_integrals[:-1]) * np.diff(ts))]

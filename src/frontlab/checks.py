@@ -101,7 +101,7 @@ def criterion_3():
     ok = True
     for mu in (1.0, 2.5):
         for variant in variants:
-            h_dot = nonlocal_solver.boundary_flux(state, EPAN, eps, mu, variant, "right")
+            h_dot = nonlocal_solver.boundary_flux(state, EPAN, eps, mu, variant)[1]
             expected = mu * variant.coefficient(EPAN, eps) / kernels.c_zero(EPAN)
             ok &= abs(h_dot - expected) / expected <= 1e-6
     return ok, "constant-profile flux matches the tail-mass identity"

@@ -54,12 +54,12 @@ A step touches only the nodes strictly inside (g, h).  Each state finds that
 window once, when it is built (``EulerianState.window``), and both front
 speeds, the rate and the reconstruction read it there; the stencil, its
 scale and the flux weights are computed once per solve.  A step calls
-``boundary_flux`` and ``apply_nonlocal_operator`` by name, and the operator's
-output on the stored nodes becomes the new state.  The flux weights are
-nonnegative, so the fronts never retreat, and f(t, x, 0) = 0, so every node
-outside the interval keeps its exact zero.  The first state holds v0 on the
-nodes inside (-h0, h0), and each new state pads zeros at the nodes its fronts
-newly cover.  Every position is indexed by its global node j = x / dx, never
+``boundary_flux`` (once, for both fronts) and ``apply_nonlocal_operator`` by
+name, and the operator's output on the stored nodes becomes the new state.
+The flux weights are nonnegative, so the fronts never retreat, and f(0) = 0,
+so every node outside the interval keeps its exact zero.  The first state
+holds v0 on the nodes inside (-h0, h0), and each new state pads zeros at the
+nodes its fronts newly cover.  Every position is indexed by its global node j = x / dx, never
 relative to the first stored node, so a hand-built state that also stores
 zeros beyond its fronts steps to the same values.
 """
@@ -403,18 +403,18 @@ def boundary_flux(
     eps: float,
     mu: float,
     variant: NonlocalVariant,
-    side: str,
-) -> float:
-    """Signed boundary speed from the near-boundary flux window.
+) -> tuple[float, float]:
+    """Signed boundary speeds (g', h'), g' <= 0 <= h', from the near-boundary
+    flux windows.
 
-    side='right' returns h' >= 0, side='left' returns g' <= 0.  The sum over
-    the samples is the two-slice sum of :func:`_flux_sum`, with the partial
-    cell below the front pinned to (front, 0) as :func:`interp_pinned` pins
-    it.  The left side reads the reflected state, values[::-1] with mirrored
-    indices, through the right-side code path (J is even), so the left speed
-    is exactly minus the right speed of the mirrored state, and symmetric
-    runs stay exactly symmetric.  The samples are spaced by dx, which equals
-    eps / n_sub to within ``_n_sub``'s 1e-9 tolerance.
+    Each sum over the samples is the two-slice sum of :func:`_flux_sum`, with
+    the partial cell below the front pinned to (front, 0) as
+    :func:`interp_pinned` pins it.  The left sum reads the reflected state,
+    values[::-1] with mirrored indices, through the same code (J is even), so
+    g' is exactly minus h' of the mirrored state, and symmetric runs stay
+    exactly symmetric.  The samples are spaced by dx, which equals
+    eps / n_sub to within ``_n_sub``'s 1e-9 tolerance; both fronts share one
+    n_sub, one lookup of the flux constants and one window check.
     """
     n_sub = _n_sub(state.dx, eps, state.t)
     offset, coeff, reversed_weights = _flux_constants(kernel, eps, variant, n_sub)
@@ -424,19 +424,12 @@ def boundary_flux(
             state.t,
         )
     lo, hi = state.window
-    values, dx = state.values, state.dx
-    if side == "right":
-        top = state.j_min + hi - 1
-        total = _flux_sum(values, state.j_min, dx, state.h, top, state.h - offset,
-                          reversed_weights)
-        return mu * coeff * total
-    if side == "left":
-        j_min = -(state.j_min + values.size - 1)
-        top = -(state.j_min + lo)
-        total = _flux_sum(values[::-1], j_min, dx, -state.g, top, -state.g - offset,
-                          reversed_weights)
-        return -mu * coeff * total
-    raise ValueError("side must be 'left' or 'right'")
+    values, dx, j_min = state.values, state.dx, state.j_min
+    right = _flux_sum(values, j_min, dx, state.h, j_min + hi - 1, state.h - offset,
+                      reversed_weights)
+    left = _flux_sum(values[::-1], -(j_min + values.size - 1), dx, -state.g, -(j_min + lo),
+                     -state.g - offset, reversed_weights)
+    return -mu * coeff * left, mu * coeff * right
 
 
 def step(
@@ -463,8 +456,7 @@ def step(
         raise CflViolation(f"dt*d*c_star/eps^2 = {lam:.3f} > 1; reduce dt", state.t)
     check_reaction_step(dt, vconf.L0, state.t)
 
-    h_dot = boundary_flux(state, kernel, eps, vconf.mu, variant, "right")
-    g_dot = boundary_flux(state, kernel, eps, vconf.mu, variant, "left")
+    g_dot, h_dot = boundary_flux(state, kernel, eps, vconf.mu, variant)
     if not (dt * h_dot <= state.dx and -dt * g_dot <= state.dx):
         raise CflViolation(
             f"front move h' dt = {dt * h_dot:.3g}, -g' dt = {-dt * g_dot:.3g} in one step "
@@ -478,7 +470,7 @@ def step(
     lo, hi = state.window
     u = state.values[lo:hi]
     window_values = new_values[lo:hi]  # L u here, u + dt (L u + f(u)) below
-    window_values += eval_reaction(vconf.reaction, state.t, None, u)
+    window_values += eval_reaction(vconf.reaction, u)
     window_values *= dt
     window_values += u
     clamp_nonnegative(window_values, state.t + dt)

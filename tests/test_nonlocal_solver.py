@@ -318,6 +318,21 @@ def test_step_finds_the_window_once(stefan_vconf, monkeypatch):
     assert calls == [(new.g, new.h, new.dx)]
 
 
+def test_step_takes_n_sub_once_per_layer(stefan_vconf, monkeypatch):
+    # One _n_sub for both fronts' flux and one for the operator.
+    state = NL.initial_state(stefan_vconf, 0.1 / 16)
+    calls = []
+    original = NL._n_sub
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(NL, "_n_sub", counting)
+    NL.step(state, 1e-4, stefan_vconf, EPAN, 0.1, MOD)
+    assert calls == [(state.dx, 0.1, state.t)] * 2
+
+
 @pytest.mark.parametrize("front", [-1e300, -np.inf, np.inf, np.nan, -(2.0**52) * 0.01],
                          ids=["-1e300", "-inf", "inf", "nan", "-2^52dx"])
 @pytest.mark.parametrize("side", ["g", "h"])
@@ -404,10 +419,10 @@ def test_flux_constant_profile_fubini_oracle():
     st_const = make_state(lambda x: np.ones_like(x), eps=eps, half_width=2.0)
     st_const = NL.EulerianState(0.0, -2.0, 2.0, st_const.dx, st_const.j_min,
                                 np.ones_like(st_const.values))
-    h_dot = NL.boundary_flux(st_const, EPAN, eps, 1.0, MOD, "right")
+    h_dot = NL.boundary_flux(st_const, EPAN, eps, 1.0, MOD)[1]
     assert h_dot == pytest.approx(eps**-0.5, rel=1e-6)
     unmod = NL.NonlocalVariant("unmodified", c1=K.c_star(EPAN))
-    h_dot2 = NL.boundary_flux(st_const, EPAN, eps, 1.0, unmod, "right")
+    h_dot2 = NL.boundary_flux(st_const, EPAN, eps, 1.0, unmod)[1]
     assert h_dot2 == pytest.approx(K.c_star(EPAN) / (K.c_zero(EPAN) * eps), rel=1e-6)
 
 
@@ -419,15 +434,14 @@ def test_flux_general_beta_offset():
     state = NL.EulerianState(0.0, -2.0, 2.0, dx, -jm, np.ones(2 * jm + 1))
     for beta in (0.3, 0.7):
         variant = NL.NonlocalVariant("modified", beta=beta)
-        h_dot = NL.boundary_flux(state, EPAN, eps, 1.0, variant, "right")
+        h_dot = NL.boundary_flux(state, EPAN, eps, 1.0, variant)[1]
         assert h_dot == pytest.approx(eps**-beta, rel=1e-6)
 
 
 def test_flux_scaled_by_mu_and_signed():
     eps = 0.05
     st_const = make_state(lambda x: np.ones_like(x), eps=eps)
-    right = NL.boundary_flux(st_const, EPAN, eps, 2.0, MOD, "right")
-    left = NL.boundary_flux(st_const, EPAN, eps, 2.0, MOD, "left")
+    left, right = NL.boundary_flux(st_const, EPAN, eps, 2.0, MOD)
     assert right > 0.0
     assert left == -right  # symmetric state: exact mirror
 
@@ -435,8 +449,7 @@ def test_flux_scaled_by_mu_and_signed():
 def test_flux_empty_window_is_zero():
     eps = 0.1
     st_bump = make_state(lambda x: np.maximum(0.0, 0.25 - x * x), eps=eps)
-    assert NL.boundary_flux(st_bump, EPAN, eps, 1.0, MOD, "right") == 0.0
-    assert NL.boundary_flux(st_bump, EPAN, eps, 1.0, MOD, "left") == 0.0
+    assert NL.boundary_flux(st_bump, EPAN, eps, 1.0, MOD) == (0.0, 0.0)
 
 
 def test_flux_domain_too_small():
@@ -446,7 +459,7 @@ def test_flux_domain_too_small():
     u = np.zeros(2 * jm + 1)
     tight = NL.EulerianState(0.0, -0.4, 0.4, dx, -jm, u)
     with pytest.raises(DomainTooSmall):
-        NL.boundary_flux(tight, EPAN, eps, 1.0, MOD, "right")
+        NL.boundary_flux(tight, EPAN, eps, 1.0, MOD)
 
 
 def test_flux_weights_sum_to_first_moment():
@@ -456,17 +469,16 @@ def test_flux_weights_sum_to_first_moment():
         assert np.sum(om) == pytest.approx(K.moment(EPAN, 1), abs=1e-13)
 
 
-def boundary_flux_full_window(state, kernel, eps, mu, variant, side):
+def boundary_flux_full_window(state, kernel, eps, mu, variant):
     """The flux law read through interp_pinned over the whole active window,
-    at the samples front - offset - eps i/n_sub."""
+    at the samples front - offset - eps i/n_sub: (g', h')."""
     n_sub = round(eps / state.dx)
     omega = NL.flux_weights(kernel, n_sub)
     offset, coeff = variant.offset(eps), variant.coefficient(kernel, eps)
     eps_w = eps * (np.arange(n_sub + 1) / n_sub)
-    if side == "right":
-        return mu * coeff * float(np.dot(omega, NL.interp_pinned(state, state.h - offset - eps_w)))
-    ys = -state.g - offset - eps_w
-    return -mu * coeff * float(np.dot(omega, NL.interp_pinned(mirrored(state), ys)))
+    right = float(np.dot(omega, NL.interp_pinned(state, state.h - offset - eps_w)))
+    left = float(np.dot(omega, NL.interp_pinned(mirrored(state), -state.g - offset - eps_w)))
+    return -mu * coeff * left, mu * coeff * right
 
 
 def mirrored(state):
@@ -519,9 +531,8 @@ def test_boundary_flux_matches_full_window_oracle(data, eps, n_sub, variant):
     mu = 1.3
     omega = NL.flux_weights(EPAN, n_sub)
     scale = mu * variant.coefficient(EPAN, eps) * float(np.sum(omega)) * np.max(state.values)
-    for side in ("right", "left"):
-        speed = NL.boundary_flux(state, EPAN, eps, mu, variant, side)
-        expected = boundary_flux_full_window(state, EPAN, eps, mu, variant, side)
+    for speed, expected in zip(NL.boundary_flux(state, EPAN, eps, mu, variant),
+                               boundary_flux_full_window(state, EPAN, eps, mu, variant)):
         assert abs(speed - expected) <= 1e-14 * scale
 
 
@@ -533,12 +544,13 @@ def test_boundary_flux_matches_full_window_oracle(data, eps, n_sub, variant):
     variant=st.sampled_from(FLUX_VARIANTS),
 )
 def test_boundary_flux_left_is_mirrored_right_bitwise(data, eps, n_sub, variant):
-    # The left side reads the mirrored state through the right side's code.
+    # The left sum reads the mirrored state through the right sum's code, so
+    # g' of a state is -h' of its mirror.
     state = data.draw(flux_states(eps, n_sub, variant))
     flipped = mirrored(state)
     for a, b in [(state, flipped), (flipped, state)]:
-        left = NL.boundary_flux(a, EPAN, eps, 1.3, variant, "left")
-        right = NL.boundary_flux(b, EPAN, eps, 1.3, variant, "right")
+        left = NL.boundary_flux(a, EPAN, eps, 1.3, variant)[0]
+        right = NL.boundary_flux(b, EPAN, eps, 1.3, variant)[1]
         assert np.float64(left).tobytes() == np.float64(-right).tobytes()
 
 
@@ -557,15 +569,14 @@ def test_boundary_flux_unmodified_front_on_a_node(ends, stored):
     state = NL.EulerianState(0.0, g, h, dx, j_lo - 1, vals) if stored else (
         NL.EulerianState(0.0, g, h, dx, j_lo, vals[1:-1]))
     scale = K.c_star(EPAN) / eps * float(np.sum(NL.flux_weights(EPAN, 16))) * 1.5
-    for side in ("right", "left"):
-        speed = NL.boundary_flux(state, EPAN, eps, 1.0, variant, side)
-        expected = boundary_flux_full_window(state, EPAN, eps, 1.0, variant, side)
+    for speed, expected in zip(NL.boundary_flux(state, EPAN, eps, 1.0, variant),
+                               boundary_flux_full_window(state, EPAN, eps, 1.0, variant)):
         assert abs(speed - expected) <= 1e-14 * scale
     # Sample 0 carries the front node's value with its weight omega_0.
     omega0 = NL.flux_weights(EPAN, 16)[0] * K.c_star(EPAN) / eps
     unstored = NL.EulerianState(0.0, g, h, dx, j_lo, vals[1:-1])
-    gap = (NL.boundary_flux(state, EPAN, eps, 1.0, variant, "right")
-           - NL.boundary_flux(unstored, EPAN, eps, 1.0, variant, "right"))
+    gap = (NL.boundary_flux(state, EPAN, eps, 1.0, variant)[1]
+           - NL.boundary_flux(unstored, EPAN, eps, 1.0, variant)[1])
     assert gap == pytest.approx(omega0 * vals[-1] if stored else 0.0, abs=1e-12)
 
 
@@ -587,9 +598,8 @@ def test_boundary_flux_linear_profile_is_analytic(beta, fracs):
     offset, coeff = variant.offset(eps), variant.coefficient(EPAN, eps)
     right = mu * coeff * ((a + b * (h - offset)) * m1 - b * eps * m2 / 2.0)
     left = -mu * coeff * ((a + b * (g + offset)) * m1 + b * eps * m2 / 2.0)
-    for side, want in (("right", right), ("left", left)):
-        assert NL.boundary_flux(state, EPAN, eps, mu, variant, side) == pytest.approx(want,
-                                                                                     rel=1e-14)
+    assert NL.boundary_flux(state, EPAN, eps, mu, variant) == pytest.approx((left, right),
+                                                                           rel=1e-14)
 
 
 # -- step ---------------------------------------------------------------------
@@ -688,20 +698,20 @@ def fronts_state(g, h, dx, jm=400):
                          ids=["modified", "unmodified"])
 @pytest.mark.parametrize("fronts", FRONTS, ids=FRONT_IDS)
 def test_step_front_speeds_are_boundary_flux_calls(stefan_vconf, monkeypatch, variant, fronts):
-    # Each step looks boundary_flux up by name once per side and
-    # apply_nonlocal_operator once, with no argument beyond the public ones (a
-    # wrapper that replaces either sees every call), and the speeds it gets
-    # are those of a plain call, byte for byte.
+    # Each step looks boundary_flux and apply_nonlocal_operator up by name
+    # once each, with no argument beyond the public ones (a wrapper that
+    # replaces either sees every call), and the fronts move by exactly the
+    # speeds of a plain call, byte for byte.
     eps, dx, dt = 0.1, 0.1 / 16, 1e-4
     state = fronts_state(*fronts, dx)
     original = NL.boundary_flux
     original_operator = NL.apply_nonlocal_operator
     calls, operator_calls = [], []
 
-    def counting(state, kernel, eps, mu, variant, side, *args):
-        speed = original(state, kernel, eps, mu, variant, side, *args)
-        calls.append((state, side, speed))
-        return speed
+    def counting(state, kernel, eps, mu, variant, *args):
+        speeds = original(state, kernel, eps, mu, variant, *args)
+        calls.append((state, args, speeds))
+        return speeds
 
     def counting_operator(state, kernel, eps, d, *args):
         operator_calls.append((state, args))
@@ -714,16 +724,14 @@ def test_step_front_speeds_are_boundary_flux_calls(stefan_vconf, monkeypatch, va
         operator_calls.clear()
         new = NL.step(state, dt, stefan_vconf, EPAN, eps, variant)
         assert operator_calls == [(state, ())]
-        assert sorted(side for _, side, _ in calls) == ["left", "right"]
-        speeds = {}
-        for seen, side, speed in calls:
-            assert seen is state
-            plain = original(state, EPAN, eps, stefan_vconf.mu, variant, side)
-            assert np.float64(speed).tobytes() == np.float64(plain).tobytes()
-            speeds[side] = speed
-        assert speeds["right"] > 0.0 > speeds["left"]
-        assert new.h == state.h + dt * speeds["right"]
-        assert new.g == state.g + dt * speeds["left"]
+        assert len(calls) == 1
+        seen, args, (g_dot, h_dot) = calls[0]
+        assert seen is state and args == ()
+        plain = original(state, EPAN, eps, stefan_vconf.mu, variant)
+        assert np.array([g_dot, h_dot]).tobytes() == np.array(plain).tobytes()
+        assert h_dot > 0.0 > g_dot
+        assert new.h == state.h + dt * h_dot
+        assert new.g == state.g + dt * g_dot
         state = new
 
 
@@ -736,9 +744,8 @@ def test_step_values_are_the_euler_update(fronts):
     state = fronts_state(*fronts, dx)
     lo, hi = state.window
     u = state.values[lo:hi]
-    x = state.grid()[lo:hi]
     rate = NL.apply_nonlocal_operator(state, EPAN, eps, vconf.d)[lo:hi]
-    expected = u + dt * (rate + P.eval_reaction(vconf.reaction, state.t, x, u))
+    expected = u + dt * (rate + P.eval_reaction(vconf.reaction, u))
     new = NL.step(state, dt, vconf, EPAN, eps, MOD)
     assert new.j_min == state.j_min and new.values.size == state.values.size
     assert new.values[lo:hi].tobytes() == expected.tobytes()

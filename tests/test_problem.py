@@ -43,6 +43,15 @@ def test_validate_nan_height_rejected():
     assert "(1.2a): v0 has vanishing one-sided slope at +-h0" in vc.violations
 
 
+@pytest.mark.parametrize("height", [np.inf, 1e308])
+def test_validate_infinite_front_speed_is_one_profile_violation(height):
+    # The front speed mu |v0'(+-h0)| = 2 V overflows.  Only the profile is at
+    # fault: the zero reaction's K and L0 are not computed from sup v0 = inf.
+    vc = P.validate(P.ProblemConfig(initial=P.InitialDataSpec(family="quadratic_bump",
+                                                              V=height)))
+    assert vc.violations == ("(1.2a): v0 or its front speed mu |v0'(+-h0)| is not finite",)
+
+
 def test_validate_nonzero_constant_term_rejected():
     cfg = P.ProblemConfig(
         reaction=P.ReactionSpec(family="custom_polynomial", coefficients=(1e-3, 1.0, -1.0))
@@ -81,36 +90,36 @@ def test_validate_mismatched_h0_rejected():
 
 def test_eval_reaction_values():
     fk = P.ReactionSpec(family="fisher_kpp", a=1.0, b=1.0)
-    assert P.eval_reaction(fk, 0.0, 0.0, 0.5) == pytest.approx(0.25)
-    assert P.eval_reaction(fk, 0.0, 0.0, 2.0) == pytest.approx(-2.0)
-    assert P.eval_reaction(P.ReactionSpec(family="zero"), 0.0, 0.0, 7.0) == 0.0
+    assert P.eval_reaction(fk, 0.5) == pytest.approx(0.25)
+    assert P.eval_reaction(fk, 2.0) == pytest.approx(-2.0)
+    assert P.eval_reaction(P.ReactionSpec(family="zero"), 7.0) == 0.0
 
 
 def test_eval_reaction_polynomial_matches_horner_oracle():
     spec = P.ReactionSpec(family="custom_polynomial", coefficients=(0.0, 2.0, -3.0, 0.5))
     u = 1.7
     expected = 2.0 * u - 3.0 * u**2 + 0.5 * u**3
-    assert P.eval_reaction(spec, 0.0, 0.0, u) == pytest.approx(expected, rel=1e-15)
+    assert P.eval_reaction(spec, u) == pytest.approx(expected, rel=1e-15)
 
 
 def test_eval_reaction_negative_density():
     with pytest.raises(NegativeDensity):
-        P.eval_reaction(P.ReactionSpec(family="zero"), 0.0, 0.0, -1e-3)
+        P.eval_reaction(P.ReactionSpec(family="zero"), -1e-3)
     fisher = P.ReactionSpec(family="fisher_kpp")
     with pytest.raises(NegativeDensity):
-        P.eval_reaction(fisher, 0.0, np.zeros(5), np.array([0.5, 0.2, -1e-300, 0.0, 1.0]))
+        P.eval_reaction(fisher, np.array([0.5, 0.2, -1e-300, 0.0, 1.0]))
     # Not negative: -0.0, NaN (reported by the solvers' positivity guard) and
     # empty input.
-    assert P.eval_reaction(fisher, 0.0, 0.0, -0.0) == 0.0
-    assert np.isnan(P.eval_reaction(fisher, 0.0, 0.0, np.nan))
-    assert P.eval_reaction(fisher, 0.0, np.zeros(0), np.zeros(0)).size == 0
+    assert P.eval_reaction(fisher, -0.0) == 0.0
+    assert np.isnan(P.eval_reaction(fisher, np.nan))
+    assert P.eval_reaction(fisher, np.zeros(0)).size == 0
 
 
 def test_zero_reaction_is_the_scalar_zero_after_the_guard():
     # Callers add it in place, which gives the bytes an array of zeros gives.
     zero = P.ReactionSpec(family="zero")
     u = np.array([0.0, -0.0, 5e-324, 0.5, 3.0])
-    f = P.eval_reaction(zero, 0.0, None, u)
+    f = P.eval_reaction(zero, u)
     assert type(f) is float and f == 0.0 and np.copysign(1.0, f) == 1.0
     for base in (u, -u):
         added, reference = base.copy(), base.copy()
@@ -118,7 +127,7 @@ def test_zero_reaction_is_the_scalar_zero_after_the_guard():
         reference += np.zeros_like(base)
         assert added.tobytes() == reference.tobytes()
     with pytest.raises(NegativeDensity):
-        P.eval_reaction(zero, 0.0, None, np.array([0.5, -5e-324]))
+        P.eval_reaction(zero, np.array([0.5, -5e-324]))
 
 
 def test_initial_dip_below_zero_is_negative_density():
@@ -161,14 +170,14 @@ def test_eval_reaction_zero_at_zero_exactly():
         P.ReactionSpec(family="fisher_kpp", a=2.0, b=3.0),
         P.ReactionSpec(family="custom_polynomial", coefficients=(0.0, 1.0, -2.0)),
     ):
-        assert P.eval_reaction(spec, 0.0, 0.0, 0.0) == 0.0
+        assert P.eval_reaction(spec, 0.0) == 0.0
 
 
 @settings(max_examples=30, deadline=None)
 @given(u=st.floats(1.0 + 1e-6, 50.0))
 def test_fisher_nonpositive_above_K(u):
     fk = P.ReactionSpec(family="fisher_kpp", a=1.0, b=1.0)
-    assert P.eval_reaction(fk, 0.0, 0.0, u) <= 0.0
+    assert P.eval_reaction(fk, u) <= 0.0
 
 
 def _custom(*coefficients):
@@ -186,8 +195,8 @@ def test_fisher_equals_its_custom_polynomial(a, b, u):
     assert (vf.K, vf.L0) == (vc.K, vc.L0)
     assert vf.K == pytest.approx(a / b, rel=4 * np.finfo(float).eps)
     us = np.array([0.0, u, a / b, 2.0 * u])
-    f = P.eval_reaction(fisher, 0.0, 0.0, us)
-    assert np.array_equal(f, P.eval_reaction(custom, 0.0, 0.0, us))
+    f = P.eval_reaction(fisher, us)
+    assert np.array_equal(f, P.eval_reaction(custom, us))
     assert np.array_equal(f, us * (a - b * us))
 
 
@@ -220,7 +229,7 @@ def test_exact_K_and_L0_bound_the_polynomial(coeffs):
         rounding = 2 * len(coeffs) * np.polynomial.polynomial.polyval(
             above, fin.eps * np.abs(coeffs) + fin.smallest_subnormal
         )
-        assert np.all(P.eval_reaction(vconf.reaction, 0.0, 0.0, above) <= rounding)
+        assert np.all(P.eval_reaction(vconf.reaction, above) <= rounding)
     u_cap = 1.1 * max(vconf.K, vconf.sup_v0) + 1.0
     u = np.linspace(0.0, u_cap, 4001)
     df = np.polynomial.polynomial.polyder(coeffs)
