@@ -3,7 +3,7 @@
 
     python3 scripts/byte_identity.py --parent PARENT_TREE --change CHANGE_TREE
 
-Runs the six commands of ``RECIPE`` in each tree with
+Runs the eight commands of ``RECIPE`` in each tree with
 ``PYTHONPATH=<tree>/src python -m frontlab``, from the tree itself (so the
 configs are its own), writing each command's output directory and its
 captured stdout and exit status under a temporary work directory.  It then
@@ -32,6 +32,8 @@ NUMBER = re.compile(
 EPS = ["--eps", "0.2", "--eps", "0.1", "--eps", "0.05"]
 
 # name -> frontlab arguments; the ones that write files get --out <work>/<side>/out/<name>.
+# The last two fail on purpose, so the shared failure path (error.json and
+# the exit status) is compared too.
 RECIPE = {
     "converge-stefan": ["converge", "--config", "configs/stefan.cfg", *EPS,
                         "--nx", "512", "--dt", "5e-4"],
@@ -45,7 +47,19 @@ RECIPE = {
     "solve-local-fisher-i2": ["solve", "--config", "configs/fisher.cfg", "--solver", "local",
                               "--preset", "i2", "--nx", "333"],
     "verify-all": ["verify", "all"],
+    # exit 2, bad_manifest: the unmodified law needs --c1
+    "solve-unmodified-no-c1": ["solve", "--config", "configs/stefan.cfg", "--solver", "nonlocal",
+                               "--variant", "unmodified"],
+    # exit 3, resolution_too_coarse at t = 0: eps/dx = 4 < 8, before any solve
+    "converge-coarse-dx": ["converge", "--config", "configs/stefan.cfg", *EPS,
+                           "--dx-ratio", "4"],
 }
+
+
+def frontlab_args(name: str, out_root: Path) -> list[str]:
+    """RECIPE[name], with --out out_root/<name> for a command that writes files."""
+    args = RECIPE[name]
+    return args if args[0] == "verify" else [*args, "--out", str(out_root / name)]
 
 
 def run_recipe(tree: Path, work: Path) -> None:
@@ -53,9 +67,8 @@ def run_recipe(tree: Path, work: Path) -> None:
     stdout plus the exit status to work/stdout/<name>.txt."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     (work / "stdout").mkdir(parents=True, exist_ok=True)
-    for name, args in RECIPE.items():
-        if args[0] != "verify":
-            args = [*args, "--out", str(work / "out" / name)]
+    for name in RECIPE:
+        args = frontlab_args(name, work / "out")
         print(f"{tree}: frontlab {' '.join(args)}", file=sys.stderr, flush=True)
         done = subprocess.run([sys.executable, "-m", "frontlab", *args], cwd=tree, env=env,
                               stdout=subprocess.PIPE)

@@ -82,7 +82,7 @@ def _nonlocal_meta(sol, kernel: kernels.KernelSpec) -> dict:
         "eps": sol.eps,
         "variant": variant.kind,
         "beta": variant.beta if variant.kind == "modified" else None,
-        "c1": variant.c1,
+        "c1": variant.c1 if variant.kind == "unmodified" else None,
         "dx": sol.dx,
         "dt": sol.dt,
         "kernel": kernel.family,

@@ -385,7 +385,7 @@ def initial_state(vconf: ValidatedConfig, n_cells: int) -> FixedDomainState:
     xi = np.arange(n_cells + 1) / n_cells
     h0 = vconf.h0
     x = xi[::-1] * (-h0) + xi * h0
-    values = np.asarray(eval_initial(vconf.initial, x), dtype=float)
+    values = eval_initial(vconf.initial, h0, x)
     values[0] = 0.0
     values[-1] = 0.0
     return FixedDomainState(t=0.0, g=-h0, h=h0, values=values)

@@ -501,7 +501,7 @@ def initial_state(vconf: ValidatedConfig, dx: float) -> EulerianState:
     """v0 on the nodes strictly inside (-h0, h0)."""
     h0 = vconf.h0
     j_lo, j_hi = _window(-h0, h0, dx)
-    values = np.asarray(eval_initial(vconf.initial, np.arange(j_lo, j_hi + 1) * dx), dtype=float)
+    values = eval_initial(vconf.initial, h0, np.arange(j_lo, j_hi + 1) * dx)
     return EulerianState(t=0.0, g=-h0, h=h0, dx=dx, j_min=j_lo, values=values)
 
 

@@ -43,11 +43,12 @@ class ReactionSpec:
 
 @dataclass(frozen=True, eq=False)
 class InitialDataSpec:
-    """Initial profile v0 on [-h0, h0], extended by zero outside."""
+    """Initial profile v0 on [-h0, h0], extended by zero outside.  h0 is
+    ``ProblemConfig.h0``, so one number sets v0's support and the initial
+    domain (-h0, h0)."""
 
     family: str = "quadratic_bump"
     V: float = 1.0
-    h0: float = 1.0
     table: np.ndarray | None = None
 
     def __post_init__(self):
@@ -131,13 +132,11 @@ def eval_reaction(spec: ReactionSpec, u):
     return out
 
 
-def eval_initial(spec: InitialDataSpec, x):
+def eval_initial(spec: InitialDataSpec, h0: float, x):
     """v0(x), zero outside [-h0, h0]."""
     x = np.asarray(x, dtype=float)
-    h0 = spec.h0
     xa = np.abs(x)  # built-ins are even; evaluating |x| makes that exact
     inside = xa < h0
-    out = np.zeros_like(x)
     if spec.family == "quadratic_bump":
         out = np.where(inside, spec.V * (1.0 - (xa / h0) ** 2), 0.0)
     elif spec.family == "cosine_bump":
@@ -208,9 +207,8 @@ def _sign_changes(c) -> list[float]:
     return roots
 
 
-def _initial_slopes(spec: InitialDataSpec) -> tuple[float, float]:
+def _initial_slopes(spec: InitialDataSpec, h0: float) -> tuple[float, float]:
     """One-sided |v0'| at -h0 and +h0 (analytic for built-ins)."""
-    h0 = spec.h0
     if spec.family == "quadratic_bump":
         s = 2.0 * abs(spec.V) / h0
         return s, s
@@ -218,8 +216,8 @@ def _initial_slopes(spec: InitialDataSpec) -> tuple[float, float]:
         s = 0.5 * np.pi * abs(spec.V) / h0
         return s, s
     dx = 1e-4 * h0
-    left = abs(eval_initial(spec, -h0 + dx) - eval_initial(spec, -h0)) / dx
-    right = abs(eval_initial(spec, h0) - eval_initial(spec, h0 - dx)) / dx
+    left = abs(eval_initial(spec, h0, -h0 + dx) - eval_initial(spec, h0, -h0)) / dx
+    right = abs(eval_initial(spec, h0, h0) - eval_initial(spec, h0, h0 - dx)) / dx
     return left, right
 
 
@@ -230,8 +228,6 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
         value = getattr(config, name)
         if not (np.isfinite(value) and value > 0.0):
             violations.append(f"(config): {name} must be positive and finite")
-    if abs(config.initial.h0 - config.h0) > 1e-14 * max(1.0, config.h0):
-        violations.append("(config): initial.h0 differs from problem h0")
 
     reaction = config.reaction
     if reaction.family not in REACTION_FAMILIES:
@@ -242,7 +238,7 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
         violations.append("(config): reaction coefficients must be finite")
         return ValidatedConfig(config=config, violations=tuple(violations))
     if coeffs and coeffs[0] != 0.0:
-        violations.append("(f1): f(t,x,0) != 0")
+        violations.append("(f1): f(0) != 0")
 
     initial = config.initial
     if initial.family not in INITIAL_FAMILIES:
@@ -259,11 +255,11 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
 
     if config.h0 > 0.0:
         xs = np.linspace(-config.h0, config.h0, 513)[1:-1]
-        v0 = eval_initial(initial, xs)
+        v0 = eval_initial(initial, config.h0, xs)
         if not np.all(v0 > 0.0):
             violations.append("(1.2a): v0 not positive on (-h0, h0)")
         sup_v0 = float(np.max(v0)) if v0.size else 0.0
-        sl, sr = _initial_slopes(initial)
+        sl, sr = _initial_slopes(initial, config.h0)
         if not (sl > 1e-6 and sr > 1e-6):
             violations.append("(1.2a): v0 has vanishing one-sided slope at +-h0")
         # A mu that is not positive and finite is the (config) rule's to report.
@@ -349,16 +345,13 @@ def load_config(path) -> ProblemConfig:
         raw = entries.pop("reaction.coefficients", "")
         coeffs = tuple(float(c) for c in raw.split(",") if c.strip())
         reaction = ReactionSpec(family=rfam, coefficients=coeffs)
-    else:
-        reaction = ReactionSpec(
-            family=rfam,
-            a=pop_float("reaction.a", 1.0),
-            b=pop_float("reaction.b", 1.0),
-        )
+    elif rfam == "fisher_kpp":
+        reaction = ReactionSpec(rfam, pop_float("reaction.a", 1.0), pop_float("reaction.b", 1.0))
+    else:  # a and b belong to fisher_kpp alone; any other family leaves them unknown keys
+        reaction = ReactionSpec(family=rfam)
     initial = InitialDataSpec(
         family=entries.pop("initial.family", "quadratic_bump"),
         V=pop_float("initial.V", 1.0),
-        h0=h0,
     )
     if entries:
         raise ValueError(f"unknown config keys: {sorted(entries)}")

@@ -214,7 +214,7 @@ def test_symmetry_defect_detects_shift(vconf):
     bump = np.clip((1.0 - x * x) * (1.0 + 0.3 * x), 0.0, None)
     cfg = P.ProblemConfig(
         T=0.1,
-        initial=P.InitialDataSpec(family="custom_table", h0=1.0, table=np.column_stack([x, bump])),
+        initial=P.InitialDataSpec(family="custom_table", table=np.column_stack([x, bump])),
     )
     vc = P.validate(cfg)
     sol = L.solve(vc, n_cells=64, dt=5e-4)

@@ -1,9 +1,15 @@
-"""The comparison of scripts/byte_identity.py on tiny synthetic trees; no solve runs."""
+"""The comparison of scripts/byte_identity.py on tiny synthetic trees, and
+its recipe's command lines; no solve runs."""
 
 import importlib.util
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "byte_identity.py"
+import pytest
+
+from frontlab import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "byte_identity.py"
 spec = importlib.util.spec_from_file_location("byte_identity", SCRIPT)
 byte_identity = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(byte_identity)
@@ -72,3 +78,15 @@ def test_numeric_difference_pairs_fields_in_order():
     assert diff(b"[1.5e+2, NaN]", b"[150.25, NaN]") == 0.25
     assert diff(b'{"information": -Infinity}', b'{"information": -Infinity}') == 0.0
     assert diff(b"1,2", b"1") is None
+
+
+@pytest.mark.parametrize("name", list(byte_identity.RECIPE))
+def test_recipe_commands_parse(name, tmp_path):
+    # argparse exits on a bad command line; each config is the tree's own.
+    args = cli.build_parser().parse_args(byte_identity.frontlab_args(name, tmp_path))
+    assert args.command == byte_identity.RECIPE[name][0]
+    if args.command == "verify":
+        assert args.which == "all"
+    else:
+        assert (ROOT / args.config).is_file()
+        assert args.out == str(tmp_path / name)

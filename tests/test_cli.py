@@ -260,6 +260,24 @@ def test_converge_bad_config_writes_error_json(tmp_path, config_text, code, mess
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
 
+@pytest.mark.parametrize("command", ["solve", "converge"])
+@pytest.mark.parametrize("reaction", ["zero", "custom_polynomial\nreaction.coefficients = 0,1,-1"],
+                         ids=["zero", "custom_polynomial"])
+def test_fisher_kpp_key_in_another_reaction_is_bad_config(tmp_path, command, reaction):
+    # reaction.a belongs to fisher_kpp alone; elsewhere it is not read, so it
+    # is an unknown key rather than a silently dropped one.
+    cfg = tmp_path / "stray.cfg"
+    cfg.write_text(f"d = 1\nmu = 1\nh0 = 1\nT = 0.1\nreaction.family = {reaction}\n"
+                   "reaction.a = 5\n")
+    out = tmp_path / "run"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    assert cli.main(argv + (SWEEP_ARGS if command == "converge" else [])) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["code"] == "bad_config"
+    assert err["message"] == "unknown config keys: ['reaction.a']"
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [
@@ -329,6 +347,18 @@ def test_converge_sweep_outputs_and_monotone_errors(stefan_cfg, tmp_path, capsys
     fit = json.loads((out / "ratefit.json").read_text())
     assert fit["gamma_hat"] > 0.0
     assert "gamma_hat" in capsys.readouterr().out
+
+
+def test_converge_metadata_records_only_the_parameter_its_law_reads(stefan_cfg, tmp_path):
+    # The modified law reads beta, never c1: an API variant that carries a c1
+    # does not put it into metadata.json.
+    variant = nonlocal_solver.NonlocalVariant("modified", beta=0.5, c1=3.0)
+    out = tmp_path / "sweep"
+    assert cli.cmd_converge(str(stefan_cfg), [0.2, 0.1, 0.05], str(out), variant=variant,
+                            reference_nx=64, reference_dt=1e-3, dx_ratio=8) == 0
+    for run_dir in ("eps_0.2", "eps_0.1", "eps_0.05"):
+        meta = json.loads((out / run_dir / "metadata.json").read_text())
+        assert (meta["variant"], meta["beta"], meta["c1"]) == ("modified", 0.5, None)
 
 
 def test_converge_deterministic_bytes(stefan_cfg, tmp_path):

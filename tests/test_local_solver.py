@@ -296,6 +296,36 @@ def test_step_cfl_violation(stefan_short):
         L.step(state, 0.1, stefan_short)
 
 
+COLLAPSE_WIDTH = 1.05e-6  # just above MIN_GAP = 1e-6
+
+
+@pytest.mark.parametrize("speeds, calls", [
+    ((0.9, 0.9), 1),  # the predictor moves each front 0.9 width/32 inward: width 0.991e-6
+    ((0.7, 0.9), 2),  # predictor width 1.004e-6; the corrector's mean 0.8 gives gap1 0.9975e-6
+], ids=["predictor", "corrector"])
+def test_step_collapse_within_a_step_is_degenerate_domain(stefan_short, monkeypatch, speeds,
+                                                          calls):
+    # Each front moves inward at speeds[k] in stage k.  dt = width / 32 keeps
+    # both stages' advection CFL ratios below 1 on 32 cells; the density is
+    # zero, so no positivity check fires first.  The predictor check raises
+    # before the corrector's speeds are asked for, the gap1 check after.
+    assert L.MIN_GAP == 1e-6
+    state = L.FixedDomainState(0.5, -COLLAPSE_WIDTH / 2, COLLAPSE_WIDTH / 2, np.zeros(33))
+    asked = []
+
+    def inward(state, knobs, mu):
+        s = speeds[len(asked)]
+        asked.append(state)
+        return s, -s
+
+    monkeypatch.setattr(L, "boundary_velocities", inward)
+    with pytest.raises(DegenerateDomain) as info:
+        L.step(state, COLLAPSE_WIDTH / 32, stefan_short)
+    assert str(info.value) == "domain collapsed within a step"
+    assert info.value.time_of_failure == 0.5
+    assert len(asked) == calls
+
+
 def nodewise_advection_cfl(g, h, vel, dt, n):
     """dt max |chi| / dxi over all n + 1 nodes, chi = [(1 - xi) g' + xi h'] / (h - g)."""
     xi = np.arange(n + 1) / n

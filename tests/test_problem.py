@@ -16,7 +16,7 @@ from frontlab.errors import NegativeDensity
 def test_validate_fisher_quadratic_ok():
     cfg = P.ProblemConfig(
         reaction=P.ReactionSpec(family="fisher_kpp", a=1.0, b=1.0),
-        initial=P.InitialDataSpec(family="quadratic_bump", V=1.0, h0=1.0),
+        initial=P.InitialDataSpec(family="quadratic_bump", V=1.0),
     )
     vc = P.validate(cfg)
     assert vc.ok
@@ -57,7 +57,7 @@ def test_validate_nonzero_constant_term_rejected():
         reaction=P.ReactionSpec(family="custom_polynomial", coefficients=(1e-3, 1.0, -1.0))
     )
     vc = P.validate(cfg)
-    assert any(v == "(f1): f(t,x,0) != 0" for v in vc.violations)
+    assert any(v == "(f1): f(0) != 0" for v in vc.violations)
 
 
 def test_validate_unbounded_polynomial_rejected():
@@ -82,10 +82,26 @@ def test_validate_non_finite_parameter_rejected(name, value):
     assert any(f"{name} must be positive and finite" in v for v in vc.violations)
 
 
-def test_validate_mismatched_h0_rejected():
-    cfg = P.ProblemConfig(h0=2.0, initial=P.InitialDataSpec(h0=1.0))
-    vc = P.validate(cfg)
-    assert any("initial.h0" in v for v in vc.violations)
+@pytest.mark.parametrize("family, v0", [
+    ("quadratic_bump", lambda x: 1.0 - (x / 2.0) ** 2),
+    ("cosine_bump", lambda x: np.cos(0.25 * np.pi * x)),
+])
+def test_problem_h0_is_the_support_of_v0(family, v0):
+    # One h0 sets the initial domain and v0's support: a bump on (-2, 2).
+    vconf = P.validate(P.ProblemConfig(h0=2.0, initial=P.InitialDataSpec(family=family)))
+    assert vconf.violations == ()
+    local = L.initial_state(vconf, 64)
+    x = np.linspace(-2.0, 2.0, 65)
+    assert (local.g, local.h) == (-2.0, 2.0)
+    assert local.values[0] == local.values[-1] == 0.0
+    assert np.all(local.values[1:-1] > 0.0)
+    np.testing.assert_allclose(local.values, v0(x), rtol=1e-14, atol=1e-15)
+    nonlocal_ = NL.initial_state(vconf, 0.125)
+    x = nonlocal_.grid()
+    assert (nonlocal_.g, nonlocal_.h) == (-2.0, 2.0)
+    assert (x[0], x[-1]) == (-1.875, 1.875)
+    assert np.all(nonlocal_.values > 0.0)
+    np.testing.assert_allclose(nonlocal_.values, v0(x), rtol=1e-14, atol=1e-15)
 
 
 def test_eval_reaction_values():
@@ -313,33 +329,33 @@ def test_validate_non_finite_coefficient_rejected():
 
 
 def test_eval_initial_values():
-    spec = P.InitialDataSpec(family="quadratic_bump", V=1.0, h0=1.0)
-    assert P.eval_initial(spec, 0.0) == pytest.approx(1.0)
-    assert P.eval_initial(spec, 1.0) == 0.0
-    assert P.eval_initial(spec, -1.0) == 0.0
-    assert P.eval_initial(spec, 2.0) == 0.0
+    spec = P.InitialDataSpec(family="quadratic_bump", V=1.0)
+    assert P.eval_initial(spec, 1.0, 0.0) == pytest.approx(1.0)
+    assert P.eval_initial(spec, 1.0, 1.0) == 0.0
+    assert P.eval_initial(spec, 1.0, -1.0) == 0.0
+    assert P.eval_initial(spec, 1.0, 2.0) == 0.0
 
 
 def test_eval_initial_even():
     for fam in ("quadratic_bump", "cosine_bump"):
-        spec = P.InitialDataSpec(family=fam, V=2.0, h0=1.5)
+        spec = P.InitialDataSpec(family=fam, V=2.0)
         x = np.linspace(0.0, 2.0, 257)
-        assert np.array_equal(P.eval_initial(spec, x), P.eval_initial(spec, -x))
+        assert np.array_equal(P.eval_initial(spec, 1.5, x), P.eval_initial(spec, 1.5, -x))
 
 
 def test_initial_slopes_nonzero():
-    spec = P.InitialDataSpec(family="quadratic_bump", V=1.0, h0=2.0)
-    sl, sr = P._initial_slopes(spec)
+    spec = P.InitialDataSpec(family="quadratic_bump", V=1.0)
+    sl, sr = P._initial_slopes(spec, 2.0)
     assert sl == pytest.approx(2.0 * 1.0 / 2.0)
     assert sr == pytest.approx(1.0)
 
 
 def test_custom_table_initial():
     x = np.linspace(-1.0, 1.0, 41)
-    spec = P.InitialDataSpec(family="custom_table", h0=1.0, table=np.column_stack([x, 1 - x**2]))
+    spec = P.InitialDataSpec(family="custom_table", table=np.column_stack([x, 1 - x**2]))
     cfg = P.ProblemConfig(initial=spec)
     assert P.validate(cfg).ok
-    assert P.eval_initial(spec, 0.5) == pytest.approx(0.75, abs=1e-3)
+    assert P.eval_initial(spec, 1.0, 0.5) == pytest.approx(0.75, abs=1e-3)
 
 
 def test_config_round_trip(tmp_path):
@@ -349,7 +365,7 @@ def test_config_round_trip(tmp_path):
         h0=2.0,
         T=0.5,
         reaction=P.ReactionSpec(family="fisher_kpp", a=1.5, b=0.5),
-        initial=P.InitialDataSpec(family="cosine_bump", V=0.8, h0=2.0),
+        initial=P.InitialDataSpec(family="cosine_bump", V=0.8),
     )
     path = tmp_path / "cfg.txt"
     P.save_config(cfg, path)
