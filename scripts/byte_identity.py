@@ -3,7 +3,7 @@
 
     python3 scripts/byte_identity.py --parent PARENT_TREE --change CHANGE_TREE
 
-Runs the eight commands of ``RECIPE`` in each tree with
+Runs the nine commands of ``RECIPE`` in each tree with
 ``PYTHONPATH=<tree>/src python -m frontlab``, from the tree itself (so the
 configs are its own), writing each command's output directory and its
 captured stdout and exit status under a temporary work directory.  It then
@@ -42,6 +42,9 @@ RECIPE = {
                         "--nx", "256", "--dt", "1e-3"],
     "solve-nonlocal-fisher": ["solve", "--config", "configs/fisher.cfg", "--solver", "nonlocal",
                               "--eps", "0.05"],
+    "solve-nonlocal-fisher-quartic": ["solve", "--config", "configs/fisher.cfg",
+                                      "--solver", "nonlocal", "--eps", "0.05",
+                                      "--kernel", "quartic"],
     "solve-local-stefan-i1": ["solve", "--config", "configs/stefan.cfg", "--solver", "local",
                               "--preset", "i1", "--nx", "1000"],
     "solve-local-fisher-i2": ["solve", "--config", "configs/fisher.cfg", "--solver", "local",

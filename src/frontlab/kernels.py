@@ -11,7 +11,8 @@ the scaled solvers:
 The boundary flux weighs the tail mass W(w) = integral_w^1 J(z) dz, which
 is integrate_against(kernel, w, 1.0) and by Fubini has integral 1 / c_zero
 over [0, 1]; the solver's flux weights integrate J against hat
-antiderivatives instead of evaluating W (``nonlocal_solver.flux_weights``).
+antiderivatives instead of evaluating W, all in one integrate_against call
+over the cell boundaries, as are its stencil's hat moments (``nonlocal_solver``).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ _GL_WEIGHTS = np.array([
     0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
     0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
 ])
+_GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
 QUADRATURE_PANELS = 256  # Gauss-Legendre panels per integral in integrate_against
 
 
@@ -139,12 +141,17 @@ def _integrate_table(tab: np.ndarray, a: float, b: float) -> float:
     return float(np.trapezoid(vals, grid))
 
 
-def integrate_against(kernel: KernelSpec, a: float, b: float, phi=None, breakpoints=()) -> float:
+def integrate_against(
+    kernel: KernelSpec, a: float, b: float, phi=None, breakpoints=()
+) -> float | np.ndarray:
     """integral_a^b J(z) phi(z) dz on [0, 1] by panelled Gauss-Legendre.
 
+    ``phi`` maps the 1-D array of quadrature points z to its values there
+    (a float is returned) or to one row of values per function, shape
+    (rows, z.size), and then the result is the array of the rows' integrals.
     Panels are split at the kernel's breakpoints (and any extra ones supplied
     for kinks of phi) so piecewise-polynomial kernels integrate to machine
-    accuracy against piecewise-polynomial phi.
+    accuracy against piecewise-polynomial phi.  An empty [a, b] gives 0.0.
     """
     a = max(a, 0.0)
     b = min(b, 1.0)
@@ -166,16 +173,15 @@ def integrate_against(kernel: KernelSpec, a: float, b: float, phi=None, breakpoi
         f = _profile(kernel, z)
         if phi is not None:
             f = f * phi(z)
-        total += float(np.dot(w, f))
-    return total
+        total = total + np.dot(f, w)
+    return float(total) if np.ndim(total) == 0 else total
 
 
+@lru_cache(maxsize=64)
 def moment(kernel: KernelSpec, k: int) -> float:
-    """Half-line moment integral_0^1 J(z) z^k dz, for k <= 4."""
+    """Half-line moment integral_0^1 J(z) z^k dz, for k <= 4, cached per kernel."""
     if k < 0 or k > 4:
         raise ValueError("moment order must be in 0..4")
-    if k == 0:
-        return integrate_against(kernel, 0.0, 1.0)
     return integrate_against(kernel, 0.0, 1.0, lambda z: z**k)
 
 

@@ -151,19 +151,6 @@ class EulerianState:
 # -- stencils -----------------------------------------------------------------
 
 
-def _hat_moments(kernel: kmod.KernelSpec, nodes: np.ndarray, delta: float) -> np.ndarray:
-    """integral J(z) hat_i(z) dz for hats of half-width delta at the nodes."""
-    out = np.empty(nodes.size)
-    for i, zi in enumerate(nodes):
-        lo, hi = zi - delta, zi + delta
-
-        def hat(z, zi=zi):
-            return np.maximum(0.0, 1.0 - np.abs(z - zi) / delta)
-
-        out[i] = kmod.integrate_against(kernel, lo, hi, hat, breakpoints=(zi,))
-    return out
-
-
 @lru_cache(maxsize=64)
 def operator_stencil(kernel: kmod.KernelSpec, n_sub: int) -> np.ndarray:
     """Nonnegative convolution weights on z = m/n_sub, m = -n_sub..n_sub.
@@ -171,13 +158,18 @@ def operator_stencil(kernel: kmod.KernelSpec, n_sub: int) -> np.ndarray:
     Hat-function moments of J are corrected by a factor 1 + alpha + gamma z^2
     so the stencil's mass is exactly 1 and its second moment exactly matches
     2 * moment(J, 2); the operator is then exact on quadratics while every
-    weight remains nonnegative.
+    weight remains nonnegative.  The n_sub + 1 hat moments on z >= 0 are the
+    rows of one ``integrate_against`` call over the cell boundaries z_i.
     """
     if n_sub < 2:
         raise ValueError("need at least 2 subdivisions of the kernel support")
     delta = 1.0 / n_sub
     z_pos = np.arange(n_sub + 1) * delta
-    half = _hat_moments(kernel, z_pos, delta)
+
+    def hats(z):
+        return np.maximum(0.0, 1.0 - np.abs(z - z_pos[:, None]) / delta)
+
+    half = kmod.integrate_against(kernel, 0.0, 1.0, hats, breakpoints=z_pos)
     weights = np.concatenate([half[:0:-1], half])  # even extension, exact
     z = np.concatenate([-z_pos[:0:-1], z_pos])
     z2 = z * z
@@ -191,6 +183,7 @@ def operator_stencil(kernel: kmod.KernelSpec, n_sub: int) -> np.ndarray:
     corrected = weights * (1.0 + alpha + gamma * z2)
     if np.any(corrected < 0.0):
         raise ValueError("moment correction produced a negative weight")
+    corrected.flags.writeable = False
     return corrected
 
 
@@ -201,27 +194,24 @@ def flux_weights(kernel: kmod.KernelSpec, n_sub: int) -> np.ndarray:
     By Fubini, integrating W against a hat equals integrating J against the
     hat's cumulative integral; the weights therefore sum to the exact first
     kernel moment, which is what makes the constant-profile flux identity
-    come out to rounding error.
+    come out to rounding error.  All n_sub + 1 weights are the rows of one
+    ``integrate_against`` call over the cell boundaries w_i.
     """
     if n_sub < 2:
         raise ValueError("need at least 2 subdivisions of the flux window")
     delta = 1.0 / n_sub
-    out = np.empty(n_sub + 1)
-    for i in range(n_sub + 1):
-        wi = i * delta
-        lo, hi = wi - delta, wi + delta
+    w = np.arange(n_sub + 1) * delta
+    lo = np.maximum(w - delta, 0.0)[:, None]  # each hat's support, clipped to [0, 1]
+    hi = np.minimum(w + delta, 1.0)[:, None]
 
-        def hat_cum(z, wi=wi):
-            # integral_0^z of the hat at wi (support clipped to [0, 1])
-            lo_i = max(wi - delta, 0.0)
-            hi_i = min(wi + delta, 1.0)
-            left = np.clip(np.minimum(z, wi) - lo_i, 0.0, None)
-            rise = 0.5 * left * left / delta  # ascending flank: integrand (w-lo)/delta
-            right = np.clip(np.minimum(z, hi_i) - wi, 0.0, None)
-            fall = right - 0.5 * right * right / delta
-            return rise + fall
+    def hat_antiderivatives(z):
+        # integral_0^z of each hat: its ascending flank (w - lo)/delta, then its descending one
+        left = np.clip(np.minimum(z, w[:, None]) - lo, 0.0, None)
+        right = np.clip(np.minimum(z, hi) - w[:, None], 0.0, None)
+        return 0.5 * left * left / delta + (right - 0.5 * right * right / delta)
 
-        out[i] = kmod.integrate_against(kernel, 0.0, 1.0, hat_cum, breakpoints=(lo, wi, hi))
+    out = kmod.integrate_against(kernel, 0.0, 1.0, hat_antiderivatives, breakpoints=w)
+    out.flags.writeable = False
     return out
 
 

@@ -53,6 +53,21 @@ def test_moments_match_exact_oracle(builtin):
         assert K.moment(builtin, k) == pytest.approx(exact, abs=1e-12)
 
 
+@pytest.mark.parametrize("family", [*POLY, "custom"])
+def test_row_valued_phi_gives_the_per_row_integrals(family):
+    table = np.array([[0.0, 1.0], [0.3, 0.8], [0.55, 0.9], [0.8, 0.2], [1.0, 0.0]])
+    kernel = K.KernelSpec(family, table=table if family == "custom" else None)
+    nodes = np.arange(13) / 12.0
+    funcs = [lambda z, c=c: np.maximum(0.0, 1.0 - 12.0 * np.abs(z - c)) for c in nodes]
+    funcs += [lambda z, k=k: z**k for k in range(5)]
+    for a, b in [(0.0, 1.0), (0.1, 0.7)]:
+        rows = K.integrate_against(kernel, a, b, lambda z: np.vstack([f(z) for f in funcs]),
+                                   breakpoints=nodes)
+        assert rows.shape == (len(funcs),)
+        per_row = [K.integrate_against(kernel, a, b, f, breakpoints=nodes) for f in funcs]
+        assert rows == pytest.approx(per_row, rel=1e-15, abs=0)
+
+
 def test_moment_zero_is_half(builtin):
     assert K.moment(builtin, 0) == pytest.approx(0.5, abs=1e-10)
 

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from frontlab.errors import (
     PositivityLoss,
     ResolutionTooCoarse,
 )
+from test_kernels import POLY, poly_moment
 
 EPAN = K.KernelSpec("epanechnikov")
 MOD = NL.NonlocalVariant("modified", beta=0.5)
@@ -46,6 +48,80 @@ def test_stencil_moments_and_positivity():
         assert np.sum(w) == pytest.approx(1.0, abs=1e-13)
         assert np.dot(w, z * z) == pytest.approx(2.0 * K.moment(EPAN, 2), abs=1e-13)
         assert np.array_equal(w, w[::-1])
+
+
+def epanechnikov_hat_rows(n_sub):
+    """Exact hat moments integral_0^1 J(z) hat_i(z) dz and flux weights
+    integral_0^1 J(z) H_i(z) dz (H_i the antiderivative of hat_i from 0), as
+    integral_0^1 W(w) hat_i(w) dw with W(w) = integral_w^1 J (Fubini), at
+    z_i = w_i = i / n_sub: two lists of Fractions."""
+    c = POLY["epanechnikov"]
+    tail = [sum(Fraction(cj) / (j + 1) for j, cj in enumerate(c))]
+    tail += [-Fraction(cj) / (j + 1) for j, cj in enumerate(c)]  # W's coefficients
+
+    def against_hat(coeffs, i):
+        lo, mid, hi = (Fraction(i + k, n_sub) for k in (-1, 0, 1))
+
+        def m(k, a, b):
+            return poly_moment(coeffs, k, a, b)
+
+        rise = m(1, lo, mid) - lo * m(0, lo, mid) if i > 0 else 0  # hat (z - lo) / delta
+        fall = hi * m(0, mid, hi) - m(1, mid, hi) if i < n_sub else 0  # hat (hi - z) / delta
+        return n_sub * (rise + fall)
+
+    return ([against_hat(c, i) for i in range(n_sub + 1)],
+            [against_hat(tail, i) for i in range(n_sub + 1)])
+
+
+@pytest.mark.parametrize("n_sub", [8, 12])
+def test_stencil_and_flux_weights_match_exact_rationals(n_sub):
+    # Each node against the exact hat moments, moment-corrected in Fractions
+    # as operator_stencil corrects them, and the exact flux weights.
+    half, flux = epanechnikov_hat_rows(n_sub)
+    weights = half[:0:-1] + half
+    z2 = [Fraction(m, n_sub) ** 2 for m in range(-n_sub, n_sub + 1)]
+    s0, s2, s4 = (sum(w * z**k for w, z in zip(weights, z2)) for k in (0, 1, 2))
+    target2 = 2 * poly_moment(POLY["epanechnikov"], 2)
+    det = s0 * s4 - s2 * s2
+    alpha = ((1 - s0) * s4 - (target2 - s2) * s2) / det
+    gamma = ((target2 - s2) * s0 - (1 - s0) * s2) / det
+    exact = [float(w * (1 + alpha + gamma * z)) for w, z in zip(weights, z2)]
+    assert NL.operator_stencil(EPAN, n_sub) == pytest.approx(exact, rel=0, abs=1e-15)
+    exact_flux = [float(f) for f in flux]
+    assert NL.flux_weights(EPAN, n_sub) == pytest.approx(exact_flux, rel=0, abs=1e-15)
+
+
+def test_cached_kernel_arrays_are_read_only():
+    # The cached arrays are shared by every later solve, so an in-place edit
+    # must fail instead of changing them.
+    for array in (NL.operator_stencil(EPAN, 16), NL.flux_weights(EPAN, 16),
+                  K._GL_NODES, K._GL_WEIGHTS):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_cold_stencil_and_flux_weights_make_one_quadrature_call_each(monkeypatch):
+    kernel = K.KernelSpec("quartic")  # a new object: every per-kernel cache is cold
+    calls = []
+    original = K.integrate_against
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(K, "integrate_against", counting)
+
+    def count(build):
+        calls.clear()
+        build()
+        return len(calls)
+
+    # The first stencil also computes the kernel's cached second moment, which c_star reuses.
+    assert count(lambda: NL.operator_stencil(kernel, 16)) == 2
+    assert count(lambda: K.c_star(kernel)) == 0
+    assert count(lambda: NL.operator_stencil(kernel, 12)) == 1
+    assert count(lambda: NL.flux_weights(kernel, 16)) == 1
+    assert count(lambda: NL.flux_weights(kernel, 12)) == 1
 
 
 def test_operator_constant_profile_vanishes():
