@@ -19,7 +19,7 @@ change won, a verdict (gain, regression, unresolved or no regression) and
 the failed and attempted operations.  Metric names, their better direction
 and their bounds come from ``BENCHMARK.json``; a solve's wall time and peak
 RSS take the bounds of the workload metrics of the same names.  Standard
-library only.
+library only: the host facts read numpy's LAPACK in a child process.
 """
 
 import argparse
@@ -195,6 +195,22 @@ def run_tier1(tree: Path) -> dict:
     }
 
 
+# Prints the name and version of the LAPACK numpy was built against, which
+# the local solver calls.
+LAPACK_PROBE = ("import numpy; lapack = numpy.__config__.CONFIG['Build Dependencies']['lapack']; "
+                "print(lapack['name'], lapack['version'])")
+
+
+def numpy_lapack() -> str | None:
+    """numpy's LAPACK as "name version", read in a child process so that this
+    script imports no numpy; None when the child fails."""
+    proc = subprocess.run([sys.executable, "-c", LAPACK_PROBE], capture_output=True, text=True,
+                          check=False)
+    if proc.returncode != 0:
+        return None
+    return proc.stdout.strip() or None
+
+
 def host_facts() -> dict:
     facts = {"cores": os.cpu_count(), "machine": platform.machine(),
              "python": platform.python_version()}
@@ -203,6 +219,7 @@ def host_facts() -> dict:
             facts[package] = metadata.version(package)
         except metadata.PackageNotFoundError:
             facts[package] = None
+    facts["numpy_lapack"] = numpy_lapack()
     return facts
 
 

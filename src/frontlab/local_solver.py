@@ -21,21 +21,19 @@ at the centre, so the solve is exactly reflection-equivariant without a
 second right-hand side.  LAPACK ``pttrf`` factors that matrix once per r
 and ``pttrs`` applies the factor; a step's corrector matrix is the next
 step's predictor matrix, so a solve of N steps factors N + 1 times.  Both
-calls come from SciPy's LAPACK extension ``scipy.linalg._flapack``, loaded
-on the first solve without the ``scipy.linalg`` package (see
-``_lapack_pt``), so a process that runs only nonlocal solves never loads
-SciPy and a local one loads only its top-level package and that extension.
+routines are called through ctypes from the OpenBLAS that numpy's wheel
+bundles and has loaded already (see ``_lapack_function``), so no process,
+local solves included, loads SciPy.  A numpy built against another LAPACK
+lacks those symbols, and the first local solve then raises ``ImportError``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
-import os
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,58 +157,76 @@ def boundary_velocities(
     return g_dot, h_dot
 
 
+def _lapack_function(name: str):
+    """The LAPACK routine ``name`` (such as ``"dpttrf"``) of the OpenBLAS that
+    numpy's wheel bundles, as a ctypes function returning nothing.
+
+    ``numpy.linalg._umath_linalg`` links that library, which exports the
+    routines as ``scipy_<name>_64_``, so ``dlsym`` on the extension finds
+    them.  They take the Fortran ILP64 ABI: every argument by reference,
+    integers as 64-bit.  A numpy linked to another LAPACK lacks the symbol,
+    and then this raises ``ImportError``.
+    """
+    path = np.linalg._umath_linalg.__file__
+    symbol = f"scipy_{name}_64_"
+    try:
+        function = ctypes.CDLL(path)[symbol]
+    except AttributeError:
+        raise ImportError(f"no LAPACK symbol {symbol} in {path}", name=symbol, path=path) from None
+    # No argtypes: each call passes ctypes objects of the right types (byref
+    # int64s and double arrays this module allocates), and argtypes would
+    # convert every argument on every call, about 1.3 us per pttrs call.
+    function.restype = None
+    return function
+
+
 @lru_cache(maxsize=1)
 def _lapack_pt():
-    """SciPy's LAPACK ``dpttrf`` and ``dpttrs``, loaded once, on the first
-    local solve.
+    """LAPACK ``dpttrf`` and ``dpttrs``, looked up once, on the first local solve."""
+    return _lapack_function("dpttrf"), _lapack_function("dpttrs")
 
-    Only the top-level ``scipy`` package is imported, which runs SciPy's
-    distributor init so its bundled LAPACK library is found; the extension
-    ``scipy.linalg._flapack`` is then loaded from its file under its own
-    name, without the ``scipy.linalg`` package init.  An extension already
-    in ``sys.modules`` is reused, so the functions are the objects
-    ``scipy.linalg.lapack`` exports whichever is loaded first.
-    """
-    import scipy
 
-    name = "scipy.linalg._flapack"
-    module = sys.modules.get(name)
-    if module is None:
-        directory = os.path.join(scipy.__path__[0], "linalg")
-        finder = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES))
-        spec = finder.find_spec(name)
-        if spec is None:
-            raise ImportError(f"no {name} extension in {directory}", name=name, path=directory)
-        module = module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[name] = module
-    return module.dpttrf, module.dpttrs
+_NRHS = ctypes.byref(ctypes.c_int64(1))  # pttrs reads nrhs and never writes it
+
+
+class _SplitFactor(NamedTuple):
+    """LDL^T factor of a split matrix: read-only views d and e of the ctypes
+    buffers in ``args``, which are ``pttrs``'s (n, d, e) arguments."""
+
+    d: np.ndarray
+    e: np.ndarray
+    args: tuple
 
 
 @lru_cache(maxsize=2)
-def _split_factor(r: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only LDL^T factor (d, e) of the block-diagonal split of
-    2 (I - r D2) on m nodes, from LAPACK ``pttrf``.
+def _split_factor(r: float, m: int) -> _SplitFactor:
+    """The LDL^T factor of the block-diagonal split of 2 (I - r D2) on m
+    nodes, from LAPACK ``pttrf``.
 
     Two entries suffice: a step's corrector matrix is the next step's
     predictor matrix, so a solve of N steps factors N + 1 times.
     """
     k = m // 2
     odd = m - 2 * k
-    diag = np.full(m, 2.0 + 4.0 * r)
-    off = np.full(m - 1, -2.0 * r)
+    d_buf, e_buf = (ctypes.c_double * m)(), (ctypes.c_double * (m - 1))()
+    diag, off = np.frombuffer(d_buf), np.frombuffer(e_buf)
+    diag.fill(2.0 + 4.0 * r)
+    off.fill(-2.0 * r)
     if odd:
         diag[k] = 1.0 + 2.0 * r
     else:
         diag[k - 1] = 2.0 + 2.0 * r
         diag[k] = 2.0 + 6.0 * r
     off[k - 1 + odd] = 0.0
-    d, e, info = _lapack_pt()[0](diag, off, overwrite_d=True, overwrite_e=True)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"tridiagonal factorization failed: pttrf info = {info}")
-    d.flags.writeable = False
-    e.flags.writeable = False
-    return d, e
+    n, info = ctypes.c_int64(m), ctypes.c_int64()
+    _lapack_pt()[0](ctypes.byref(n), d_buf, e_buf, ctypes.byref(info))
+    if info.value != 0:
+        raise np.linalg.LinAlgError(
+            f"tridiagonal factorization failed: pttrf info = {info.value}"
+        )
+    diag.flags.writeable = False
+    off.flags.writeable = False
+    return _SplitFactor(diag, off, (ctypes.byref(n), d_buf, e_buf))
 
 
 def _solve_tridiagonal_symmetric(
@@ -239,21 +255,25 @@ def _solve_tridiagonal_symmetric(
     LDL^T solve of a negated right-hand side is the negated solution, so the
     result is exactly reflection-equivariant; adding +0.0 at the end maps
     -0.0 to +0.0, the only way the two could differ.  Needs m >= 2.  The
+    split data go to ``pttrs`` in a ctypes buffer of this call's own, so
+    solves in several threads share only the read-only factor.  The
     solution is written into ``out`` when given.
     """
     m = rhs.size
     k = m // 2
     odd = m - 2 * k
     head, tail = rhs[:k], rhs[:m - k - 1:-1]
-    split = np.empty(m)
-    np.add(head, tail, out=split[:k])
-    np.subtract(head, tail, out=split[:m - k - 1:-1])
+    buf = (ctypes.c_double * m)()
+    x = np.frombuffer(buf)  # the split data, then pttrs's solution in place
+    np.add(head, tail, out=x[:k])
+    np.subtract(head, tail, out=x[:m - k - 1:-1])
     if odd:
-        split[k] = rhs[k]
-    d, e = _split_factor(r, m)
-    x, info = _lapack_pt()[1](d, e, split, overwrite_b=True)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"tridiagonal solve failed: pttrs info = {info}")
+        x[k] = rhs[k]
+    n, d, e = _split_factor(r, m).args
+    info = ctypes.c_int64()
+    _lapack_pt()[1](n, _NRHS, d, e, buf, n, ctypes.byref(info))
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"tridiagonal solve failed: pttrs info = {info.value}")
     if out is None:
         out = np.empty(m)
     sym, anti = x[:k], x[:m - k - 1:-1]

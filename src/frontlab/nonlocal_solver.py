@@ -247,11 +247,14 @@ def _convolve_symmetric(values: np.ndarray, stencil: np.ndarray, lo: int, hi: in
     commutative, so a mirror-symmetric state has an exactly mirror-symmetric
     image.  The window and its n-node reach on each side are copied into one
     zero buffer; the unscaled pairs fill the rows of one (n + 1, width) array,
-    and ``np.einsum`` (unoptimized, so never BLAS) multiplies each row by its
-    weight and adds it to a running sum, row by row, in order; ``s @ pairs``
-    would sum in blocks and lose the exact symmetry.  einsum's sum starts
-    from +0.0, the m-loop's from its first term, so the two differ only at a
-    node whose every term is -0.0; that node gets the m-loop's -0.0.
+    the right terms u_{j+m} copied in first and the left ones u_{j-m} added
+    in place (one ``np.add`` of both overlapping views, the left read with a
+    negative row stride, is slower).  ``np.einsum`` (unoptimized, so never
+    BLAS) multiplies each row by its weight and adds it to a running sum, row
+    by row, in order; ``s @ pairs`` would sum in blocks and lose the exact
+    symmetry.  einsum's sum starts from +0.0, the m-loop's from its first
+    term, so the two differ only at a node whose every term is -0.0; that
+    node gets the m-loop's -0.0.
     """
     n = stencil.size // 2
     width = hi - lo
@@ -264,7 +267,8 @@ def _convolve_symmetric(values: np.ndarray, stencil: np.ndarray, lo: int, hi: in
     shifted = np.ndarray((2 * n + 1, cols), buffer=u, strides=(u.itemsize, u.itemsize))
     pairs = np.empty((n + 1, cols))
     pairs[0] = shifted[n]
-    np.add(shifted[n - 1 :: -1], shifted[n + 1 :], out=pairs[1:])
+    pairs[1:] = shifted[n + 1 :]
+    pairs[1:] += shifted[n - 1 :: -1]
     weights = stencil[n:]
     out = np.einsum("ij,i->j", pairs, weights)
     if not out.all():

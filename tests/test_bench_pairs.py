@@ -148,3 +148,13 @@ def test_solve_summary_of_wall_time_and_peak_rss():
 ], ids=["mixed", "all-passed", "warnings-and-errors", "none-ran", "no-summary"])
 def test_pytest_summary_counts(line, expected):
     assert bench_pairs.parse_pytest_summary(line) == expected
+
+
+def test_host_facts_name_numpy_lapack(monkeypatch):
+    import numpy
+
+    lapack = numpy.__config__.CONFIG["Build Dependencies"]["lapack"]
+    facts = bench_pairs.host_facts()
+    assert facts["numpy_lapack"] == f"{lapack['name']} {lapack['version']}"
+    monkeypatch.setattr(bench_pairs, "LAPACK_PROBE", "raise SystemExit(1)")
+    assert bench_pairs.numpy_lapack() is None

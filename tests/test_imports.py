@@ -1,10 +1,9 @@
-"""What a fresh process loads: SciPy's top-level package and its LAPACK
-extension only with the first local solve, never the scipy.linalg package,
-the process pool only for a converge sweep with more than one job, and
-neither numpy.ma nor numpy.polynomial.
+"""What a fresh process loads: no SciPy module, local solves included (they
+call the LAPACK that numpy bundles), the process pool only for a converge
+sweep with more than one job, and neither numpy.ma nor numpy.polynomial.
 
 Each test runs its script in a new interpreter, because this test process
-has long since imported both.  Only module names are asserted, never times.
+has long since imported SciPy and the other modules in question.  Only module names are asserted, never times.
 """
 
 import json
@@ -13,8 +12,6 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
-
-import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -31,7 +28,6 @@ vconf = problem.validate(problem.symmetric_stefan(T=0.02))
 """
 NONE = {"scipy": False, "scipy.linalg": False, "concurrent.futures.process": False,
         "numpy.ma": False, "numpy.polynomial": False}
-LOCAL = {**NONE, "scipy": True}
 
 
 def run_fresh(body: str, tmp_path: Path) -> dict:
@@ -69,8 +65,8 @@ def test_nonlocal_solve_loads_neither_scipy_nor_the_pool(tmp_path):
     assert seen["codes"] == [0, 0]
     assert seen["import"] == NONE
     assert seen["nonlocal"] == NONE
-    assert seen["local"] == LOCAL
-    assert seen["cli_local"] == LOCAL
+    assert seen["local"] == NONE
+    assert seen["cli_local"] == NONE
 
 
 def test_converge_loads_the_pool_only_for_two_jobs(tmp_path):
@@ -97,35 +93,56 @@ def test_converge_loads_the_pool_only_for_two_jobs(tmp_path):
         tmp_path,
     )
     assert seen["codes"] == [0, 0]
-    assert seen["serial"] == LOCAL
+    assert seen["serial"] == NONE
     # One core gives one worker, and then no pool is started.
     assert seen["pooled"]["concurrent.futures.process"] == (seen["workers"] > 1)
     assert seen["same"]
 
 
-@pytest.mark.parametrize("package_first", [False, True], ids=["loader-first", "package-first"])
-def test_lapack_loader_gives_the_scipy_linalg_functions(tmp_path, package_first):
+def test_lapack_routines_give_the_scipy_bytes(tmp_path):
+    # numpy's OpenBLAS routines, called through ctypes as the local solver
+    # calls them, give SciPy's dpttrf and dpttrs factors and solutions bit for
+    # bit.  SciPy is imported only after they ran.
     seen = run_fresh(
-        f"""
+        """
+        import ctypes
         import numpy as np
 
-        if {package_first}:
-            from scipy.linalg import lapack
         pttrf, pttrs = local_solver._lapack_pt()
-        if not {package_first}:
-            from scipy.linalg import lapack
-        same = [pttrf is lapack.dpttrf, pttrs is lapack.dpttrs]
-        bitwise = []
-        for m in (7, 8):
+
+        def data(m):
             diag, off = 2.0 + np.arange(m) / m, -0.5 * np.cos(np.arange(m - 1.0))
-            rhs = np.sin(np.arange(1.0, m + 1.0))
-            ours, theirs = pttrf(diag, off), lapack.dpttrf(diag, off)
-            x, y = pttrs(*ours[:2], rhs), lapack.dpttrs(*theirs[:2], rhs)
-            bitwise.append(ours[2] == theirs[2] == x[1] == y[1] == 0
-                           and all(a.tobytes() == b.tobytes()
-                                   for a, b in zip((*ours[:2], x[0]), (*theirs[:2], y[0]))))
-        print(json.dumps({{"same": same, "bitwise": bitwise}}))
+            return diag, off, np.sin(np.arange(1.0, m + 1.0))
+
+        def buffer(values):
+            buf = (ctypes.c_double * values.size)()
+            np.frombuffer(buf)[:] = values
+            return buf
+
+        ours = {}
+        for m in (7, 8, 1023, 1024):
+            d, e, b = map(buffer, data(m))
+            n, one, info = ctypes.c_int64(m), ctypes.c_int64(1), ctypes.c_int64()
+            pttrf(ctypes.byref(n), d, e, ctypes.byref(info))
+            infos = [info.value]
+            pttrs(ctypes.byref(n), ctypes.byref(one), d, e, b, ctypes.byref(n),
+                  ctypes.byref(info))
+            infos.append(info.value)
+            ours[m] = infos, [np.frombuffer(buf).tobytes() for buf in (d, e, b)]
+        before = loaded()
+
+        from scipy.linalg import lapack
+
+        bitwise = []
+        for m, (infos, got) in ours.items():
+            diag, off, rhs = data(m)
+            d, e, info = lapack.dpttrf(diag, off)
+            x, info2 = lapack.dpttrs(d, e, rhs)
+            bitwise.append(infos == [info, info2] == [0, 0]
+                           and got == [a.tobytes() for a in (d, e, x)])
+        print(json.dumps({"before": before, "bitwise": bitwise}))
         """,
         tmp_path,
     )
-    assert seen == {"same": [True, True], "bitwise": [True, True]}
+    assert seen["before"] == NONE
+    assert seen["bitwise"] == [True] * 4
