@@ -13,6 +13,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 PRELUDE = """
@@ -99,15 +101,19 @@ def test_converge_loads_the_pool_only_for_two_jobs(tmp_path):
     assert seen["same"]
 
 
-def test_lapack_routines_give_the_scipy_bytes(tmp_path):
+@pytest.mark.parametrize("package_first", [False, True], ids=["loader-first", "package-first"])
+def test_lapack_loader_gives_the_scipy_linalg_functions(tmp_path, package_first):
     # numpy's OpenBLAS routines, called through ctypes as the local solver
     # calls them, give SciPy's dpttrf and dpttrs factors and solutions bit for
-    # bit.  SciPy is imported only after they ran.
+    # bit, whether SciPy (and its own OpenBLAS) is imported after they ran or
+    # before they were looked up.
     seen = run_fresh(
-        """
+        f"""
         import ctypes
         import numpy as np
 
+        if {package_first}:
+            from scipy.linalg import lapack
         pttrf, pttrs = local_solver._lapack_pt()
 
         def data(m):
@@ -119,7 +125,7 @@ def test_lapack_routines_give_the_scipy_bytes(tmp_path):
             np.frombuffer(buf)[:] = values
             return buf
 
-        ours = {}
+        ours = {{}}
         for m in (7, 8, 1023, 1024):
             d, e, b = map(buffer, data(m))
             n, one, info = ctypes.c_int64(m), ctypes.c_int64(1), ctypes.c_int64()
@@ -130,8 +136,8 @@ def test_lapack_routines_give_the_scipy_bytes(tmp_path):
             infos.append(info.value)
             ours[m] = infos, [np.frombuffer(buf).tobytes() for buf in (d, e, b)]
         before = loaded()
-
-        from scipy.linalg import lapack
+        if not {package_first}:
+            from scipy.linalg import lapack
 
         bitwise = []
         for m, (infos, got) in ours.items():
@@ -140,9 +146,14 @@ def test_lapack_routines_give_the_scipy_bytes(tmp_path):
             x, info2 = lapack.dpttrs(d, e, rhs)
             bitwise.append(infos == [info, info2] == [0, 0]
                            and got == [a.tobytes() for a in (d, e, x)])
-        print(json.dumps({"before": before, "bitwise": bitwise}))
+        print(json.dumps({{"before": before, "bitwise": bitwise}}))
         """,
         tmp_path,
     )
-    assert seen["before"] == NONE
+    # SciPy brings numpy.ma and numpy.polynomial along, so only the loader-first
+    # process is held to NONE.
+    if package_first:
+        assert seen["before"]["scipy.linalg"]
+    else:
+        assert seen["before"] == NONE
     assert seen["bitwise"] == [True] * 4
