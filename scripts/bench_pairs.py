@@ -6,10 +6,11 @@
 
 Each positional argument names a workload and how many pairs to run.  A pair
 runs ``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` once
-in each source tree, the parent first in even pairs and the change first in
-odd ones; seeds count up from ``--seed`` over all pairs.  ``--traced W`` adds
-one pair with ``--trace 1`` (per-layer metrics), and ``--tier1`` times the
-tier-1 test suite once in each tree, after the pairs.  ``--solves N`` runs N
+in each source tree, with T the ``run_seconds`` of ``BENCHMARK.json``, the
+parent first in even pairs and the change first in odd ones; seeds count up
+from ``--seed`` over all pairs.  ``--traced W`` adds one pair with
+``--trace 1`` (per-layer metrics), and ``--tier1`` times the tier-1 test
+suite once in each tree, after the pairs.  ``--solves N`` runs N
 alternated pairs of each single solve in ``SOLVES``, one fresh
 ``python -m frontlab solve`` process per side, and records each child's wall
 time and peak RSS (from ``os.wait4``, which reports that child alone).  The
@@ -242,7 +243,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change-label", default=None, help="default: the tree's name")
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=36.0)
     parser.add_argument("--traced", default=None, help="workload of one traced pair")
     parser.add_argument("--tier1", action="store_true", help="time the tier-1 suite once per tree")
     parser.add_argument("--solves", type=int, default=0, metavar="N",
@@ -254,6 +254,7 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better, bounds = end_to_end_metrics(benchmark), end_to_end_bounds(benchmark)
+    seconds = benchmark["run_seconds"]
 
     seed = args.seed
     pairs = []
@@ -262,14 +263,14 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"workload": workload, "seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_bench(trees[side], workload, seed, args.seconds, 0)
+                pair[side] = run_bench(trees[side], workload, seed, seconds, 0)
             print(json.dumps(pair), file=sys.stderr)
             pairs.append(pair)
             seed += 1
 
     record = {
         "what": "Alternated parent/change pairs of `python3 bench/run.py --workload W "
-        f"--seed N --seconds {args.seconds:g} --trace 0`, each side run in its own source "
+        f"--seed N --seconds {seconds:g} --trace 0`, each side run in its own source "
         f"tree, seeds {args.seed}-{seed - 1}",
         "parent": args.parent_label or trees["parent"].name,
         "change": args.change_label or trees["change"].name,
@@ -280,7 +281,7 @@ def main(argv=None) -> int:
     if args.traced:
         traced = {"workload": args.traced, "seed": seed}
         for side in SIDES:
-            traced[side] = run_bench(trees[side], args.traced, seed, args.seconds, 1)
+            traced[side] = run_bench(trees[side], args.traced, seed, seconds, 1)
         record["traced_pair"] = traced
     if args.solves:
         solve_pairs = run_solve_pairs(trees, args.solves)

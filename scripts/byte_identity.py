@@ -3,15 +3,17 @@
 
     python3 scripts/byte_identity.py --parent PARENT_TREE --change CHANGE_TREE
 
-Runs the nine commands of ``RECIPE`` in each tree with
+Runs the ten commands of ``RECIPE`` in each tree with
 ``PYTHONPATH=<tree>/src python -m frontlab``, from the tree itself (so the
 configs are its own), writing each command's output directory and its
-captured stdout and exit status under a temporary work directory.  It then
-compares the two sides file by file, prints the number of files compared and
-every path that differs or exists on one side only (for a CSV or JSON file
-on both sides, with the largest absolute difference between its numeric
-fields), and exits 1 on any difference, keeping the work directory for a
-look; identical outputs are removed.  Standard library only.
+captured stdout and exit status under a temporary work directory.  One
+custom kernel table is written there first, and both sides read it by its
+absolute path.  It then compares the two sides file by file, prints the
+number of files compared and every path that differs or exists on one side
+only (for a CSV or JSON file on both sides, with the largest absolute
+difference between its numeric fields), and exits 1 on any difference,
+keeping the work directory for a look; identical outputs are removed.
+Standard library only.
 """
 
 import argparse
@@ -30,6 +32,7 @@ NUMBER = re.compile(
     rb"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?|(?<![A-Za-z_])[-+]?(?:NaN|nan|Infinity|inf)\b"
 )
 EPS = ["--eps", "0.2", "--eps", "0.1", "--eps", "0.05"]
+KERNEL_TABLE = "<kernel-table>"  # in RECIPE, stands for the table write_kernel_table writes
 
 # name -> frontlab arguments; the ones that write files get --out <work>/<side>/out/<name>.
 # The last two fail on purpose, so the shared failure path (error.json and
@@ -45,6 +48,9 @@ RECIPE = {
     "solve-nonlocal-fisher-quartic": ["solve", "--config", "configs/fisher.cfg",
                                       "--solver", "nonlocal", "--eps", "0.05",
                                       "--kernel", "quartic"],
+    "solve-nonlocal-fisher-custom-kernel": ["solve", "--config", "configs/fisher.cfg",
+                                            "--solver", "nonlocal", "--eps", "0.1",
+                                            "--kernel-file", KERNEL_TABLE],
     "solve-local-stefan-i1": ["solve", "--config", "configs/stefan.cfg", "--solver", "local",
                               "--preset", "i1", "--nx", "1000"],
     "solve-local-fisher-i2": ["solve", "--config", "configs/fisher.cfg", "--solver", "local",
@@ -59,19 +65,28 @@ RECIPE = {
 }
 
 
-def frontlab_args(name: str, out_root: Path) -> list[str]:
-    """RECIPE[name], with --out out_root/<name> for a command that writes files."""
-    args = RECIPE[name]
+def write_kernel_table(path: Path) -> Path:
+    """A 9-row custom kernel table, J(z) = cos^2(pi z / 2) + 0.05 on
+    z = 0, 1/8, ..., 1, written to path; returns path."""
+    zs = [i / 8 for i in range(9)]
+    path.write_text("".join(f"{z!r} {math.cos(math.pi * z / 2) ** 2 + 0.05!r}\n" for z in zs))
+    return path
+
+
+def frontlab_args(name: str, out_root: Path, kernel_table: Path) -> list[str]:
+    """RECIPE[name], with kernel_table's absolute path for KERNEL_TABLE and
+    --out out_root/<name> for a command that writes files."""
+    args = [str(kernel_table.resolve()) if a == KERNEL_TABLE else a for a in RECIPE[name]]
     return args if args[0] == "verify" else [*args, "--out", str(out_root / name)]
 
 
-def run_recipe(tree: Path, work: Path) -> None:
+def run_recipe(tree: Path, work: Path, kernel_table: Path) -> None:
     """Run every RECIPE command in tree; outputs go to work/out/<name>, and
     stdout plus the exit status to work/stdout/<name>.txt."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     (work / "stdout").mkdir(parents=True, exist_ok=True)
     for name in RECIPE:
-        args = frontlab_args(name, work / "out")
+        args = frontlab_args(name, work / "out", kernel_table)
         print(f"{tree}: frontlab {' '.join(args)}", file=sys.stderr, flush=True)
         done = subprocess.run([sys.executable, "-m", "frontlab", *args], cwd=tree, env=env,
                               stdout=subprocess.PIPE)
@@ -131,8 +146,9 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     work = Path(tempfile.mkdtemp(prefix="byte_identity_"))
+    kernel_table = write_kernel_table(work / "kernel_table.txt")
     for side in SIDES:
-        run_recipe(trees[side], work / side)
+        run_recipe(trees[side], work / side, kernel_table)
     count, differing = compare_trees(work / "parent", work / "change")
     print(f"{count} files compared (outputs, and stdout with exit status per command), "
           f"{len(differing)} differ")

@@ -8,11 +8,12 @@ the scaled solvers:
     c_star = 1 / integral_0^1 J(z) z^2 dz   (normalizes the dispersal operator)
     c_zero = 1 / integral_0^1 J(z) z  dz    (normalizes the boundary flux)
 
-The boundary flux weighs the tail mass W(w) = integral_w^1 J(z) dz, which
-is integrate_against(kernel, w, 1.0) and by Fubini has integral 1 / c_zero
-over [0, 1]; the solver's flux weights integrate J against hat
-antiderivatives instead of evaluating W, all in one integrate_against call
-over the cell boundaries, as are its stencil's hat moments (``nonlocal_solver``).
+Every integral of J is one ``integrate_against`` quadrature: a custom
+table's mass, the half-moments (cached in :func:`moment`; c_star and c_zero
+are arithmetic on them), and the solver's stencil hat moments and flux
+weights, one call each over the cell boundaries (``nonlocal_solver``).  The
+flux weights integrate J against hat antiderivatives instead of evaluating
+the tail mass W(w) = integral_w^1 J(z) dz, whose integral is 1 / c_zero.
 """
 
 from __future__ import annotations
@@ -47,7 +48,10 @@ class KernelSpec:
 
     Custom tabulated kernels are linearly interpolated and renormalized to
     unit mass at construction; the factor applied is kept in
-    ``renormalization`` so silent rescaling is visible to the caller.
+    ``renormalization`` so silent rescaling is visible to the caller.  The
+    mass is ``integrate_against`` of the raw table, whose panels split at the
+    table's abscissae, so Gauss-Legendre integrates each linear piece exactly
+    up to rounding.
     """
 
     family: str
@@ -71,7 +75,8 @@ class KernelSpec:
                 raise ValueError("table abscissae must ascend within [0, 1]")
             if np.any(tab[:, 1] < 0.0):
                 raise ValueError("kernel values must be nonnegative")
-            mass = 2.0 * _integrate_table(tab, 0.0, 1.0)
+            object.__setattr__(self, "table", tab)
+            mass = 2.0 * integrate_against(self, 0.0, 1.0)
             if mass <= 0.0:
                 raise ValueError("custom kernel has zero mass")
             object.__setattr__(self, "table", np.column_stack([z, tab[:, 1] / mass]))
@@ -133,14 +138,6 @@ def _sorted_distinct(values) -> np.ndarray:
     return s[keep]
 
 
-def _integrate_table(tab: np.ndarray, a: float, b: float) -> float:
-    """Exact integral of the piecewise-linear table over [a, b] in [0, 1]."""
-    z = np.concatenate([tab[:, 0], [1.0]]) if tab[-1, 0] < 1.0 else tab[:, 0]
-    grid = _sorted_distinct(np.clip(np.concatenate([z, [a, b]]), a, b))
-    vals = np.interp(grid, tab[:, 0], tab[:, 1])
-    return float(np.trapezoid(vals, grid))
-
-
 def integrate_against(
     kernel: KernelSpec, a: float, b: float, phi=None, breakpoints=()
 ) -> float | np.ndarray:
@@ -185,12 +182,11 @@ def moment(kernel: KernelSpec, k: int) -> float:
     return integrate_against(kernel, 0.0, 1.0, lambda z: z**k)
 
 
-@lru_cache(maxsize=64)
 def c_star(kernel: KernelSpec) -> float:
     """Inverse second half-moment; scales the dispersal operator.
 
-    Cached per kernel like the solver's stencils; a DegenerateKernel is an
-    exception, so it is raised again on every call rather than cached.
+    Arithmetic on the cached :func:`moment`, so no call repeats a quadrature;
+    a DegenerateKernel is raised again on every call.
     """
     m2 = moment(kernel, 2)
     if m2 <= 1e-12:
@@ -198,11 +194,10 @@ def c_star(kernel: KernelSpec) -> float:
     return 1.0 / m2
 
 
-@lru_cache(maxsize=64)
 def c_zero(kernel: KernelSpec) -> float:
     """Inverse first half-moment; scales the boundary flux. Always < c_star.
 
-    Cached per kernel, with the same error semantics as :func:`c_star`.
+    Arithmetic on the cached :func:`moment`, like :func:`c_star`.
     """
     m1 = moment(kernel, 1)
     if m1 <= 1e-12:

@@ -252,9 +252,8 @@ def _convolve_symmetric(values: np.ndarray, stencil: np.ndarray, lo: int, hi: in
     negative row stride, is slower).  ``np.einsum`` (unoptimized, so never
     BLAS) multiplies each row by its weight and adds it to a running sum, row
     by row, in order; ``s @ pairs`` would sum in blocks and lose the exact
-    symmetry.  einsum's sum starts from +0.0, the m-loop's from its first
-    term, so the two differ only at a node whose every term is -0.0; that
-    node gets the m-loop's -0.0.
+    symmetry.  The running sum starts from +0.0, so a zero sum is +0.0 even
+    where every term is -0.0.
     """
     n = stencil.size // 2
     width = hi - lo
@@ -269,13 +268,7 @@ def _convolve_symmetric(values: np.ndarray, stencil: np.ndarray, lo: int, hi: in
     pairs[0] = shifted[n]
     pairs[1:] = shifted[n + 1 :]
     pairs[1:] += shifted[n - 1 :: -1]
-    weights = stencil[n:]
-    out = np.einsum("ij,i->j", pairs, weights)
-    if not out.all():
-        # A zero sum of terms that all carry a sign bit has only -0.0 terms.
-        zero = np.flatnonzero(out == 0.0)
-        out[zero[np.signbit(pairs[:, zero] * weights[:, None]).all(axis=0)]] = -0.0
-    return out[:width]
+    return np.einsum("ij,i->j", pairs, stencil[n:])[:width]
 
 
 def _n_sub(dx: float, eps: float, t: float) -> int:

@@ -327,6 +327,8 @@ def load_config(path) -> ProblemConfig:
             if "=" not in line:
                 raise ValueError(f"malformed config line: {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in entries:
+                raise ValueError(f"repeated config key {key!r}")
             entries[key] = value
 
     def pop_float(key, default=None):

@@ -1,6 +1,7 @@
 """The summary of scripts/bench_pairs.py on synthetic pairs; no benchmark runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,28 @@ def test_plan_rejects_malformed_entries(bad):
 
 def test_plan_keeps_order_and_counts():
     assert bench_pairs.parse_plan(["a=10", "b=3"]) == [("a", 10), ("b", 3)]
+
+
+def test_run_seconds_come_from_the_benchmark_declaration(monkeypatch, tmp_path):
+    # Every pair, the traced one too, runs as long as the benchmark does.
+    benchmark = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    run_seconds = benchmark["run_seconds"]
+    asked = []
+
+    def fake_run_bench(tree, workload, seed, seconds, trace):
+        asked.append(seconds)
+        return {**dict.fromkeys(bench_pairs.end_to_end_metrics(benchmark), 1.0),
+                "attempted": 1, "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run_bench)
+    monkeypatch.setattr(bench_pairs, "host_facts", dict)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out), "w=2"]
+    assert bench_pairs.main(argv + ["--traced", "w"]) == 0
+    assert asked == [run_seconds] * 6
+    assert f"--seconds {run_seconds:g} --trace 0" in json.loads(out.read_text())["what"]
+    with pytest.raises(SystemExit):
+        bench_pairs.main(argv + ["--seconds", "5"])
 
 
 def solve_side(wall, rss, failed=0):

@@ -4,9 +4,10 @@ its recipe's command lines; no solve runs."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from frontlab import cli
+from frontlab import cli, kernels
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "byte_identity.py"
@@ -83,10 +84,25 @@ def test_numeric_difference_pairs_fields_in_order():
 @pytest.mark.parametrize("name", list(byte_identity.RECIPE))
 def test_recipe_commands_parse(name, tmp_path):
     # argparse exits on a bad command line; each config is the tree's own.
-    args = cli.build_parser().parse_args(byte_identity.frontlab_args(name, tmp_path))
+    table = tmp_path / "kernel_table.txt"
+    args = cli.build_parser().parse_args(byte_identity.frontlab_args(name, tmp_path, table))
     assert args.command == byte_identity.RECIPE[name][0]
     if args.command == "verify":
         assert args.which == "all"
     else:
         assert (ROOT / args.config).is_file()
         assert args.out == str(tmp_path / name)
+
+
+def test_custom_kernel_run_reads_the_written_table_by_absolute_path(tmp_path):
+    table = byte_identity.write_kernel_table(tmp_path / "kernel_table.txt")
+    args = byte_identity.frontlab_args("solve-nonlocal-fisher-custom-kernel", tmp_path, table)
+    assert byte_identity.KERNEL_TABLE not in args
+    path = Path(args[args.index("--kernel-file") + 1])
+    assert path.is_absolute() and path == table.resolve()
+    z = np.linspace(0.0, 1.0, 9)
+    tab = np.loadtxt(path)
+    assert tab.shape == (9, 2)
+    assert np.array_equal(tab[:, 0], z)
+    assert np.allclose(tab[:, 1], np.cos(np.pi * z / 2) ** 2 + 0.05, rtol=1e-15, atol=0.0)
+    kernels.from_file(path)  # raises unless the table is an admissible kernel

@@ -278,6 +278,21 @@ def test_fisher_kpp_key_in_another_reaction_is_bad_config(tmp_path, command, rea
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
 
+@pytest.mark.parametrize("solver_args, ratio", [
+    (["--solver", "local", "--nx", "64", "--dt", "0.005"], "1.600"),
+    (["--solver", "nonlocal", "--eps", "0.2", "--dt", "0.003"], "0.941"),
+], ids=["local", "nonlocal"])
+def test_solve_reaction_step_guard_writes_error_json(tmp_path, solver_args, ratio):
+    # L0 = 320 for a = b = 100: the first step breaks dt * L0 <= 1/2.
+    cfg = tmp_path / "stiff.cfg"
+    problem.save_config(problem.fisher_kpp_config(T=0.05, a=100.0, b=100.0), cfg)
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out)] + solver_args) == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err == {"code": "cfl_violation", "message": f"dt * L0 = {ratio} > 1/2; reduce dt",
+                   "time_of_failure": 0.0}
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [

@@ -152,6 +152,44 @@ def test_custom_table_from_file(tmp_path):
     assert loaded.renormalization == pytest.approx(1.0, abs=1e-12)
 
 
+def exact_table_mass(tab):
+    """Exact mass 2 integral_0^1 J of the piecewise-linear table, constant
+    beyond its first and last abscissae."""
+    z = [Fraction(float(v)) for v in tab[:, 0]]
+    y = [Fraction(float(v)) for v in tab[:, 1]]
+    total = z[0] * y[0] + (1 - z[-1]) * y[-1]
+    for i in range(len(z) - 1):
+        total += (z[i + 1] - z[i]) * (y[i] + y[i + 1]) / 2
+    return 2 * total
+
+
+def random_tables(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 40))
+        z = np.sort(rng.uniform(0.0, 1.0, n))
+        z[0] = 0.0 if rng.random() < 0.3 else z[0]
+        z[-1] = 1.0 if rng.random() < 0.3 else z[-1]
+        if np.all(np.diff(z) > 0.0):
+            y = rng.uniform(0.0, 5.0, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            y[0] += 0.1
+            yield np.column_stack([z, y])
+
+
+def test_custom_renormalization_is_the_exact_piecewise_linear_mass():
+    # The mass is Gauss-Legendre on panels split at the abscissae, exact on
+    # each linear piece up to rounding.
+    z = np.linspace(0.0, 1.0, 9)
+    tables = [np.column_stack([z, np.cos(np.pi * z / 2) ** 2 + 0.05]),
+              np.column_stack([np.linspace(0.0, 1.0, 11), np.full(11, 2.0)]),
+              np.array([[0.25, 3.0], [0.5, 1.0], [0.75, 0.5]]),
+              *random_tables(200, 29)]
+    for tab in tables:
+        kern = K.KernelSpec("custom", table=tab)
+        want = 1 / exact_table_mass(tab)
+        assert abs(Fraction(kern.renormalization) - want) <= Fraction(1, 10**15) * want
+
+
 def test_invalid_tables_rejected():
     with pytest.raises(ValueError):
         K.KernelSpec("custom", table=np.array([[0.0, -1.0], [1.0, 0.0]]))

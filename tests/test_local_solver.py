@@ -315,6 +315,17 @@ def test_step_cfl_violation(stefan_short):
         L.step(state, 0.1, stefan_short)
 
 
+def test_solve_reaction_step_guard():
+    # Fisher-KPP with a = b = 100 has L0 = 320, so dt = 0.005 breaks
+    # dt * L0 <= 1/2 at the first step, after every earlier guard passes.
+    vconf = P.validate(P.fisher_kpp_config(T=0.05, a=100.0, b=100.0))
+    assert vconf.L0 == 320.0
+    with pytest.raises(CflViolation) as info:
+        L.solve(vconf, n_cells=64, dt=0.005)
+    assert str(info.value) == "dt * L0 = 1.600 > 1/2; reduce dt"
+    assert info.value.time_of_failure == 0.0
+
+
 COLLAPSE_WIDTH = 1.05e-6  # just above MIN_GAP = 1e-6
 
 

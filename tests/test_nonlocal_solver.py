@@ -215,15 +215,17 @@ def test_operator_symmetric_state_exact_mirror(u):
 
 
 def convolve_symmetric_oracle(values, stencil, lo, hi):
-    """The m-loop the ordered reduction replaced: node j accumulates
-    s_0 u_j, then s_m (u_{j-m} + u_{j+m}) for m = 1..n, in turn."""
+    """The m-loop the ordered reduction replaced: node j accumulates, from
+    +0.0 as ``np.einsum`` does, s_0 u_j, then s_m (u_{j-m} + u_{j+m}) for
+    m = 1..n, in turn."""
     n = stencil.size // 2
     a, b = lo - n, hi + n
     u = values[max(a, 0) : min(b, values.size)]
     if a < 0 or b > values.size:
         u = np.concatenate([np.zeros(max(-a, 0)), u, np.zeros(max(b - values.size, 0))])
     width = hi - lo
-    out = stencil[n] * u[n : n + width]
+    out = np.zeros(width)
+    out += stencil[n] * u[n : n + width]
     for m in range(1, n + 1):
         out += stencil[n + m] * (u[n - m : n - m + width] + u[n + m : n + m + width])
     return out
@@ -275,19 +277,25 @@ def test_convolve_symmetric_builtin_stencils_long_windows_bitwise(family, n_sub)
     assert out.tobytes() == out[::-1].tobytes()
 
 
-def test_convolve_symmetric_keeps_all_negative_zero_sums():
-    # Every term is -0.0 at the nodes whose reach holds only -0.0 data, so the
-    # m-loop sums to -0.0 there; other zero sums are +0.0, also where the
-    # reach passes the array's end and reads the zero extension's +0.0.
-    stencil = NL.operator_stencil(EPAN, 8)
-    vals = np.full(40, -0.0)
-    vals[30:] = [0.0, 1.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-    for lo, hi in [(0, 40), (0, 1), (3, 4), (10, 35)]:
-        out = NL._convolve_symmetric(vals, stencil, lo, hi)
-        want = convolve_symmetric_oracle(vals, stencil, lo, hi)
-        assert out.tobytes() == want.tobytes()
-    assert np.signbit(NL._convolve_symmetric(vals, stencil, 8, 22)).all()
-    assert not np.signbit(NL._convolve_symmetric(vals, stencil, 0, 8)).any()
+def test_operator_rate_is_positive_zero_where_the_reach_holds_only_zeros():
+    # Hand-built states of +-0.0 with a few nonzero nodes: wherever a node's
+    # whole reach of n_sub nodes each side holds +-0.0, also where every one
+    # is -0.0, the rate is +0.0, never -0.0.
+    eps, n_sub = 0.1, 8
+    dx = eps / n_sub
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        vals = np.where(rng.random(80) < 0.5, -0.0, 0.0)
+        vals[:30] = -0.0
+        vals[rng.integers(40, 80, 3)] = rng.uniform(0.1, 1.0, 3)
+        state = NL.EulerianState(0.0, -40.5 * dx, 39.5 * dx, dx, -40, vals)
+        assert state.window == (0, vals.size)
+        out = NL.apply_nonlocal_operator(state, EPAN, eps, d=1.0)
+        padded = np.concatenate([np.zeros(n_sub), vals, np.zeros(n_sub)])
+        quiet = np.array([not padded[j : j + 2 * n_sub + 1].any() for j in range(vals.size)])
+        assert quiet[n_sub : 30 - n_sub].all()  # reach of -0.0 alone
+        assert np.array_equal(out[quiet], np.zeros(quiet.sum()))
+        assert not np.signbit(out[quiet]).any()
 
 
 def test_kernel_quadratures_do_not_grow_with_steps(monkeypatch):
@@ -693,6 +701,17 @@ def test_step_cfl_guard(stefan_vconf):
     state = NL.initial_state(stefan_vconf, dx=0.1 / 16)
     with pytest.raises(CflViolation):
         NL.step(state, 0.1, stefan_vconf, EPAN, 0.1, MOD)
+
+
+def test_solve_reaction_step_guard():
+    # L0 = 320 and the planned step 0.05 / 17 give dt * L0 = 0.941 > 1/2,
+    # while the dispersal CFL and the front move pass.
+    vconf = P.validate(P.fisher_kpp_config(T=0.05, a=100.0, b=100.0))
+    assert vconf.L0 == 320.0
+    with pytest.raises(CflViolation) as info:
+        NL.solve(vconf, EPAN, eps=0.2, variant=MOD, dt=0.003)
+    assert str(info.value) == "dt * L0 = 0.941 > 1/2; reduce dt"
+    assert info.value.time_of_failure == 0.0
 
 
 def test_step_front_move_guard():

@@ -384,3 +384,11 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path.write_text("d = 1\nmu = 1\nh0 = 1\nT = 1\nbogus = 2\n")
     with pytest.raises(ValueError):
         P.load_config(path)
+
+
+def test_load_config_rejects_repeated_keys(tmp_path):
+    # A later value must not silently replace an earlier one.
+    path = tmp_path / "twice.txt"
+    path.write_text("d = 1\nmu = 1\nh0 = 1\nT = 1\nd = 2\n")
+    with pytest.raises(ValueError, match="repeated config key 'd'"):
+        P.load_config(path)
