@@ -3,16 +3,17 @@
 
     python3 scripts/byte_identity.py --parent PARENT_TREE --change CHANGE_TREE
 
-Runs the ten commands of ``RECIPE`` in each tree with
+Runs the eleven commands of ``RECIPE`` in each tree with
 ``PYTHONPATH=<tree>/src python -m frontlab``, from the tree itself (so the
 configs are its own), writing each command's output directory and its
 captured stdout and exit status under a temporary work directory.  One
-custom kernel table is written there first, and both sides read it by its
-absolute path.  It then compares the two sides file by file, prints the
-number of files compared and every path that differs or exists on one side
-only (for a CSV or JSON file on both sides, with the largest absolute
-difference between its numeric fields), and exits 1 on any difference,
-keeping the work directory for a look; identical outputs are removed.
+custom kernel table and one config that neither tree ships are written
+there first, and both sides read them by their absolute paths.  It then
+compares the two sides file by file, prints the number of files compared
+and every path that differs or exists on one side only (for a CSV or JSON
+file on both sides, with the largest absolute difference between its
+numeric fields), and exits 1 on any difference, keeping the work directory
+for a look; identical outputs are removed.
 Standard library only.
 """
 
@@ -32,10 +33,12 @@ NUMBER = re.compile(
     rb"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?|(?<![A-Za-z_])[-+]?(?:NaN|nan|Infinity|inf)\b"
 )
 EPS = ["--eps", "0.2", "--eps", "0.1", "--eps", "0.05"]
-KERNEL_TABLE = "<kernel-table>"  # in RECIPE, stands for the table write_kernel_table writes
+# In RECIPE, these stand for the files write_inputs writes into the work directory.
+KERNEL_TABLE = "<kernel-table>"
+FAST_STEFAN = "<fast-stefan-config>"
 
 # name -> frontlab arguments; the ones that write files get --out <work>/<side>/out/<name>.
-# The last two fail on purpose, so the shared failure path (error.json and
+# The last three fail on purpose, so the shared failure path (error.json and
 # the exit status) is compared too.
 RECIPE = {
     "converge-stefan": ["converge", "--config", "configs/stefan.cfg", *EPS,
@@ -62,6 +65,10 @@ RECIPE = {
     # exit 3, resolution_too_coarse at t = 0: eps/dx = 4 < 8, before any solve
     "converge-coarse-dx": ["converge", "--config", "configs/stefan.cfg", *EPS,
                            "--dx-ratio", "4"],
+    # exit 3, cfl_violation at t = 0 of the first nonlocal solve (front move),
+    # after reference/ is written
+    "converge-front-move": ["converge", "--config", FAST_STEFAN, *EPS,
+                            "--nx", "64", "--dt", "1e-3"],
 }
 
 
@@ -73,20 +80,37 @@ def write_kernel_table(path: Path) -> Path:
     return path
 
 
-def frontlab_args(name: str, out_root: Path, kernel_table: Path) -> list[str]:
-    """RECIPE[name], with kernel_table's absolute path for KERNEL_TABLE and
-    --out out_root/<name> for a command that writes files."""
-    args = [str(kernel_table.resolve()) if a == KERNEL_TABLE else a for a in RECIPE[name]]
+def write_fast_stefan_config(path: Path) -> Path:
+    """The Stefan config with mu = 5 and T = 0.05, written to path; returns
+    path.  A nonlocal front at eps 0.2 would move more than dx in its first
+    step."""
+    path.write_text("d = 1\nmu = 5\nh0 = 1\nT = 0.05\nreaction.family = zero\n"
+                    "initial.family = quadratic_bump\ninitial.V = 1\n")
+    return path
+
+
+def write_inputs(work: Path) -> dict[str, Path]:
+    """Write the files RECIPE's placeholders stand for into work; returns
+    placeholder -> path."""
+    return {KERNEL_TABLE: write_kernel_table(work / "kernel_table.txt"),
+            FAST_STEFAN: write_fast_stefan_config(work / "fast_stefan.cfg")}
+
+
+def frontlab_args(name: str, out_root: Path, inputs: dict[str, Path]) -> list[str]:
+    """RECIPE[name], with each placeholder replaced by the absolute path of
+    its file in inputs and --out out_root/<name> for a command that writes
+    files."""
+    args = [str(inputs[a].resolve()) if a in inputs else a for a in RECIPE[name]]
     return args if args[0] == "verify" else [*args, "--out", str(out_root / name)]
 
 
-def run_recipe(tree: Path, work: Path, kernel_table: Path) -> None:
+def run_recipe(tree: Path, work: Path, inputs: dict[str, Path]) -> None:
     """Run every RECIPE command in tree; outputs go to work/out/<name>, and
     stdout plus the exit status to work/stdout/<name>.txt."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     (work / "stdout").mkdir(parents=True, exist_ok=True)
     for name in RECIPE:
-        args = frontlab_args(name, work / "out", kernel_table)
+        args = frontlab_args(name, work / "out", inputs)
         print(f"{tree}: frontlab {' '.join(args)}", file=sys.stderr, flush=True)
         done = subprocess.run([sys.executable, "-m", "frontlab", *args], cwd=tree, env=env,
                               stdout=subprocess.PIPE)
@@ -146,9 +170,9 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     work = Path(tempfile.mkdtemp(prefix="byte_identity_"))
-    kernel_table = write_kernel_table(work / "kernel_table.txt")
+    inputs = write_inputs(work)
     for side in SIDES:
-        run_recipe(trees[side], work / side, kernel_table)
+        run_recipe(trees[side], work / side, inputs)
     count, differing = compare_trees(work / "parent", work / "change")
     print(f"{count} files compared (outputs, and stdout with exit status per command), "
           f"{len(differing)} differ")

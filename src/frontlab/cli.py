@@ -26,9 +26,7 @@ reproduces files byte for byte.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -131,17 +129,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return _guarded(args.config, args.out, run)
 
 
-def _nonlocal_run(eps, vconf, kernel, variant, dx_ratio):
-    return nonlocal_solver.solve(vconf, kernel, eps=eps, variant=variant, dx=eps / dx_ratio)
-
-
-def _workers(jobs: int, n_runs: int) -> int:
-    """Pool size for n_runs solves: a pool forks all its workers at once."""
-    return min(jobs, n_runs, os.cpu_count() or 1)
-
-
-def _sweep(vconf, out, eps_list, variant, kernel, reference_nx, reference_dt, dx_ratio,
-           jobs) -> int:
+def _sweep(vconf, out, eps_list, variant, kernel, reference_nx, reference_dt, dx_ratio) -> int:
     eps_values = list(eps_list)
     run_dirs = [f"eps_{eps:g}" for eps in eps_values]
     if (len(eps_values) < 3 or len(set(run_dirs)) < len(run_dirs)
@@ -152,8 +140,6 @@ def _sweep(vconf, out, eps_list, variant, kernel, reference_nx, reference_dt, dx
         )
     if not 0.0 < dx_ratio < math.inf:
         raise ValueError(f"dx_ratio must be positive and finite, got {dx_ratio}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     for eps in eps_values:
         nonlocal_solver.check_setup(vconf, eps, variant, eps / dx_ratio)
     reference = local_solver.solve(vconf, n_cells=reference_nx, dt=reference_dt)
@@ -162,17 +148,10 @@ def _sweep(vconf, out, eps_list, variant, kernel, reference_nx, reference_dt, dx
         {"solver": "local", "nx": reference_nx, "dt": reference.dt},
         out / "reference" / "metadata.json",
     )
-    run = functools.partial(
-        _nonlocal_run, vconf=vconf, kernel=kernel, variant=variant, dx_ratio=dx_ratio
-    )
-    workers = _workers(jobs, len(eps_values))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            sols = list(pool.map(run, eps_values))
-    else:
-        sols = list(map(run, eps_values))
+    # Every eps is solved before any run dir is written, so a failed solve
+    # leaves only reference/ and error.json.
+    sols = [nonlocal_solver.solve(vconf, kernel, eps=eps, variant=variant, dx=eps / dx_ratio)
+            for eps in eps_values]
 
     rows = []
     for eps, name, sol in zip(eps_values, run_dirs, sols):
@@ -204,13 +183,19 @@ def cmd_converge(
     dx_ratio: float = 16.0,
     jobs: int = 1,
 ) -> int:
-    """Local reference plus one nonlocal run per eps; errors, CSV, rate fit."""
+    """Local reference plus one nonlocal run per eps; errors, CSV, rate fit.
+
+    The sweep is serial; ``jobs`` is kept for callers that pass ``jobs=1``,
+    and any other value is a ``bad_manifest`` error.
+    """
     variant = variant if variant is not None else nonlocal_solver.NonlocalVariant()
     kernel = kernel if kernel is not None else kernels.KernelSpec("epanechnikov")
 
     def run(vconf, out):
+        if jobs != 1:
+            raise ValueError(f"converge runs its eps values serially; jobs must be 1, got {jobs}")
         return _sweep(vconf, out, eps_list, variant, kernel, reference_nx, reference_dt,
-                      dx_ratio, jobs)
+                      dx_ratio)
 
     return _guarded(config_path, out_dir, run)
 
@@ -261,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--nx", type=int, default=2048, help="local reference cells")
     pc.add_argument("--dt", type=float, default=1e-4, help="local reference step")
     pc.add_argument("--dx-ratio", type=float, default=16.0, help="eps/dx for nonlocal runs")
-    pc.add_argument("--jobs", type=int, default=1)
 
     pv = sub.add_parser("verify", help="run acceptance criteria 1-6 and 8")
     pv.add_argument("which", nargs="?", choices=(*map(str, checks.CRITERIA), "all"),
@@ -280,7 +264,7 @@ def main(argv=None) -> int:
             variant = _variant(args.variant, args.beta, args.c1)
             kernel = kernels.KernelSpec(args.kernel)
             return _sweep(vconf, out, args.eps, variant, kernel, args.nx, args.dt,
-                          args.dx_ratio, args.jobs)
+                          args.dx_ratio)
 
         return _guarded(args.config, args.out, run)
     return cmd_verify(args.which)

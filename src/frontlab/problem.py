@@ -306,6 +306,8 @@ def save_config(config: ProblemConfig, path) -> None:
         lines.append(f"reaction.a = {r.a:.17g}")
         lines.append(f"reaction.b = {r.b:.17g}")
     elif r.family == "custom_polynomial":
+        if not r.coefficients:
+            raise ValueError("a custom_polynomial reaction needs at least one coefficient")
         lines.append("reaction.coefficients = " + ",".join(f"{c:.17g}" for c in r.coefficients))
     i = config.initial
     if i.family == "custom_table":
@@ -331,9 +333,15 @@ def load_config(path) -> ProblemConfig:
                 raise ValueError(f"repeated config key {key!r}")
             entries[key] = value
 
+    def number(key, text):
+        try:
+            return float(text)
+        except ValueError:
+            raise ValueError(f"config key {key!r}: {text!r} is not a number") from None
+
     def pop_float(key, default=None):
         if key in entries:
-            return float(entries.pop(key))
+            return number(key, entries.pop(key))
         if default is None:
             raise ValueError(f"config missing required key {key!r}")
         return default
@@ -344,8 +352,11 @@ def load_config(path) -> ProblemConfig:
     T = pop_float("T")
     rfam = entries.pop("reaction.family", "zero")
     if rfam == "custom_polynomial":
-        raw = entries.pop("reaction.coefficients", "")
-        coeffs = tuple(float(c) for c in raw.split(",") if c.strip())
+        key = "reaction.coefficients"
+        raw = entries.pop(key, "")
+        if not raw:
+            raise ValueError(f"config key {key!r} must list the custom_polynomial's coefficients")
+        coeffs = tuple(number(key, c.strip()) for c in raw.split(","))
         reaction = ReactionSpec(family=rfam, coefficients=coeffs)
     elif rfam == "fisher_kpp":
         reaction = ReactionSpec(rfam, pop_float("reaction.a", 1.0), pop_float("reaction.b", 1.0))

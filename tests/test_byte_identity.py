@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frontlab import cli, kernels
+from frontlab import cli, kernels, problem
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "byte_identity.py"
@@ -83,20 +83,24 @@ def test_numeric_difference_pairs_fields_in_order():
 
 @pytest.mark.parametrize("name", list(byte_identity.RECIPE))
 def test_recipe_commands_parse(name, tmp_path):
-    # argparse exits on a bad command line; each config is the tree's own.
-    table = tmp_path / "kernel_table.txt"
-    args = cli.build_parser().parse_args(byte_identity.frontlab_args(name, tmp_path, table))
+    # argparse exits on a bad command line; each config is the tree's own or,
+    # for a placeholder, the file written into the work directory.
+    inputs = byte_identity.write_inputs(tmp_path)
+    argv = byte_identity.frontlab_args(name, tmp_path / "out", inputs)
+    assert not set(argv) & set(inputs)
+    args = cli.build_parser().parse_args(argv)
     assert args.command == byte_identity.RECIPE[name][0]
     if args.command == "verify":
         assert args.which == "all"
     else:
         assert (ROOT / args.config).is_file()
-        assert args.out == str(tmp_path / name)
+        assert args.out == str(tmp_path / "out" / name)
 
 
 def test_custom_kernel_run_reads_the_written_table_by_absolute_path(tmp_path):
-    table = byte_identity.write_kernel_table(tmp_path / "kernel_table.txt")
-    args = byte_identity.frontlab_args("solve-nonlocal-fisher-custom-kernel", tmp_path, table)
+    inputs = byte_identity.write_inputs(tmp_path)
+    table = inputs[byte_identity.KERNEL_TABLE]
+    args = byte_identity.frontlab_args("solve-nonlocal-fisher-custom-kernel", tmp_path, inputs)
     assert byte_identity.KERNEL_TABLE not in args
     path = Path(args[args.index("--kernel-file") + 1])
     assert path.is_absolute() and path == table.resolve()
@@ -106,3 +110,15 @@ def test_custom_kernel_run_reads_the_written_table_by_absolute_path(tmp_path):
     assert np.array_equal(tab[:, 0], z)
     assert np.allclose(tab[:, 1], np.cos(np.pi * z / 2) ** 2 + 0.05, rtol=1e-15, atol=0.0)
     kernels.from_file(path)  # raises unless the table is an admissible kernel
+
+
+def test_front_move_sweep_reads_the_written_config_by_absolute_path(tmp_path):
+    inputs = byte_identity.write_inputs(tmp_path)
+    args = byte_identity.frontlab_args("converge-front-move", tmp_path, inputs)
+    assert byte_identity.FAST_STEFAN not in args
+    path = Path(args[args.index("--config") + 1])
+    assert path.is_absolute() and path == inputs[byte_identity.FAST_STEFAN].resolve()
+    config = problem.load_config(path)
+    assert (config.d, config.mu, config.h0, config.T) == (1.0, 5.0, 1.0, 0.05)
+    assert config.reaction.family == "zero" and config.initial.family == "quadratic_bump"
+    assert problem.validate(config).ok

@@ -1,5 +1,4 @@
 import json
-import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -245,8 +244,22 @@ SWEEP_ARGS = ["--eps", "0.2", "--eps", "0.1", "--eps", "0.05",
         ("d = 1\nmu = 1\nh0 = 1\nT = 0.1\n"
          "reaction.family = zero\ninitial.family = quadratic_bump\ninitial.V = nan\n",
          "invalid_config", "(1.2a)"),
+        ("d = 1\nmu = 1\nh0 = 1\nT = 0.1\nreaction.family = custom_polynomial\n",
+         "bad_config", "'reaction.coefficients' must list"),
+        ("d = 1\nmu = 1\nh0 = 1\nT = 0.1\nreaction.family = custom_polynomial\n"
+         "reaction.coefficients =\n",
+         "bad_config", "'reaction.coefficients' must list"),
+        ("d =\nmu = 1\nh0 = 1\nT = 0.1\n", "bad_config", "config key 'd': '' is not a number"),
+        ("d = 1\nmu = 1\nh0 = 1\nT = 0.1\nreaction.family = custom_polynomial\n"
+         "reaction.coefficients = 0,x\n",
+         "bad_config", "config key 'reaction.coefficients': 'x' is not a number"),
+        # An empty field is not skipped: 0,,-1 would otherwise load as -u, not -u^2.
+        ("d = 1\nmu = 1\nh0 = 1\nT = 0.1\nreaction.family = custom_polynomial\n"
+         "reaction.coefficients = 0,,-1\n",
+         "bad_config", "config key 'reaction.coefficients': '' is not a number"),
     ],
-    ids=["missing", "invalid", "nan-height"],
+    ids=["missing", "invalid", "nan-height", "no-coefficients", "empty-coefficients",
+         "empty-value", "bad-coefficient", "empty-coefficient-field"],
 )
 def test_converge_bad_config_writes_error_json(tmp_path, config_text, code, message):
     cfg = tmp_path / "sweep.cfg"
@@ -307,13 +320,11 @@ def test_solve_reaction_step_guard_writes_error_json(tmp_path, solver_args, rati
         (["--dx-ratio", "0"], "dx_ratio must be positive and finite"),
         (["--dx-ratio", "-8"], "dx_ratio must be positive and finite"),
         (["--dx-ratio", "16.5"], "eps/dx = 16.5 is not an integer"),
-        (["--jobs", "0"], "jobs must be at least 1, got 0"),
-        (["--jobs", "-3"], "jobs must be at least 1, got -3"),
         (["--nx", "1000001"], "n_cells = 1000001 is more than MAX_NODES = 1000000"),
     ],
     ids=["beta", "kernel", "no-c1", "nx", "negative-eps", "nan-eps", "repeated-eps",
          "colliding-eps", "zero-dx-ratio", "negative-dx-ratio", "fractional-dx-ratio",
-         "zero-jobs", "negative-jobs", "huge-nx"],
+         "huge-nx"],
 )
 def test_converge_bad_arguments_exit_2(stefan_cfg, tmp_path, extra, message):
     out = tmp_path / "sweep"
@@ -323,6 +334,29 @@ def test_converge_bad_arguments_exit_2(stefan_cfg, tmp_path, extra, message):
     assert err["code"] == "bad_manifest"
     assert message in err["message"]
     assert not (out / "reference").exists()  # rejected before any solve
+
+
+@pytest.mark.parametrize("jobs", [0, 2])
+def test_converge_jobs_other_than_one_is_bad_manifest(stefan_cfg, tmp_path, jobs):
+    # The sweep is serial: cmd_converge keeps jobs=1 for its callers and
+    # rejects any other value before any solve.
+    out = tmp_path / "sweep"
+    assert cli.cmd_converge(str(stefan_cfg), [0.2, 0.1, 0.05], str(out), reference_nx=64,
+                            reference_dt=1e-3, dx_ratio=8, jobs=jobs) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["code"] == "bad_manifest"
+    assert f"jobs must be 1, got {jobs}" in err["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+def test_converge_has_no_jobs_option(stefan_cfg, tmp_path, capsys):
+    argv = ["converge", "--config", str(stefan_cfg), "--out", str(tmp_path / "sweep"),
+            *SWEEP_ARGS, "--jobs", "2"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
 
 
 @pytest.mark.parametrize(
@@ -346,6 +380,25 @@ def test_converge_infeasible_eps_exit_3_before_reference(stefan_cfg, tmp_path, e
     assert message in err["message"]
     assert err["time_of_failure"] == 0.0
     assert not (out / "reference").exists()  # rejected before any solve
+
+
+def test_converge_failure_after_the_reference_leaves_reference_and_error_json(tmp_path):
+    # At mu = 5 the eps 0.2 front would move more than dx in its first step:
+    # the nonlocal failure comes after the reference solve, and no run dir,
+    # sweep.csv or ratefit.json is written.
+    cfg = tmp_path / "fast.cfg"
+    problem.save_config(replace(problem.symmetric_stefan(T=0.05), mu=5.0), cfg)
+    out = tmp_path / "sweep"
+    argv = ["converge", "--config", str(cfg), "--out", str(out),
+            "--eps", "0.2", "--eps", "0.1", "--eps", "0.05", "--nx", "64", "--dt", "1e-3"]
+    assert cli.main(argv) == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err["code"] == "cfl_violation"
+    assert "front move" in err["message"]
+    assert err["time_of_failure"] == 0.0
+    assert sorted(p.name for p in out.iterdir()) == ["error.json", "reference"]
+    assert sorted(p.name for p in (out / "reference").iterdir()) == [
+        "boundary.csv", "metadata.json"]
 
 
 def test_converge_sweep_outputs_and_monotone_errors(stefan_cfg, tmp_path, capsys):
@@ -384,26 +437,6 @@ def test_converge_deterministic_bytes(stefan_cfg, tmp_path):
     assert cli.main(args + ["--out", str(out_a)]) == 0
     assert cli.main(args + ["--out", str(out_b)]) == 0
     assert read_tree(out_a) == read_tree(out_b)
-
-
-def test_converge_parallel_matches_serial(stefan_cfg, tmp_path):
-    args = ["converge", "--config", str(stefan_cfg),
-            "--eps", "0.2", "--eps", "0.1", "--eps", "0.05",
-            "--nx", "128", "--dt", "1e-3", "--dx-ratio", "8"]
-    out_serial, out_par = tmp_path / "serial", tmp_path / "par"
-    assert cli.main(args + ["--out", str(out_serial)]) == 0
-    assert cli.main(args + ["--out", str(out_par), "--jobs", "2"]) == 0
-    assert read_tree(out_serial) == read_tree(out_par)
-
-
-def test_sweep_workers_bounded_by_runs_and_cores():
-    # A pool forks all its workers at once, so --jobs is clamped before one
-    # is started; checked as a pure function, no pool is started here.
-    cores = os.cpu_count() or 1
-    assert cli._workers(10**6, 3) == min(3, cores)
-    assert cli._workers(10**6, 10**6) == cores
-    assert cli._workers(1, 3) == 1
-    assert cli._workers(2, 1) == 1
 
 
 def test_verify_all_runs_criteria_in_key_order(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """What a fresh process loads: no SciPy module, local solves included (they
-call the LAPACK that numpy bundles), the process pool only for a converge
-sweep with more than one job, and neither numpy.ma nor numpy.polynomial.
+call the LAPACK that numpy bundles), no process pool, converge sweeps
+included (they solve their eps values serially), and neither numpy.ma nor
+numpy.polynomial.
 
 Each test runs its script in a new interpreter, because this test process
 has long since imported SciPy and the other modules in question.  Only module names are asserted, never times.
@@ -71,34 +72,18 @@ def test_nonlocal_solve_loads_neither_scipy_nor_the_pool(tmp_path):
     assert seen["cli_local"] == NONE
 
 
-def test_converge_loads_the_pool_only_for_two_jobs(tmp_path):
+def test_converge_loads_no_pool(tmp_path):
     seen = run_fresh(
         """
-        from pathlib import Path
-
         problem.save_config(problem.symmetric_stefan(T=0.05), "stefan.cfg")
-
-        def sweep(out, jobs):
-            code = cli.cmd_converge("stefan.cfg", [0.2, 0.1, 0.05], out, reference_nx=64,
-                                    reference_dt=1e-3, dx_ratio=8.0, jobs=jobs)
-            files = sorted(p for p in Path(out).rglob("*") if p.is_file())
-            tree = {str(p.relative_to(out)): p.read_bytes().hex() for p in files}
-            return code, tree
-
-        code1, serial = sweep("serial", 1)
-        after_serial = loaded()
-        code2, pooled = sweep("pooled", 2)
-        print(json.dumps({"codes": [code1, code2], "serial": after_serial,
-                          "pooled": loaded(), "same": serial == pooled,
-                          "workers": cli._workers(2, 3)}))
+        code = cli.cmd_converge("stefan.cfg", [0.2, 0.1, 0.05], "sweep", reference_nx=64,
+                                reference_dt=1e-3, dx_ratio=8.0)
+        print(json.dumps({"code": code, "loaded": loaded()}))
         """,
         tmp_path,
     )
-    assert seen["codes"] == [0, 0]
-    assert seen["serial"] == NONE
-    # One core gives one worker, and then no pool is started.
-    assert seen["pooled"]["concurrent.futures.process"] == (seen["workers"] > 1)
-    assert seen["same"]
+    assert seen["code"] == 0
+    assert seen["loaded"] == NONE
 
 
 @pytest.mark.parametrize("package_first", [False, True], ids=["loader-first", "package-first"])

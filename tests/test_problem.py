@@ -176,7 +176,7 @@ def test_validated_config_fields_read_the_config():
             setattr(vconf, name, None)
     with pytest.raises(AttributeError):  # no other name is forwarded to the config
         getattr(vconf, "a")
-    copy = pickle.loads(pickle.dumps(vconf))  # a converge pool pickles it
+    copy = pickle.loads(pickle.dumps(vconf))  # a caller may hand it to another process
     assert (copy.T, copy.reaction, copy.L0) == (0.5, vconf.reaction, vconf.L0)
 
 
@@ -377,6 +377,15 @@ def test_config_round_trip(tmp_path):
     assert loaded.initial.V == cfg.initial.V
     P.save_config(loaded, tmp_path / "cfg2.txt")
     assert (tmp_path / "cfg.txt").read_bytes() == (tmp_path / "cfg2.txt").read_bytes()
+
+
+def test_save_config_refuses_a_custom_polynomial_without_coefficients(tmp_path):
+    # load_config would reject the file: the family needs reaction.coefficients.
+    cfg = P.ProblemConfig(reaction=P.ReactionSpec(family="custom_polynomial"))
+    path = tmp_path / "cfg.txt"
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        P.save_config(cfg, path)
+    assert not path.exists()
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
