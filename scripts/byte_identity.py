@@ -3,11 +3,11 @@
 
     python3 scripts/byte_identity.py --parent PARENT_TREE --change CHANGE_TREE
 
-Runs the eleven commands of ``RECIPE`` in each tree with
+Runs the twelve commands of ``RECIPE`` in each tree with
 ``PYTHONPATH=<tree>/src python -m frontlab``, from the tree itself (so the
 configs are its own), writing each command's output directory and its
 captured stdout and exit status under a temporary work directory.  One
-custom kernel table and one config that neither tree ships are written
+custom kernel table and two configs that neither tree ships are written
 there first, and both sides read them by their absolute paths.  It then
 compares the two sides file by file, prints the number of files compared
 and every path that differs or exists on one side only (for a CSV or JSON
@@ -36,9 +36,10 @@ EPS = ["--eps", "0.2", "--eps", "0.1", "--eps", "0.05"]
 # In RECIPE, these stand for the files write_inputs writes into the work directory.
 KERNEL_TABLE = "<kernel-table>"
 FAST_STEFAN = "<fast-stefan-config>"
+FLAT_STEFAN = "<flat-stefan-config>"
 
 # name -> frontlab arguments; the ones that write files get --out <work>/<side>/out/<name>.
-# The last three fail on purpose, so the shared failure path (error.json and
+# The last four fail on purpose, so the shared failure path (error.json and
 # the exit status) is compared too.
 RECIPE = {
     "converge-stefan": ["converge", "--config", "configs/stefan.cfg", *EPS,
@@ -69,6 +70,8 @@ RECIPE = {
     # after reference/ is written
     "converge-front-move": ["converge", "--config", FAST_STEFAN, *EPS,
                             "--nx", "64", "--dt", "1e-3"],
+    # exit 2, invalid_config: v0 = 0 is not positive and has no slope at +-h0
+    "solve-flat-bump": ["solve", "--config", FLAT_STEFAN],
 }
 
 
@@ -89,11 +92,20 @@ def write_fast_stefan_config(path: Path) -> Path:
     return path
 
 
+def write_flat_stefan_config(path: Path) -> Path:
+    """The Stefan config with initial.V = 0, written to path; returns path.
+    It loads, and validate rejects it under (1.2a)."""
+    path.write_text("d = 1\nmu = 1\nh0 = 1\nT = 1\nreaction.family = zero\n"
+                    "initial.family = quadratic_bump\ninitial.V = 0\n")
+    return path
+
+
 def write_inputs(work: Path) -> dict[str, Path]:
     """Write the files RECIPE's placeholders stand for into work; returns
     placeholder -> path."""
     return {KERNEL_TABLE: write_kernel_table(work / "kernel_table.txt"),
-            FAST_STEFAN: write_fast_stefan_config(work / "fast_stefan.cfg")}
+            FAST_STEFAN: write_fast_stefan_config(work / "fast_stefan.cfg"),
+            FLAT_STEFAN: write_flat_stefan_config(work / "flat_stefan.cfg")}
 
 
 def frontlab_args(name: str, out_root: Path, inputs: dict[str, Path]) -> list[str]:

@@ -12,7 +12,11 @@ Subcommands:
 Exit codes: 0 success, 2 inadmissible input, 3 solver failure.  On every
 exit-2 or exit-3 failure both ``solve`` and ``converge`` write
 ``error.json`` (``{code, message, time_of_failure}``) into the output
-directory.  Exit 2 codes: ``bad_config`` (the config file cannot be read or
+directory, and each run first removes the ``error.json`` a run before it
+left there, so the file marks a failure of the latest run only.  An
+``--out`` that cannot be made a directory (an existing file, or a path
+below one) is ``bad_manifest`` on stderr alone, with nowhere to write the
+file.  Exit 2 codes: ``bad_config`` (the config file cannot be read or
 parsed), ``invalid_config`` (it violates the hypotheses; the violated rules
 are listed), ``bad_manifest`` (an inadmissible option value or eps list),
 and the code of any other package error (``degenerate_kernel``,
@@ -44,10 +48,16 @@ def _guarded(config_path: str, out_dir: str, run) -> int:
     """Load and validate the config, return ``run(vconf, out)``; map failures.
 
     The one failure path of ``solve`` and ``converge``: every exit-2 or
-    exit-3 failure writes ``out/error.json`` (see the module docstring).
+    exit-3 failure writes ``out/error.json``, and a run removes the one an
+    earlier run left (see the module docstring).
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "error.json").unlink(missing_ok=True)
+    except OSError as exc:
+        print(f"error (bad_manifest): {exc}", file=sys.stderr)
+        return 2
     try:
         config = problem.load_config(config_path)
     except (OSError, ValueError) as exc:

@@ -10,6 +10,10 @@ full list.  Rule ids:
     (1.2a)    v0 vanishes at +-h0 with nonzero slope and is positive inside;
               v0 and the front speeds mu |v0'(+-h0)| are finite
 
+Both initial families are V times an even profile that is positive inside
+(-h0, h0), peaks at 1 at x = 0 and has a known slope at +-h0, so (1.2a) is
+decided in closed form from V, h0 and mu, with no samples of v0.
+
 Solvers only ever see a :class:`ValidatedConfig`.
 """
 
@@ -23,7 +27,7 @@ import numpy as np
 from .errors import NegativeDensity
 
 REACTION_FAMILIES = ("zero", "fisher_kpp", "custom_polynomial")
-INITIAL_FAMILIES = ("quadratic_bump", "cosine_bump", "custom_table")
+INITIAL_FAMILIES = ("quadratic_bump", "cosine_bump")
 
 
 @dataclass(frozen=True)
@@ -41,19 +45,14 @@ class ReactionSpec:
     coefficients: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class InitialDataSpec:
-    """Initial profile v0 on [-h0, h0], extended by zero outside.  h0 is
-    ``ProblemConfig.h0``, so one number sets v0's support and the initial
-    domain (-h0, h0)."""
+    """Initial profile v0 on [-h0, h0], extended by zero outside: V (1 - (x/h0)^2)
+    or V cos(pi x / (2 h0)).  h0 is ``ProblemConfig.h0``, so one number sets
+    v0's support and the initial domain (-h0, h0)."""
 
     family: str = "quadratic_bump"
     V: float = 1.0
-    table: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.table is not None:
-            object.__setattr__(self, "table", np.asarray(self.table, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,17 +133,12 @@ def eval_reaction(spec: ReactionSpec, u):
 
 def eval_initial(spec: InitialDataSpec, h0: float, x):
     """v0(x), zero outside [-h0, h0]."""
-    x = np.asarray(x, dtype=float)
-    xa = np.abs(x)  # built-ins are even; evaluating |x| makes that exact
+    xa = np.abs(np.asarray(x, dtype=float))  # both families are even; |x| makes that exact
     inside = xa < h0
     if spec.family == "quadratic_bump":
         out = np.where(inside, spec.V * (1.0 - (xa / h0) ** 2), 0.0)
     elif spec.family == "cosine_bump":
         out = np.where(inside, spec.V * np.cos(0.5 * np.pi * xa / h0), 0.0)
-    elif spec.family == "custom_table":
-        if spec.table is None:
-            raise ValueError("custom_table initial data requires a table")
-        out = np.where(inside, np.interp(x, spec.table[:, 0], spec.table[:, 1]), 0.0)
     else:
         raise ValueError(f"unknown initial family: {spec.family!r}")
     if out.ndim == 0:
@@ -208,17 +202,12 @@ def _sign_changes(c) -> list[float]:
 
 
 def _initial_slopes(spec: InitialDataSpec, h0: float) -> tuple[float, float]:
-    """One-sided |v0'| at -h0 and +h0 (analytic for built-ins)."""
+    """One-sided |v0'| at -h0 and +h0, in closed form."""
     if spec.family == "quadratic_bump":
         s = 2.0 * abs(spec.V) / h0
-        return s, s
-    if spec.family == "cosine_bump":
+    else:  # cosine_bump, the one other family validate admits
         s = 0.5 * np.pi * abs(spec.V) / h0
-        return s, s
-    dx = 1e-4 * h0
-    left = abs(eval_initial(spec, h0, -h0 + dx) - eval_initial(spec, h0, -h0)) / dx
-    right = abs(eval_initial(spec, h0, h0) - eval_initial(spec, h0, h0 - dx)) / dx
-    return left, right
+    return s, s
 
 
 def validate(config: ProblemConfig) -> ValidatedConfig:
@@ -244,21 +233,10 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
     if initial.family not in INITIAL_FAMILIES:
         violations.append(f"(config): unknown initial family {initial.family!r}")
         return ValidatedConfig(config=config, violations=tuple(violations))
-    if initial.family == "custom_table":
-        if initial.table is None:
-            violations.append("(config): custom_table initial data requires a table")
-            return ValidatedConfig(config=config, violations=tuple(violations))
-        for endpoint in (-config.h0, config.h0):
-            if abs(np.interp(endpoint, initial.table[:, 0], initial.table[:, 1])) > 1e-10:
-                violations.append("(1.2a): v0(+-h0) != 0")
-                break
-
     if config.h0 > 0.0:
-        xs = np.linspace(-config.h0, config.h0, 513)[1:-1]
-        v0 = eval_initial(initial, config.h0, xs)
-        if not np.all(v0 > 0.0):
+        sup_v0 = float(initial.V)  # both profiles peak at 1, at x = 0
+        if not sup_v0 > 0.0:
             violations.append("(1.2a): v0 not positive on (-h0, h0)")
-        sup_v0 = float(np.max(v0)) if v0.size else 0.0
         sl, sr = _initial_slopes(initial, config.h0)
         if not (sl > 1e-6 and sr > 1e-6):
             violations.append("(1.2a): v0 has vanishing one-sided slope at +-h0")
@@ -298,7 +276,7 @@ _CONFIG_KEYS = ("d", "mu", "h0", "T")
 
 
 def save_config(config: ProblemConfig, path) -> None:
-    """Write the config as dotted key-value lines (built-in families only)."""
+    """Write the config as dotted key-value lines."""
     lines = [f"{k} = {getattr(config, k):.17g}" for k in _CONFIG_KEYS]
     r = config.reaction
     lines.append(f"reaction.family = {r.family}")
@@ -310,8 +288,6 @@ def save_config(config: ProblemConfig, path) -> None:
             raise ValueError("a custom_polynomial reaction needs at least one coefficient")
         lines.append("reaction.coefficients = " + ",".join(f"{c:.17g}" for c in r.coefficients))
     i = config.initial
-    if i.family == "custom_table":
-        raise ValueError("custom_table initial data cannot be serialized to a config file")
     lines.append(f"initial.family = {i.family}")
     lines.append(f"initial.V = {i.V:.17g}")
     with open(path, "w", encoding="utf-8") as fh:

@@ -11,6 +11,7 @@ from frontlab import local_solver as L
 from frontlab import nonlocal_solver as NL
 from frontlab import problem as P
 from frontlab.errors import DegenerateFit, HorizonMismatch
+from frontlab.trajectory import march
 
 
 @pytest.fixture(scope="module")
@@ -210,12 +211,9 @@ def test_symmetry_defect_zero_for_symmetric(local_sol, nonlocal_sol):
 
 
 def test_symmetry_defect_detects_shift(vconf):
-    x = np.linspace(-1.0, 1.0, 101)
-    bump = np.clip((1.0 - x * x) * (1.0 + 0.3 * x), 0.0, None)
-    cfg = P.ProblemConfig(
-        T=0.1,
-        initial=P.InitialDataSpec(family="custom_table", table=np.column_stack([x, bump])),
-    )
-    vc = P.validate(cfg)
-    sol = L.solve(vc, n_cells=64, dt=5e-4)
+    # A hand-built skewed bump on (-1, 1), marched by the local step.
+    xi = np.linspace(-1.0, 1.0, 65)
+    state = L.FixedDomainState(t=0.0, g=-1.0, h=1.0, values=(1.0 - xi * xi) * (1.0 + 0.3 * xi))
+    sol = march(L.LocalSolution, state, lambda s, dt: L.step(s, dt, vconf), vconf.T, 5e-4,
+                n_cells=64)
     assert A.symmetry_defect(sol) > 1e-3

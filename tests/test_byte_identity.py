@@ -122,3 +122,17 @@ def test_front_move_sweep_reads_the_written_config_by_absolute_path(tmp_path):
     assert (config.d, config.mu, config.h0, config.T) == (1.0, 5.0, 1.0, 0.05)
     assert config.reaction.family == "zero" and config.initial.family == "quadratic_bump"
     assert problem.validate(config).ok
+
+
+def test_flat_bump_solve_reads_the_written_config_by_absolute_path(tmp_path):
+    inputs = byte_identity.write_inputs(tmp_path)
+    args = byte_identity.frontlab_args("solve-flat-bump", tmp_path, inputs)
+    assert byte_identity.FLAT_STEFAN not in args
+    path = Path(args[args.index("--config") + 1])
+    assert path.is_absolute() and path == inputs[byte_identity.FLAT_STEFAN].resolve()
+    config = problem.load_config(path)
+    assert (config.initial.family, config.initial.V) == ("quadratic_bump", 0.0)
+    assert problem.validate(config).violations == (
+        "(1.2a): v0 not positive on (-h0, h0)",
+        "(1.2a): v0 has vanishing one-sided slope at +-h0",
+    )

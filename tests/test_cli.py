@@ -234,6 +234,51 @@ SWEEP_ARGS = ["--eps", "0.2", "--eps", "0.1", "--eps", "0.05",
               "--nx", "64", "--dt", "1e-3", "--dx-ratio", "8"]
 
 
+# The quickest arguments of a successful run of each command.
+QUICK_ARGS = {"solve": ["--nx", "64", "--dt", "5e-4"], "converge": SWEEP_ARGS}
+FLAT_BUMP = ("d = 1\nmu = 1\nh0 = 1\nT = 0.1\n"
+             "reaction.family = zero\ninitial.family = quadratic_bump\ninitial.V = 0\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "converge"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_out_naming_a_file_is_bad_manifest(stefan_cfg, tmp_path, capsys, command, below):
+    # --out cannot be made a directory, so there is nowhere to write
+    # error.json: the failure goes to stderr alone, and the file is untouched.
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken / "run" if below else taken
+    argv = [command, "--config", str(stefan_cfg), "--out", str(out)]
+    assert cli.main(argv + QUICK_ARGS[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (bad_manifest): ") and err.count("\n") == 1
+    assert str(out) in err
+    assert taken.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stefan.cfg", "taken"]
+
+
+@pytest.mark.parametrize("command", ["solve", "converge"])
+def test_error_json_marks_only_the_latest_run(stefan_cfg, tmp_path, command):
+    # A failure, a success, then a failure again into one --out: a run
+    # removes the error.json an earlier run left, and only that file.
+    flat = tmp_path / "flat.cfg"
+    flat.write_text(FLAT_BUMP)
+    out = tmp_path / "run"
+
+    def run(cfg):
+        return cli.main([command, "--config", str(cfg), "--out", str(out)] + QUICK_ARGS[command])
+
+    assert run(flat) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    assert run(stefan_cfg) == 0
+    outputs = read_tree(out)
+    assert "error.json" not in outputs
+    assert run(flat) == 2
+    err = (out / "error.json").read_bytes()
+    assert json.loads(err)["code"] == "invalid_config"
+    assert read_tree(out) == {**outputs, "error.json": err}
+
+
 @pytest.mark.parametrize(
     "config_text, code, message",
     [

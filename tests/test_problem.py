@@ -147,25 +147,21 @@ def test_zero_reaction_is_the_scalar_zero_after_the_guard():
 
 
 def test_initial_dip_below_zero_is_negative_density():
-    # v0 dips to -0.5 between validate's samples, exactly at a solver node;
-    # the solvers pass their states to the reaction unclamped, so its guard
-    # reports the dip in the first step instead of evaluating f at 0.
-    x_local, x_nonlocal = -1.0 + 13.0 / 24.0, 37.0 * 0.0125  # nodes at n_cells 48, dx 0.0125
-    x = np.linspace(-1.0, 1.0, 41)
-    v = 1.0 - x**2
-    for xd in (x_local, x_nonlocal):
-        x = np.concatenate([x, [xd - 1e-4, xd, xd + 1e-4]])
-        v = np.concatenate([v, [1.0 - (xd - 1e-4) ** 2, -0.5, 1.0 - (xd + 1e-4) ** 2]])
-    order = np.argsort(x)
-    table = np.column_stack([x[order], v[order]])
-    vconf = P.validate(P.ProblemConfig(
-        T=0.01, initial=P.InitialDataSpec(family="custom_table", table=table)
-    ))
-    assert vconf.ok
+    # A hand-built state holds one node at -0.5; the solvers pass their
+    # states to the reaction unclamped, so its guard reports the node in the
+    # step instead of evaluating f at 0.
+    vconf = P.validate(P.ProblemConfig(T=0.01))
+    local = L.initial_state(vconf, 48).values
+    local[13] = -0.5
     with pytest.raises(NegativeDensity):
-        L.solve(vconf, n_cells=48, dt=1e-3)
+        L.step(L.FixedDomainState(t=0.0, g=-1.0, h=1.0, values=local), 1e-3, vconf)
+    nonlocal_ = NL.initial_state(vconf, 0.0125)
+    values = nonlocal_.values.copy()
+    values[37] = -0.5
+    state = NL.EulerianState(0.0, -1.0, 1.0, 0.0125, nonlocal_.j_min, values)
+    assert state.window[0] <= 37 < state.window[1]
     with pytest.raises(NegativeDensity):
-        NL.solve(vconf, K.KernelSpec("epanechnikov"), eps=0.2, dx=0.0125, dt=1e-3)
+        NL.step(state, 1e-3, vconf, K.KernelSpec("epanechnikov"), 0.2, NL.NonlocalVariant())
 
 
 def test_validated_config_fields_read_the_config():
@@ -350,14 +346,6 @@ def test_initial_slopes_nonzero():
     assert sr == pytest.approx(1.0)
 
 
-def test_custom_table_initial():
-    x = np.linspace(-1.0, 1.0, 41)
-    spec = P.InitialDataSpec(family="custom_table", table=np.column_stack([x, 1 - x**2]))
-    cfg = P.ProblemConfig(initial=spec)
-    assert P.validate(cfg).ok
-    assert P.eval_initial(spec, 1.0, 0.5) == pytest.approx(0.75, abs=1e-3)
-
-
 def test_config_round_trip(tmp_path):
     cfg = P.ProblemConfig(
         d=0.7,
@@ -377,6 +365,45 @@ def test_config_round_trip(tmp_path):
     assert loaded.initial.V == cfg.initial.V
     P.save_config(loaded, tmp_path / "cfg2.txt")
     assert (tmp_path / "cfg.txt").read_bytes() == (tmp_path / "cfg2.txt").read_bytes()
+
+
+@pytest.mark.parametrize("family", P.INITIAL_FAMILIES)
+def test_every_initial_family_round_trips(tmp_path, family):
+    cfg = P.ProblemConfig(h0=1.5, initial=P.InitialDataSpec(family=family, V=0.7))
+    path = tmp_path / "cfg.txt"
+    P.save_config(cfg, path)
+    loaded = P.load_config(path)
+    assert loaded.initial == cfg.initial
+    before, after = P.validate(cfg), P.validate(loaded)
+    assert after.ok
+    assert ((after.K, after.L0, after.sup_v0, after.violations)
+            == (before.K, before.L0, before.sup_v0, before.violations))
+
+
+NOT_POSITIVE = "(1.2a): v0 not positive on (-h0, h0)"
+FLAT = "(1.2a): v0 has vanishing one-sided slope at +-h0"
+NOT_FINITE = "(1.2a): v0 or its front speed mu |v0'(+-h0)| is not finite"
+
+
+@pytest.mark.parametrize("family", P.INITIAL_FAMILIES)
+@pytest.mark.parametrize("height, violations", [
+    (1.0, ()),
+    (0.0, (NOT_POSITIVE, FLAT)),
+    (-1.0, (NOT_POSITIVE,)),
+    (np.nan, (NOT_POSITIVE, FLAT)),
+    (np.inf, (NOT_FINITE,)),
+    (-np.inf, (NOT_POSITIVE, NOT_FINITE)),
+    # the quadratic's slope 2 V overflows, the cosine's pi V / 2 does not
+    (1e308, {"quadratic_bump": (NOT_FINITE,), "cosine_bump": ()}),
+], ids=["one", "zero", "negative", "nan", "inf", "-inf", "1e308"])
+def test_initial_height_violations(family, height, violations):
+    # v0 is V times a profile positive inside with peak 1 at x = 0, so the
+    # verdict follows from V, h0 and mu alone; sup v0 is V itself.
+    if isinstance(violations, dict):
+        violations = violations[family]
+    vc = P.validate(P.ProblemConfig(initial=P.InitialDataSpec(family=family, V=height)))
+    assert vc.violations == violations
+    assert vc.sup_v0 == height or np.isnan(vc.sup_v0) and np.isnan(height)
 
 
 def test_save_config_refuses_a_custom_polynomial_without_coefficients(tmp_path):
