@@ -3,7 +3,7 @@
 
     python3 scripts/byte_identity.py --parent PARENT_TREE --change CHANGE_TREE
 
-Runs the twelve commands of ``RECIPE`` in each tree with
+Runs the thirteen commands of ``RECIPE`` in each tree with
 ``PYTHONPATH=<tree>/src python -m frontlab``, from the tree itself (so the
 configs are its own), writing each command's output directory and its
 captured stdout and exit status under a temporary work directory.  One
@@ -59,6 +59,9 @@ RECIPE = {
                               "--preset", "i1", "--nx", "1000"],
     "solve-local-fisher-i2": ["solve", "--config", "configs/fisher.cfg", "--solver", "local",
                               "--preset", "i2", "--nx", "333"],
+    # the local solves of the sandwich-local benchmark are this size
+    "solve-local-stefan-i2-1024": ["solve", "--config", "configs/stefan.cfg", "--solver", "local",
+                                   "--preset", "i2", "--nx", "1024", "--dt", "1e-4"],
     "verify-all": ["verify", "all"],
     # exit 2, bad_manifest: the unmodified law needs --c1
     "solve-unmodified-no-c1": ["solve", "--config", "configs/stefan.cfg", "--solver", "nonlocal",

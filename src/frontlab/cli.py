@@ -13,7 +13,9 @@ Exit codes: 0 success, 2 inadmissible input, 3 solver failure.  On every
 exit-2 or exit-3 failure both ``solve`` and ``converge`` write
 ``error.json`` (``{code, message, time_of_failure}``) into the output
 directory, and each run first removes the ``error.json`` a run before it
-left there, so the file marks a failure of the latest run only.  An
+left there, so the file marks a failure of the latest run only; a
+successful ``solve`` also removes the snapshot CSVs an earlier solve left
+before it writes its own.  An
 ``--out`` that cannot be made a directory (an existing file, or a path
 below one) is ``bad_manifest`` on stderr alone, with nowhere to write the
 file.  Exit 2 codes: ``bad_config`` (the config file cannot be read or
@@ -127,6 +129,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 dt=args.dt,
             )
             meta = _nonlocal_meta(sol, kernel)
+        # An earlier solve into this --out may have written more snapshots.
+        for stale in out.glob("snapshot_*.csv"):
+            stale.unlink()
         runio.write_boundary_csv(sol, out / "boundary.csv")
         for k in range(len(sol.snapshots)):
             x, v = sol.snapshot_nodes(k)

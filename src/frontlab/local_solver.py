@@ -15,12 +15,15 @@ Time stepping: boundaries by explicit Euler with metrics frozen at t_n,
 interior by Crank-Nicolson on diffusion with explicit advection/reaction.
 Every floating-point expression that couples mirrored nodes is written so a
 symmetric state maps to an exactly symmetric successor.  Each tridiagonal
-solve splits its data into mirror-symmetric and antisymmetric halves and
-solves both at once against one block-diagonal matrix, 2 (I - r D2) split
-at the centre, so the solve is exactly reflection-equivariant without a
-second right-hand side.  LAPACK ``pttrf`` factors that matrix once per r
-and ``pttrs`` applies the factor; a step's corrector matrix is the next
-step's predictor matrix, so a solve of N steps factors N + 1 times.  Both
+solve splits its data into mirror-symmetric and antisymmetric halves, two
+decoupled blocks of 2 (I - r D2) split at the centre, so the solve is
+exactly reflection-equivariant without a second right-hand side.  LAPACK
+``pttrf`` factors a block once per r and ``pttrs`` applies the factor; a
+step's corrector matrix is the next step's predictor matrix, so a solve of
+N steps factors the symmetric block N + 1 times.  The antisymmetric block
+is factored and solved only when its data are not all zero, which a
+mirror-symmetric run never meets.  Each solve owns its buffers (a
+``_Workspace``), so solves in several threads share no mutable state.  Both
 routines are called through ctypes from the OpenBLAS that numpy's wheel
 bundles and has loaded already (see ``_lapack_function``), so no process,
 local solves included, loads SciPy.  A numpy built against another LAPACK
@@ -33,7 +36,6 @@ import ctypes
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -149,8 +151,10 @@ def boundary_velocities(
     if gap < MIN_GAP:
         raise DegenerateDomain(f"domain collapsed: h - g = {gap:.3e}", state.t)
     scale = 2.0 * (1.0 / n) * gap
-    slope_g = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / scale
-    slope_h = (3.0 * w[n] - 4.0 * w[n - 1] + w[n - 2]) / scale
+    w0, w1, w2 = w[:3].tolist()  # Python floats: the same IEEE operations, less overhead
+    wn2, wn1, wn = w[n - 2:].tolist()
+    slope_g = (-3.0 * w0 + 4.0 * w1 - w2) / scale
+    slope_h = (3.0 * wn - 4.0 * wn1 + wn2) / scale
     shift = knobs.boundary_shift
     g_dot = -mu * slope_g - shift
     h_dot = -mu * slope_h + shift
@@ -189,48 +193,74 @@ def _lapack_pt():
 _NRHS = ctypes.byref(ctypes.c_int64(1))  # pttrs reads nrhs and never writes it
 
 
-class _SplitFactor(NamedTuple):
-    """LDL^T factor of a split matrix: read-only views d and e of the ctypes
-    buffers in ``args``, which are ``pttrs``'s (n, d, e) arguments."""
+class _Workspace:
+    """The buffers of one local solve on m interior nodes.
 
-    d: np.ndarray
-    e: np.ndarray
-    args: tuple
-
-
-@lru_cache(maxsize=2)
-def _split_factor(r: float, m: int) -> _SplitFactor:
-    """The LDL^T factor of the block-diagonal split of 2 (I - r D2) on m
-    nodes, from LAPACK ``pttrf``.
-
-    Two entries suffice: a step's corrector matrix is the next step's
-    predictor matrix, so a solve of N steps factors N + 1 times.
+    ``diag`` and ``off`` view the ctypes buffers that hold the LDL^T factor
+    of the split matrix for ``r`` (see ``_solve_tridiagonal_symmetric``):
+    the symmetric block on rows [0, m - k) and the antisymmetric block on
+    rows [m - k, m), k = m // 2, each factored in place once ``factored``
+    says so.  ``split`` views the buffer of the split data, which ``pttrs``
+    overwrites with the solution.  ``blocks`` holds each block's first row,
+    its row count and its (n, d, e, b) arguments, pointers into the three
+    buffers made once.  ``chi``, ``terms``, ``base`` and ``rhs`` are the
+    stage buffers of ``step``.
     """
-    k = m // 2
-    odd = m - 2 * k
-    d_buf, e_buf = (ctypes.c_double * m)(), (ctypes.c_double * (m - 1))()
-    diag, off = np.frombuffer(d_buf), np.frombuffer(e_buf)
-    diag.fill(2.0 + 4.0 * r)
-    off.fill(-2.0 * r)
-    if odd:
-        diag[k] = 1.0 + 2.0 * r
-    else:
-        diag[k - 1] = 2.0 + 2.0 * r
-        diag[k] = 2.0 + 6.0 * r
-    off[k - 1 + odd] = 0.0
-    n, info = ctypes.c_int64(m), ctypes.c_int64()
-    _lapack_pt()[0](ctypes.byref(n), d_buf, e_buf, ctypes.byref(info))
-    if info.value != 0:
-        raise np.linalg.LinAlgError(
-            f"tridiagonal factorization failed: pttrf info = {info.value}"
+
+    def __init__(self, m: int):
+        k = m // 2
+        self.r = math.nan  # compares unequal to every r, so the first solve factors
+        self.factored = [False, False]
+        # e has m entries: entry m - k - 1 would couple the blocks and is never read.
+        buffers = [(ctypes.c_double * m)() for _ in range(3)]
+        self.diag, self.off, self.split = map(np.frombuffer, buffers)
+        self.blocks = tuple(
+            (first, rows, ctypes.byref(ctypes.c_int64(rows)),
+             *(ctypes.byref(buf, first * ctypes.sizeof(ctypes.c_double)) for buf in buffers))
+            for first, rows in ((0, m - k), (m - k, k))
         )
-    diag.flags.writeable = False
-    off.flags.writeable = False
-    return _SplitFactor(diag, off, (ctypes.byref(n), d_buf, e_buf))
+        self.info = ctypes.c_int64()
+        self.info_ref = ctypes.byref(self.info)
+        self.pttrf, self.pttrs = _lapack_pt()
+        self.chi, self.terms, self.base, self.rhs = (np.empty(m) for _ in range(4))
+
+
+def _solve_block(work: _Workspace, block: int) -> None:
+    """Solve block 0 (symmetric) or 1 (antisymmetric) of ``work.split`` in
+    place, factoring that block of ``work``'s matrix first if not yet done."""
+    first, rows, n, d, e, b = work.blocks[block]
+    if not work.factored[block]:
+        work.pttrf(n, d, e, work.info_ref)
+        if work.info.value != 0:
+            work.r = math.nan  # the factor buffers are spoilt; refill on the next solve
+            raise np.linalg.LinAlgError(
+                f"tridiagonal factorization failed: pttrf info = {first + work.info.value}"
+            )
+        work.factored[block] = True
+    if rows == 1:  # pttrs scales one row by 1 / d; longer systems divide by d, as here
+        work.split[first] /= work.diag[first]
+        return
+    work.pttrs(n, _NRHS, d, e, b, n, work.info_ref)
+    if work.info.value != 0:
+        raise np.linalg.LinAlgError(f"tridiagonal solve failed: pttrs info = {work.info.value}")
+
+
+def _fold(src: np.ndarray, dst: np.ndarray) -> None:
+    """dst_j = src_j + src_{m-1-j} and dst_{m-1-j} = src_j - src_{m-1-j} for
+    j < k = m // 2, and the centre copied for odd m.  It splits data into
+    the two blocks of ``_solve_tridiagonal_symmetric`` and recombines their
+    solutions.  The differences are written through the contiguous view of
+    dst, which is faster than through a reversed one."""
+    m = src.size
+    k = m // 2
+    np.add(src[:k], src[:m - k - 1:-1], out=dst[:k])
+    np.subtract(src[k - 1::-1], src[m - k:], out=dst[m - k:])
+    if m - 2 * k:
+        dst[k] = src[k]
 
 
 def _solve_tridiagonal_symmetric(
-    r: float, rhs: np.ndarray, out: np.ndarray | None = None
+    r: float, rhs: np.ndarray, out: np.ndarray | None = None, work: _Workspace | None = None
 ) -> np.ndarray:
     """Solve (I - r*D2) w = rhs with Dirichlet zeros, reflection-equivariantly.
 
@@ -247,40 +277,47 @@ def _solve_tridiagonal_symmetric(
     * a vanishes at the centre: a Dirichlet row for odd m, and a last
       diagonal entry 2 + 6r for even m.
 
-    Both blocks (the a block in reverse order, so a_j sits at row m-1-j) are
-    one symmetric positive definite, strictly diagonally dominant matrix.
-    LAPACK ``pttrf`` factors it without pivoting once per (r, m), in
-    ``_split_factor``, and ``pttrs`` applies the factor: the two calls
-    ``ptsv`` makes.  Reversing b leaves s unchanged and negates a, and an
-    LDL^T solve of a negated right-hand side is the negated solution, so the
-    result is exactly reflection-equivariant; adding +0.0 at the end maps
-    -0.0 to +0.0, the only way the two could differ.  Needs m >= 2.  The
-    split data go to ``pttrs`` in a ctypes buffer of this call's own, so
-    solves in several threads share only the read-only factor.  The
-    solution is written into ``out`` when given.
+    The s block sits on rows [0, m - k) of one buffer and the a block, in
+    reverse order so a_j sits at row m-1-j, on rows [m - k, m), k = m // 2.
+    Each is symmetric positive definite and strictly diagonally dominant, so
+    LAPACK ``pttrf`` factors it without pivoting and ``pttrs`` applies the
+    factor: the two calls ``ptsv`` makes.  ``work`` keeps the factor for the
+    last r; the s block is factored when r changes, the a block the first
+    time its data are not all zero for that r.  All-zero a data are not
+    solved at all: ``pttrs`` would return zeros, and the buffer holds them
+    already.  For finite data this gives the bytes of one ``pttrs`` on both
+    blocks stacked, whose zero coupling entry adds only signed zeros.
+    Reversing b leaves s unchanged and negates a, and an LDL^T solve of a
+    negated right-hand side is the negated solution, so the result is
+    exactly reflection-equivariant; adding +0.0 at the end maps -0.0 to
+    +0.0, the only way the two could differ.  Needs m >= 2.  Without
+    ``work`` the call builds a workspace of its own.  The solution is
+    written into ``out`` when given.
     """
     m = rhs.size
+    if work is None:
+        work = _Workspace(m)
     k = m // 2
     odd = m - 2 * k
-    head, tail = rhs[:k], rhs[:m - k - 1:-1]
-    buf = (ctypes.c_double * m)()
-    x = np.frombuffer(buf)  # the split data, then pttrs's solution in place
-    np.add(head, tail, out=x[:k])
-    np.subtract(head, tail, out=x[:m - k - 1:-1])
-    if odd:
-        x[k] = rhs[k]
-    n, d, e = _split_factor(r, m).args
-    info = ctypes.c_int64()
-    _lapack_pt()[1](n, _NRHS, d, e, buf, n, ctypes.byref(info))
-    if info.value != 0:
-        raise np.linalg.LinAlgError(f"tridiagonal solve failed: pttrs info = {info.value}")
+    x = work.split  # the split data, then pttrs's solution in place
+    _fold(rhs, x)
+    if r != work.r:
+        diag = work.diag
+        diag.fill(2.0 + 4.0 * r)
+        work.off.fill(-2.0 * r)
+        if odd:
+            diag[k] = 1.0 + 2.0 * r
+        else:
+            diag[k - 1] = 2.0 + 2.0 * r
+            diag[k] = 2.0 + 6.0 * r
+        work.r = r
+        work.factored[:] = (False, False)
+    _solve_block(work, 0)
+    if np.count_nonzero(x[m - k:]):  # a zero of either sign counts as zero
+        _solve_block(work, 1)
     if out is None:
         out = np.empty(m)
-    sym, anti = x[:k], x[:m - k - 1:-1]
-    np.add(sym, anti, out=out[:k])
-    np.subtract(sym, anti, out=out[:m - k - 1:-1])
-    if odd:
-        out[k] = x[k]
+    _fold(x, out)
     out += 0.0
     return out
 
@@ -296,8 +333,9 @@ def _unit_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     return xi, one_minus
 
 
-def _explicit_terms(w, t, g, h, vel, dt, vconf, shift, t_fail) -> np.ndarray:
-    """Advection, reaction and shift at the interior nodes of w.
+def _explicit_terms(w, t, g, h, vel, dt, vconf, shift, t_fail, out, chi) -> np.ndarray:
+    """Advection, reaction and shift at the interior nodes of w, written into
+    and returned as ``out``; ``chi`` is scratch of the same size.
 
     The advection term is chi w_xi with chi = [(1 - xi) g' + xi h'] / (h - g)
     and (g', h') = vel, taken as [(1 - xi) (g' c) + xi (h' c)] times the
@@ -318,26 +356,26 @@ def _explicit_terms(w, t, g, h, vel, dt, vconf, shift, t_fail) -> np.ndarray:
     check_reaction_step(dt, vconf.L0, t_fail)
     xi, one_minus = _unit_grid(n)
     c = 1.0 / (2.0 * (h - g) * dxi)
-    chi = np.multiply(one_minus, vel[0] * c)
-    terms = np.multiply(xi, vel[1] * c)
-    chi += terms
-    np.subtract(w[2:], w[:-2], out=terms)
-    terms *= chi
+    np.multiply(one_minus, vel[0] * c, out=chi)
+    np.multiply(xi, vel[1] * c, out=out)
+    chi += out
+    np.subtract(w[2:], w[:-2], out=out)
+    out *= chi
     reaction = eval_reaction(vconf.reaction, w[1:-1])
     if isinstance(reaction, float):
-        terms += reaction + shift
+        out += reaction + shift
     else:
-        terms += reaction
-        terms += shift
-    return terms
+        out += reaction
+        out += shift
+    return out
 
 
-def _crank_nicolson(r: float, rhs: np.ndarray, t: float) -> np.ndarray:
+def _crank_nicolson(r: float, rhs: np.ndarray, t: float, work: _Workspace) -> np.ndarray:
     """Nodal values of the solve (I - r D2) w = rhs with zero endpoints,
     checked against the positivity floor at t and clamped at 0."""
     out = np.empty(rhs.size + 2)
     out[0] = out[-1] = 0.0
-    _solve_tridiagonal_symmetric(r, rhs, out[1:-1])
+    _solve_tridiagonal_symmetric(r, rhs, out[1:-1], work)
     clamp_nonnegative(out, t)
     return out
 
@@ -347,6 +385,7 @@ def step(
     dt: float,
     vconf: ValidatedConfig,
     knobs: PerturbationKnobs = INERT_KNOBS,
+    work: _Workspace | None = None,
 ) -> FixedDomainState:
     """Advance one step of size dt by a predictor-corrector sweep.
 
@@ -356,10 +395,13 @@ def step(
     ledger second-order accurate in dt.  The front speeds come from
     ``boundary_velocities`` and the explicit terms from ``_explicit_terms``,
     both called by module name, so a test can pin the fronts or add a
-    forcing by replacing them.  The stages are built in place; the
-    corrector's r is the next predictor's, bit for bit, so its factor is
-    reused (see ``_split_factor``).
+    forcing by replacing them.  The stages are built in the buffers of
+    ``work``, the solve's workspace (a fresh one when not given); the
+    corrector's r is the next predictor's, bit for bit, so the factor the
+    workspace holds is reused.  Each new state gets a fresh values array.
     """
+    if work is None:
+        work = _Workspace(state.n_cells - 1)
     w = state.values
     dxi = 1.0 / state.n_cells
     gap = state.width
@@ -369,17 +411,18 @@ def step(
     inner = w[1:-1]
     r0 = vconf.d * dt / (2.0 * gap * gap * dxi * dxi)
     shift = knobs.source_shift
-    explicit = _explicit_terms(w, t0, state.g, state.h, vel0, dt, vconf, shift, t0)
+    explicit = _explicit_terms(w, t0, state.g, state.h, vel0, dt, vconf, shift, t0,
+                               work.terms, work.chi)
     # base = w + r0 ((w_{j-1} + w_{j+1}) - 2 w_j); rhs holds 2 w_j until the
     # predictor's right-hand side w + r0 D2 w + dt E0 is built in it.
-    base = np.add(w[:-2], w[2:])
-    rhs = np.multiply(inner, 2.0)
+    base = np.add(w[:-2], w[2:], out=work.base)
+    rhs = np.multiply(inner, 2.0, out=work.rhs)
     base -= rhs
     base *= r0
     base += inner
     np.multiply(explicit, dt, out=rhs)
     rhs += base
-    predictor = _crank_nicolson(r0, rhs, t1)
+    predictor = _crank_nicolson(r0, rhs, t1, work)
     pred_state = FixedDomainState(
         t=t1, g=state.g + dt * vel0[0], h=state.h + dt * vel0[1], values=predictor
     )
@@ -393,12 +436,14 @@ def step(
     if gap1 < MIN_GAP:
         raise DegenerateDomain("domain collapsed within a step", state.t)
 
-    # The corrector's right-hand side base + (dt / 2) (E0 + E1), in place.
-    explicit += _explicit_terms(predictor, t1, g1, h1, vel1, dt, vconf, shift, t0)
+    # The corrector's right-hand side base + (dt / 2) (E0 + E1), in place;
+    # E1 goes to the rhs buffer, which the predictor's solve has read.
+    explicit += _explicit_terms(predictor, t1, g1, h1, vel1, dt, vconf, shift, t0,
+                                work.rhs, work.chi)
     explicit *= 0.5 * dt
     explicit += base
     r1 = vconf.d * dt / (2.0 * gap1 * gap1 * dxi * dxi)
-    return FixedDomainState(t=t1, g=g1, h=h1, values=_crank_nicolson(r1, explicit, t1))
+    return FixedDomainState(t=t1, g=g1, h=h1, values=_crank_nicolson(r1, explicit, t1, work))
 
 
 def initial_state(vconf: ValidatedConfig, n_cells: int) -> FixedDomainState:
@@ -430,7 +475,9 @@ def solve(
         speed = max(abs(g0), abs(h0_dot), 1e-12)
         dt = min(0.25 * (2.0 * vconf.h0 / n_cells) / speed, T / 64.0, reaction_dt_cap(vconf.L0))
 
+    work = _Workspace(n_cells - 1)
+
     def advance(state, dt):
-        return step(state, dt, vconf, knobs)
+        return step(state, dt, vconf, knobs, work)
 
     return march(LocalSolution, state0, advance, T, dt, n_cells=n_cells)

@@ -238,7 +238,7 @@ def validate(config: ProblemConfig) -> ValidatedConfig:
         if not sup_v0 > 0.0:
             violations.append("(1.2a): v0 not positive on (-h0, h0)")
         sl, sr = _initial_slopes(initial, config.h0)
-        if not (sl > 1e-6 and sr > 1e-6):
+        if not (sl > 0.0 and sr > 0.0):
             violations.append("(1.2a): v0 has vanishing one-sided slope at +-h0")
         # A mu that is not positive and finite is the (config) rule's to report.
         elif 0.0 < config.mu < math.inf and not (

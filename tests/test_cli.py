@@ -279,6 +279,26 @@ def test_error_json_marks_only_the_latest_run(stefan_cfg, tmp_path, command):
     assert read_tree(out) == {**outputs, "error.json": err}
 
 
+def test_solve_into_a_reused_out_leaves_no_stale_snapshots(tmp_path):
+    # 2000 steps write 65 snapshots, then 50 steps write 51: the second
+    # solve removes snapshot_051.csv to snapshot_064.csv of the first.
+    config = str(Path(__file__).resolve().parent.parent / "configs" / "stefan.cfg")
+    out = tmp_path / "run"
+
+    def run(nx, dt):
+        return cli.main(["solve", "--config", config, "--out", str(out),
+                         "--nx", nx, "--dt", dt])
+
+    assert run("64", "5e-4") == 0
+    assert len(list(out.glob("snapshot_*.csv"))) == 65
+    assert run("32", "0.02") == 0
+    times = json.loads((out / "metadata.json").read_text())["snapshot_times"]
+    assert len(times) == 51
+    assert sorted(p.name for p in out.glob("snapshot_*.csv")) == [
+        f"snapshot_{k:03d}.csv" for k in range(51)
+    ]
+
+
 @pytest.mark.parametrize(
     "config_text, code, message",
     [

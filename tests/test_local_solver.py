@@ -1,3 +1,4 @@
+import ctypes
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,7 +12,7 @@ from scipy.linalg import solve_banded
 from frontlab import local_solver as L
 from frontlab import problem as P
 from frontlab.errors import CflViolation, DegenerateDomain, OutOfHorizon, PositivityLoss
-from frontlab.trajectory import plan_steps
+from frontlab.trajectory import march, plan_steps
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +122,73 @@ def test_tridiagonal_solve_reflects_signed_zeros_exactly():
     assert mirrored.tobytes() == forward[::-1].tobytes()
 
 
+def stacked_split_solve(r, rhs):
+    """Oracle: the split solve as one m-row system, both blocks stacked with a
+    zero coupling entry, factored by one ``pttrf`` and solved by one
+    ``pttrs``, then recombined as the solver recombines."""
+    m = rhs.size
+    k = m // 2
+    odd = m - 2 * k
+    d_buf, e_buf, b_buf = ((ctypes.c_double * size)() for size in (m, m - 1, m))
+    diag, off, x = np.frombuffer(d_buf), np.frombuffer(e_buf), np.frombuffer(b_buf)
+    diag.fill(2.0 + 4.0 * r)
+    off.fill(-2.0 * r)
+    if odd:
+        diag[k] = 1.0 + 2.0 * r
+    else:
+        diag[k - 1] = 2.0 + 2.0 * r
+        diag[k] = 2.0 + 6.0 * r
+    off[k - 1 + odd] = 0.0
+    head, tail = rhs[:k], rhs[:m - k - 1:-1]
+    np.add(head, tail, out=x[:k])
+    np.subtract(head, tail, out=x[:m - k - 1:-1])
+    if odd:
+        x[k] = rhs[k]
+    pttrf, pttrs = L._lapack_pt()
+    n, one, info = ctypes.c_int64(m), ctypes.c_int64(1), ctypes.c_int64()
+    pttrf(ctypes.byref(n), d_buf, e_buf, ctypes.byref(info))
+    assert info.value == 0
+    pttrs(ctypes.byref(n), ctypes.byref(one), d_buf, e_buf, b_buf, ctypes.byref(n),
+          ctypes.byref(info))
+    assert info.value == 0
+    out = np.empty(m)
+    np.add(x[:k], x[:m - k - 1:-1], out=out[:k])
+    np.subtract(x[:k], x[:m - k - 1:-1], out=out[:m - k - 1:-1])
+    if odd:
+        out[k] = x[k]
+    out += 0.0
+    return out
+
+
+def oracle_data(m):
+    """Data of each kind the blocks can see: both parts, one part only, and
+    signed zeros with subnormals (whose parts round to zero or not)."""
+    rng = np.random.default_rng(m)
+    b = rng.uniform(-1.0, 1.0, m)
+    tiny = rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1.0], m)
+    return {
+        "symmetric": b + b[::-1],
+        "antisymmetric": b - b[::-1],
+        "skewed": (b + b[::-1]) * (1.0 + 0.3 * np.linspace(-1.0, 1.0, m)),
+        "barely-skewed": (b + b[::-1]) + 1e-12 * np.linspace(0.0, 1.0, m),
+        "signed-zeros": np.where(np.arange(m) % 2, -0.0, 0.0),
+        "subnormals": tiny,
+        "symmetric-subnormals": tiny + tiny[::-1],
+    }
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 64, 65, 1023, 1024])
+def test_tridiagonal_solve_same_bytes_as_stacked_oracle(m):
+    # One workspace for every call, so factors held from earlier r values
+    # and data kinds are in play, and a fresh workspace per call.
+    work = L._Workspace(m)
+    for r in (1e-3, 0.7, 0.7, 1e3):
+        for kind, rhs in oracle_data(m).items():
+            expected = stacked_split_solve(r, rhs).tobytes()
+            assert L._solve_tridiagonal_symmetric(r, rhs, work=work).tobytes() == expected, kind
+            assert L._solve_tridiagonal_symmetric(r, rhs).tobytes() == expected, kind
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=tridiagonal_inputs)
 def test_tridiagonal_solve_is_reflection_equivariant(case):
@@ -154,16 +222,15 @@ def solution_bytes(sol) -> bytes:
 
 
 def count_factorizations(monkeypatch) -> list[int]:
-    """Empty the factor cache and count pttrf calls (their sizes) from now on."""
+    """Record the row count of each pttrf call of workspaces made from now on."""
     pttrf, pttrs = L._lapack_pt()
     sizes = []
 
     def counted(n, d, e, info):
-        sizes.append(len(d))
+        sizes.append(n._obj.value)
         return pttrf(n, d, e, info)
 
     monkeypatch.setattr(L, "_lapack_pt", lambda: (counted, pttrs))
-    L._split_factor.cache_clear()
     return sizes
 
 
@@ -207,17 +274,21 @@ def solve_case(monkeypatch, case):
 
 @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
 def test_solve_factors_once_per_step_plus_one(monkeypatch, case):
-    # The corrector's matrix is the next predictor's, so N steps factor N + 1
-    # times, and the cache's two read-only entries are all the state it keeps.
+    # The corrector's matrix is the next predictor's, so N steps factor each
+    # block they use N + 1 times: 95 nodes split into a symmetric block of 48
+    # rows and an antisymmetric one of 47.  A mirror-symmetric run never
+    # factors the second; the pinned asymmetric fronts of the override case
+    # need it at every r.  A second solve starts again from no factor.
     vconf, kwargs = solve_case(monkeypatch, case)
     sizes = count_factorizations(monkeypatch)
-    sol = L.solve(vconf, n_cells=96, dt=1e-3, **kwargs)
-    n_steps = sol.boundary_times.size - 1
-    assert n_steps == 50
-    assert sizes == [95] * (n_steps + 1)
-    assert L._split_factor.cache_info().currsize == 2
-    factor = L._split_factor(0.5, 95)
-    assert not factor.d.flags.writeable and not factor.e.flags.writeable
+    blocks = [48, 47] if case == "stefan-override-source" else [48]
+    for _ in range(2):
+        sizes.clear()
+        sol = L.solve(vconf, n_cells=96, dt=1e-3, **kwargs)
+        n_steps = sol.boundary_times.size - 1
+        assert n_steps == 50
+        assert sizes == blocks * (n_steps + 1)
+    assert not hasattr(L, "_split_factor")  # no module-level factor cache
 
 
 @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
@@ -226,9 +297,9 @@ def test_corrector_r_is_next_predictor_r_bitwise(monkeypatch, case):
     seen = []
     solve = L._solve_tridiagonal_symmetric
 
-    def recording(r, rhs, out=None):
+    def recording(r, rhs, out=None, work=None):
         seen.append(r)
-        return solve(r, rhs, out)
+        return solve(r, rhs, out, work)
 
     monkeypatch.setattr(L, "_solve_tridiagonal_symmetric", recording)
     L.solve(vconf, n_cells=96, dt=1e-3, **kwargs)
@@ -241,31 +312,30 @@ def test_corrector_r_is_next_predictor_r_bitwise(monkeypatch, case):
     assert corrector[:-1].tobytes() == predictor[1:].tobytes()
 
 
-def test_factor_cache_holds_no_hidden_state():
+def test_workspace_holds_no_hidden_state():
     # Solving A, then B, then A again gives A's bytes every time, and the
-    # same bytes as solves that each start from an empty cache.
+    # same bytes as marches whose steps each build a fresh workspace.
     stefan = P.validate(P.symmetric_stefan(T=0.05))
     fisher = P.validate(P.fisher_kpp_config(T=0.05))
     knobs = L.preset_knobs("i2", 0.05)
+    runs = [(stefan, knobs, 128, 1e-3), (fisher, L.INERT_KNOBS, 97, 5e-4)] * 2
+    runs.pop()
 
-    def solve_a():
-        return solution_bytes(L.solve(stefan, knobs, n_cells=128, dt=1e-3))
+    def fresh_per_step(vconf, knobs, n_cells, dt):
+        return march(L.LocalSolution, L.initial_state(vconf, n_cells),
+                     lambda state, dt: L.step(state, dt, vconf, knobs), vconf.T, dt,
+                     n_cells=n_cells)
 
-    def solve_b():
-        return solution_bytes(L.solve(fisher, n_cells=97, dt=5e-4))
-
-    warm = [solve_a(), solve_b(), solve_a()]
-    cold = []
-    for run in (solve_a, solve_b, solve_a):
-        L._split_factor.cache_clear()
-        cold.append(run())
+    warm = [solution_bytes(L.solve(vconf, knobs, n_cells=n, dt=dt))
+            for vconf, knobs, n, dt in runs]
+    cold = [solution_bytes(fresh_per_step(*run)) for run in runs]
     assert warm[0] == warm[2]
     assert warm == cold
 
 
 def test_solves_in_two_threads_give_the_serial_bytes():
     # The LAPACK calls release the GIL, so two solves run at once; each
-    # solve's data buffer is its own and the shared factors are read-only.
+    # solve's buffers, its factors included, are its own.
     stefan = P.validate(P.symmetric_stefan(T=0.05))
     fisher = P.validate(P.fisher_kpp_config(T=0.05))
     runs = [lambda: L.solve(stefan, L.preset_knobs("i1", 0.05), n_cells=128, dt=1e-3),
@@ -281,16 +351,21 @@ def test_solves_in_two_threads_give_the_serial_bytes():
     assert threaded == serial * 2
 
 
-def test_tridiagonal_solve_same_bytes_as_cold_cache():
-    # Sizes that share r but differ in m or parity, and alternating r
-    # values, each return what a solve from an empty cache returns.
+def test_tridiagonal_solve_same_bytes_as_fresh_workspace():
+    # Alternating r values and data with and without an antisymmetric part,
+    # through one workspace per size, each return what a solve with a fresh
+    # workspace returns.
     rng = np.random.default_rng(14)
-    cases = [(r, m) for r in (0.3, 0.3, 17.0, 0.3, 17.0) for m in (1023, 1024, 1023)]
-    data = {m: rng.uniform(-1.0, 1.0, m) for m in (1023, 1024)}
-    warm = [L._solve_tridiagonal_symmetric(r, data[m]).tobytes() for r, m in cases]
-    for (r, m), got in zip(cases, warm):
-        L._split_factor.cache_clear()
-        assert L._solve_tridiagonal_symmetric(r, data[m]).tobytes() == got
+    data = {}
+    for m in (1023, 1024):
+        b = rng.uniform(-1.0, 1.0, m)
+        data[m] = [b + b[::-1], b, b + b[::-1]]
+    works = {m: L._Workspace(m) for m in data}
+    for r in (0.3, 0.3, 17.0, 0.3, 17.0):
+        for m in (1023, 1024, 1023):
+            for rhs in data[m]:
+                warm = L._solve_tridiagonal_symmetric(r, rhs, work=works[m])
+                assert warm.tobytes() == L._solve_tridiagonal_symmetric(r, rhs).tobytes()
 
 
 def test_step_preserves_symmetry_exactly(stefan_short):
@@ -486,7 +561,7 @@ def test_solve_matches_banded_average_reference(stefan_short, monkeypatch, prese
     knobs = L.preset_knobs(preset, 0.05)
     split = L.solve(stefan_short, knobs, n_cells=256)
 
-    def reference(r, rhs, out):
+    def reference(r, rhs, out, work):
         out[:] = banded_average(r, rhs)
         return out
 

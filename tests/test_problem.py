@@ -36,7 +36,7 @@ def test_validate_flat_bump_rejected():
 
 def test_validate_nan_height_rejected():
     # Every comparison with NaN is False, so tests written as "v0 <= 0" or
-    # "slope <= 1e-6" would let V = nan through with sup_v0 = nan.
+    # "slope <= 0" would let V = nan through with sup_v0 = nan.
     vc = P.validate(P.ProblemConfig(initial=P.InitialDataSpec(family="quadratic_bump", V=np.nan)))
     assert not vc.ok
     assert "(1.2a): v0 not positive on (-h0, h0)" in vc.violations
@@ -404,6 +404,22 @@ def test_initial_height_violations(family, height, violations):
     vc = P.validate(P.ProblemConfig(initial=P.InitialDataSpec(family=family, V=height)))
     assert vc.violations == violations
     assert vc.sup_v0 == height or np.isnan(vc.sup_v0) and np.isnan(height)
+
+
+@pytest.mark.parametrize("config", [
+    P.ProblemConfig(h0=2.5e6),  # slope 2 V / h0 = 8e-7
+    P.ProblemConfig(initial=P.InitialDataSpec(V=4e-7)),  # slope 8e-7
+], ids=["wide", "low"])
+def test_small_nonzero_slope_is_admissible(config):
+    # (1.2a) asks for a nonzero slope at +-h0, whatever the scale of v0.
+    assert P.validate(config).violations == ()
+
+
+def test_slope_that_underflows_to_zero_is_flat():
+    # 2 V / h0 = 2 * 5e-324 / 10 rounds to 0.0, though V > 0.
+    config = P.ProblemConfig(h0=10.0, initial=P.InitialDataSpec(V=5e-324))
+    assert P._initial_slopes(config.initial, config.h0) == (0.0, 0.0)
+    assert P.validate(config).violations == (FLAT,)
 
 
 def test_save_config_refuses_a_custom_polynomial_without_coefficients(tmp_path):
