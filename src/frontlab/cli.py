@@ -13,26 +13,28 @@ Exit codes: 0 success, 2 inadmissible input, 3 solver failure.  On every
 exit-2 or exit-3 failure both ``solve`` and ``converge`` write
 ``error.json`` (``{code, message, time_of_failure}``) into the output
 directory, and each run first removes the ``error.json`` a run before it
-left there, so the file marks a failure of the latest run only; a
-successful ``solve`` also removes the snapshot CSVs an earlier solve left
-before it writes its own.  An
-``--out`` that cannot be made a directory (an existing file, or a path
-below one) is ``bad_manifest`` on stderr alone, with nowhere to write the
-file.  Exit 2 codes: ``bad_config`` (the config file cannot be read or
-parsed), ``invalid_config`` (it violates the hypotheses; the violated rules
-are listed), ``bad_manifest`` (an inadmissible option value or eps list),
-and the code of any other package error (``degenerate_kernel``,
-``degenerate_fit``, ...).  Exit 3 codes are the solver failures
-(``resolution_too_coarse``, ``domain_too_small``, ``positivity_loss``,
-``degenerate_domain``, ``cfl_violation``), which also record
-``time_of_failure``.  Everything is deterministic; rerunning a command
-reproduces files byte for byte.
+left there, so the file marks a failure of the latest run only.  A
+successful ``solve`` also removes the snapshot CSVs an earlier solve left,
+before it writes its own, and a successful ``converge`` the ``eps_*`` run
+directories an earlier sweep left, after it has written its own; a failed
+run removes nothing else.  An ``--out`` that cannot be made a directory
+(an existing file, or a path below one) is ``bad_manifest`` on stderr
+alone, with nowhere to write the file.  Exit 2 codes: ``bad_config`` (the
+config file cannot be read or parsed), ``invalid_config`` (it violates the
+hypotheses; the violated rules are listed), ``bad_manifest`` (an
+inadmissible option value or eps list), and the code of any other package
+error (``degenerate_kernel``, ``degenerate_fit``, ...).  Exit 3 codes are
+the solver failures (``resolution_too_coarse``, ``domain_too_small``,
+``positivity_loss``, ``degenerate_domain``, ``cfl_violation``), which also
+record ``time_of_failure``.  Everything is deterministic; rerunning a
+command reproduces files byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import shutil
 import sys
 from pathlib import Path
 
@@ -181,6 +183,10 @@ def _sweep(vconf, out, eps_list, variant, kernel, reference_nx, reference_dt, dx
     runio.write_sweep_csv(rows, out / "sweep.csv")
     fit = analysis.fit_rate([(r[0], r[1]) for r in rows])
     runio.atomic_write_text(out / "ratefit.json", fit.to_json() + "\n")
+    # An earlier sweep into this --out may have solved other eps values.
+    for stale in out.glob("eps_*"):
+        if stale.is_dir() and not stale.is_symlink() and stale.name not in run_dirs:
+            shutil.rmtree(stale)
     for eps, sup, ge, he in rows:
         print(f"eps={eps:g}: sup_error={sup:.6g} g_error={ge:.6g} h_error={he:.6g}")
     print(f"gamma_hat={fit.gamma_hat:.4f} r_squared={fit.r_squared:.4f}")

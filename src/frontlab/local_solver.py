@@ -22,8 +22,8 @@ exactly reflection-equivariant without a second right-hand side.  LAPACK
 step's corrector matrix is the next step's predictor matrix, so a solve of
 N steps factors the symmetric block N + 1 times.  The antisymmetric block
 is factored and solved only when its data are not all zero, which a
-mirror-symmetric run never meets.  Each solve owns its buffers (a
-``_Workspace``), so solves in several threads share no mutable state.  Both
+mirror-symmetric run never meets.  Each solve owns its grids and buffers
+(a ``_Workspace``), so solves in several threads share no mutable state.  Both
 routines are called through ctypes from the OpenBLAS that numpy's wheel
 bundles and has loaded already (see ``_lapack_function``), so no process,
 local solves included, loads SciPy.  A numpy built against another LAPACK
@@ -194,7 +194,7 @@ _NRHS = ctypes.byref(ctypes.c_int64(1))  # pttrs reads nrhs and never writes it
 
 
 class _Workspace:
-    """The buffers of one local solve on m interior nodes.
+    """The grids and buffers of one local solve on m interior nodes.
 
     ``diag`` and ``off`` view the ctypes buffers that hold the LDL^T factor
     of the split matrix for ``r`` (see ``_solve_tridiagonal_symmetric``):
@@ -203,8 +203,10 @@ class _Workspace:
     says so.  ``split`` views the buffer of the split data, which ``pttrs``
     overwrites with the solution.  ``blocks`` holds each block's first row,
     its row count and its (n, d, e, b) arguments, pointers into the three
-    buffers made once.  ``chi``, ``terms``, ``base`` and ``rhs`` are the
-    stage buffers of ``step``.
+    buffers made once.  ``xi`` and ``one_minus`` are the interior grids
+    xi_j = j/n and 1 - xi_j, j = 1..m, n = m + 1; the latter is xi reversed,
+    (n - j)/n, so mirrored nodes match for every n.  ``chi``, ``terms``,
+    ``base`` and ``rhs`` are the stage buffers of ``step``.
     """
 
     def __init__(self, m: int):
@@ -222,6 +224,8 @@ class _Workspace:
         self.info = ctypes.c_int64()
         self.info_ref = ctypes.byref(self.info)
         self.pttrf, self.pttrs = _lapack_pt()
+        self.xi = np.arange(1, m + 1) / (m + 1)
+        self.one_minus = self.xi[::-1].copy()
         self.chi, self.terms, self.base, self.rhs = (np.empty(m) for _ in range(4))
 
 
@@ -260,7 +264,7 @@ def _fold(src: np.ndarray, dst: np.ndarray) -> None:
 
 
 def _solve_tridiagonal_symmetric(
-    r: float, rhs: np.ndarray, out: np.ndarray | None = None, work: _Workspace | None = None
+    r: float, rhs: np.ndarray, out: np.ndarray, work: _Workspace
 ) -> np.ndarray:
     """Solve (I - r*D2) w = rhs with Dirichlet zeros, reflection-equivariantly.
 
@@ -290,13 +294,11 @@ def _solve_tridiagonal_symmetric(
     Reversing b leaves s unchanged and negates a, and an LDL^T solve of a
     negated right-hand side is the negated solution, so the result is
     exactly reflection-equivariant; adding +0.0 at the end maps -0.0 to
-    +0.0, the only way the two could differ.  Needs m >= 2.  Without
-    ``work`` the call builds a workspace of its own.  The solution is
-    written into ``out`` when given.
+    +0.0, the only way the two could differ.  Needs m >= 2; ``work`` is a
+    workspace for m nodes.  The solution is written into and returned as
+    ``out``.
     """
     m = rhs.size
-    if work is None:
-        work = _Workspace(m)
     k = m // 2
     odd = m - 2 * k
     x = work.split  # the split data, then pttrs's solution in place
@@ -315,27 +317,14 @@ def _solve_tridiagonal_symmetric(
     _solve_block(work, 0)
     if np.count_nonzero(x[m - k:]):  # a zero of either sign counts as zero
         _solve_block(work, 1)
-    if out is None:
-        out = np.empty(m)
     _fold(x, out)
     out += 0.0
     return out
 
 
-@lru_cache(maxsize=8)
-def _unit_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only xi_j = j/n and 1 - xi_j at the interior nodes j = 1..n-1; the
-    latter is xi reversed, (n - j)/n, so mirrored nodes match for every n."""
-    xi = np.arange(1, n) / n
-    one_minus = xi[::-1].copy()
-    xi.flags.writeable = False
-    one_minus.flags.writeable = False
-    return xi, one_minus
-
-
-def _explicit_terms(w, t, g, h, vel, dt, vconf, shift, t_fail, out, chi) -> np.ndarray:
+def _explicit_terms(w, t, g, h, vel, dt, vconf, shift, t_fail, out, work) -> np.ndarray:
     """Advection, reaction and shift at the interior nodes of w, written into
-    and returned as ``out``; ``chi`` is scratch of the same size.
+    and returned as ``out``; the grids and the ``chi`` scratch are ``work``'s.
 
     The advection term is chi w_xi with chi = [(1 - xi) g' + xi h'] / (h - g)
     and (g', h') = vel, taken as [(1 - xi) (g' c) + xi (h' c)] times the
@@ -354,10 +343,10 @@ def _explicit_terms(w, t, g, h, vel, dt, vconf, shift, t_fail, out, chi) -> np.n
     if cfl > 1.0 + 1e-12:
         raise CflViolation(f"advection CFL {cfl:.3f} > 1; reduce dt", t_fail)
     check_reaction_step(dt, vconf.L0, t_fail)
-    xi, one_minus = _unit_grid(n)
     c = 1.0 / (2.0 * (h - g) * dxi)
-    np.multiply(one_minus, vel[0] * c, out=chi)
-    np.multiply(xi, vel[1] * c, out=out)
+    chi = work.chi
+    np.multiply(work.one_minus, vel[0] * c, out=chi)
+    np.multiply(work.xi, vel[1] * c, out=out)
     chi += out
     np.subtract(w[2:], w[:-2], out=out)
     out *= chi
@@ -384,8 +373,8 @@ def step(
     state: FixedDomainState,
     dt: float,
     vconf: ValidatedConfig,
-    knobs: PerturbationKnobs = INERT_KNOBS,
-    work: _Workspace | None = None,
+    knobs: PerturbationKnobs,
+    work: _Workspace,
 ) -> FixedDomainState:
     """Advance one step of size dt by a predictor-corrector sweep.
 
@@ -396,12 +385,10 @@ def step(
     ``boundary_velocities`` and the explicit terms from ``_explicit_terms``,
     both called by module name, so a test can pin the fronts or add a
     forcing by replacing them.  The stages are built in the buffers of
-    ``work``, the solve's workspace (a fresh one when not given); the
-    corrector's r is the next predictor's, bit for bit, so the factor the
-    workspace holds is reused.  Each new state gets a fresh values array.
+    ``work``, the solve's workspace for n_cells - 1 nodes; the corrector's r
+    is the next predictor's, bit for bit, so the factor the workspace holds
+    is reused.  Each new state gets a fresh values array.
     """
-    if work is None:
-        work = _Workspace(state.n_cells - 1)
     w = state.values
     dxi = 1.0 / state.n_cells
     gap = state.width
@@ -412,7 +399,7 @@ def step(
     r0 = vconf.d * dt / (2.0 * gap * gap * dxi * dxi)
     shift = knobs.source_shift
     explicit = _explicit_terms(w, t0, state.g, state.h, vel0, dt, vconf, shift, t0,
-                               work.terms, work.chi)
+                               work.terms, work)
     # base = w + r0 ((w_{j-1} + w_{j+1}) - 2 w_j); rhs holds 2 w_j until the
     # predictor's right-hand side w + r0 D2 w + dt E0 is built in it.
     base = np.add(w[:-2], w[2:], out=work.base)
@@ -439,7 +426,7 @@ def step(
     # The corrector's right-hand side base + (dt / 2) (E0 + E1), in place;
     # E1 goes to the rhs buffer, which the predictor's solve has read.
     explicit += _explicit_terms(predictor, t1, g1, h1, vel1, dt, vconf, shift, t0,
-                                work.rhs, work.chi)
+                                work.rhs, work)
     explicit *= 0.5 * dt
     explicit += base
     r1 = vconf.d * dt / (2.0 * gap1 * gap1 * dxi * dxi)

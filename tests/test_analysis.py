@@ -211,9 +211,12 @@ def test_symmetry_defect_zero_for_symmetric(local_sol, nonlocal_sol):
 
 
 def test_symmetry_defect_detects_shift(vconf):
-    # A hand-built skewed bump on (-1, 1), marched by the local step.
+    # A hand-built skewed bump on (-1, 1), marched by the local step through
+    # one workspace for its 63 interior nodes, as a solve does.
     xi = np.linspace(-1.0, 1.0, 65)
     state = L.FixedDomainState(t=0.0, g=-1.0, h=1.0, values=(1.0 - xi * xi) * (1.0 + 0.3 * xi))
-    sol = march(L.LocalSolution, state, lambda s, dt: L.step(s, dt, vconf), vconf.T, 5e-4,
+    work = L._Workspace(63)
+    sol = march(L.LocalSolution, state,
+                lambda s, dt: L.step(s, dt, vconf, L.INERT_KNOBS, work), vconf.T, 5e-4,
                 n_cells=64)
     assert A.symmetry_defect(sol) > 1e-3

@@ -299,6 +299,32 @@ def test_solve_into_a_reused_out_leaves_no_stale_snapshots(tmp_path):
     ]
 
 
+def test_converge_into_a_reused_out_leaves_no_stale_run_dirs(tmp_path):
+    # The second sweep solves eps 0.1, 0.05 and 0.025: after it succeeds,
+    # eps_0.2 of the first is gone.  Only directories named eps_* go, and a
+    # failed sweep removes none.
+    config = tmp_path / "stefan.cfg"
+    problem.save_config(problem.symmetric_stefan(T=0.02), config)
+    out = tmp_path / "sweep"
+
+    def run(*args):
+        return cli.main(["converge", "--config", str(config), "--out", str(out),
+                         "--nx", "64", "--dt", "1e-3", *args])
+
+    def listing():
+        return sorted(p.name for p in out.iterdir())
+
+    assert run("--eps", "0.2", "--eps", "0.1", "--eps", "0.05") == 0
+    (out / "eps_notes.txt").write_text("kept\n")
+    (out / "kept").mkdir()
+    assert run("--eps", "0.1", "--eps", "0.05", "--eps", "0.025") == 0
+    kept = listing()
+    assert kept == ["eps_0.025", "eps_0.05", "eps_0.1", "eps_notes.txt", "kept",
+                    "ratefit.json", "reference", "sweep.csv"]
+    assert run("--eps", "0.2", "--eps", "0.1", "--eps", "0.05", "--dx-ratio", "16.5") == 2
+    assert listing() == sorted(kept + ["error.json"])
+
+
 @pytest.mark.parametrize(
     "config_text, code, message",
     [

@@ -58,6 +58,18 @@ def test_boundary_velocities_degenerate_domain():
         L.boundary_velocities(st, L.INERT_KNOBS, mu=1.0)
 
 
+def split_solve(r, rhs, work=None):
+    """The split solve of rhs into a new array, through work or, when not
+    given, a workspace built for this call alone."""
+    work = L._Workspace(rhs.size) if work is None else work
+    return L._solve_tridiagonal_symmetric(r, rhs, np.empty(rhs.size), work)
+
+
+def fresh_step(state, dt, vconf, knobs=L.INERT_KNOBS):
+    """One step through a workspace built for this step alone."""
+    return L.step(state, dt, vconf, knobs, L._Workspace(state.n_cells - 1))
+
+
 def banded_average(r, rhs):
     """Reference: two ``solve_banded`` calls, the data and its reflection, averaged."""
     ab = np.empty((3, rhs.size))
@@ -97,7 +109,7 @@ def test_tridiagonal_solve_backward_error_matches_banded_average(parity, case):
     r, rhs = case
     if rhs.size % 2 != parity:
         rhs = rhs[:-1]
-    assert within_backward_error(r, L._solve_tridiagonal_symmetric(r, rhs), rhs)
+    assert within_backward_error(r, split_solve(r, rhs), rhs)
     assert within_backward_error(r, banded_average(r, rhs), rhs)
 
 
@@ -107,9 +119,9 @@ def test_tridiagonal_solve_keeps_symmetric_and_antisymmetric_data_exactly(m):
     symmetric = rhs + rhs[::-1]
     antisymmetric = rhs - rhs[::-1]
     for r in (1e-3, 0.7, 1e3):
-        x = L._solve_tridiagonal_symmetric(r, symmetric)
+        x = split_solve(r, symmetric)
         assert x[::-1].tobytes() == x.tobytes()
-        x = L._solve_tridiagonal_symmetric(r, antisymmetric)
+        x = split_solve(r, antisymmetric)
         assert x[::-1].tobytes() == (0.0 - x).tobytes()
 
 
@@ -117,8 +129,8 @@ def test_tridiagonal_solve_reflects_signed_zeros_exactly():
     # A subnormal and zeros of both signs in the split data; the solve must
     # still return the same bytes for the data and its reflection.
     rhs = np.array([-5e-324, -0.0, -0.0])
-    forward = L._solve_tridiagonal_symmetric(1e-3, rhs)
-    mirrored = L._solve_tridiagonal_symmetric(1e-3, rhs[::-1])
+    forward = split_solve(1e-3, rhs)
+    mirrored = split_solve(1e-3, rhs[::-1])
     assert mirrored.tobytes() == forward[::-1].tobytes()
 
 
@@ -185,23 +197,23 @@ def test_tridiagonal_solve_same_bytes_as_stacked_oracle(m):
     for r in (1e-3, 0.7, 0.7, 1e3):
         for kind, rhs in oracle_data(m).items():
             expected = stacked_split_solve(r, rhs).tobytes()
-            assert L._solve_tridiagonal_symmetric(r, rhs, work=work).tobytes() == expected, kind
-            assert L._solve_tridiagonal_symmetric(r, rhs).tobytes() == expected, kind
+            assert split_solve(r, rhs, work).tobytes() == expected, kind
+            assert split_solve(r, rhs).tobytes() == expected, kind
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=tridiagonal_inputs)
 def test_tridiagonal_solve_is_reflection_equivariant(case):
     r, rhs = case
-    forward = L._solve_tridiagonal_symmetric(r, rhs)
-    mirrored = L._solve_tridiagonal_symmetric(r, rhs[::-1])
+    forward = split_solve(r, rhs)
+    mirrored = split_solve(r, rhs[::-1])
     assert mirrored.tobytes() == forward[::-1].tobytes()
 
 
 def test_tridiagonal_factorization_failure_is_reported():
     # r = -1 makes the split matrix indefinite, so pttrf stops with info > 0.
     with pytest.raises(np.linalg.LinAlgError, match="pttrf info"):
-        L._solve_tridiagonal_symmetric(-1.0, np.ones(8))
+        split_solve(-1.0, np.ones(8))
 
 
 def test_lapack_lookup_names_a_missing_symbol():
@@ -245,8 +257,8 @@ def add_forcing(monkeypatch, forcing):
 
     def forced(w, t, g, h, *args):
         terms = explicit_terms(w, t, g, h, *args)
-        xi, one_minus = L._unit_grid(w.size - 1)
-        terms += forcing(t, one_minus * g + xi * h)
+        work = args[-1]
+        terms += forcing(t, work.one_minus * g + work.xi * h)
         return terms
 
     monkeypatch.setattr(L, "_explicit_terms", forced)
@@ -278,7 +290,8 @@ def test_solve_factors_once_per_step_plus_one(monkeypatch, case):
     # block they use N + 1 times: 95 nodes split into a symmetric block of 48
     # rows and an antisymmetric one of 47.  A mirror-symmetric run never
     # factors the second; the pinned asymmetric fronts of the override case
-    # need it at every r.  A second solve starts again from no factor.
+    # need it at every r.  A second solve starts again from no factor: the
+    # module caches no factor and no grid, only its LAPACK lookup.
     vconf, kwargs = solve_case(monkeypatch, case)
     sizes = count_factorizations(monkeypatch)
     blocks = [48, 47] if case == "stefan-override-source" else [48]
@@ -289,6 +302,9 @@ def test_solve_factors_once_per_step_plus_one(monkeypatch, case):
         assert n_steps == 50
         assert sizes == blocks * (n_steps + 1)
     assert not hasattr(L, "_split_factor")  # no module-level factor cache
+    assert not hasattr(L, "_unit_grid")  # no module-level grid cache
+    assert not [name for name, f in vars(L).items()
+                if hasattr(f, "cache_info") and name != "_lapack_pt"]
 
 
 @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
@@ -297,7 +313,7 @@ def test_corrector_r_is_next_predictor_r_bitwise(monkeypatch, case):
     seen = []
     solve = L._solve_tridiagonal_symmetric
 
-    def recording(r, rhs, out=None, work=None):
+    def recording(r, rhs, out, work):
         seen.append(r)
         return solve(r, rhs, out, work)
 
@@ -323,7 +339,7 @@ def test_workspace_holds_no_hidden_state():
 
     def fresh_per_step(vconf, knobs, n_cells, dt):
         return march(L.LocalSolution, L.initial_state(vconf, n_cells),
-                     lambda state, dt: L.step(state, dt, vconf, knobs), vconf.T, dt,
+                     lambda state, dt: fresh_step(state, dt, vconf, knobs), vconf.T, dt,
                      n_cells=n_cells)
 
     warm = [solution_bytes(L.solve(vconf, knobs, n_cells=n, dt=dt))
@@ -364,14 +380,14 @@ def test_tridiagonal_solve_same_bytes_as_fresh_workspace():
     for r in (0.3, 0.3, 17.0, 0.3, 17.0):
         for m in (1023, 1024, 1023):
             for rhs in data[m]:
-                warm = L._solve_tridiagonal_symmetric(r, rhs, work=works[m])
-                assert warm.tobytes() == L._solve_tridiagonal_symmetric(r, rhs).tobytes()
+                warm = split_solve(r, rhs, works[m])
+                assert warm.tobytes() == split_solve(r, rhs).tobytes()
 
 
 def test_step_preserves_symmetry_exactly(stefan_short):
     state = L.initial_state(stefan_short, 128)
     for _ in range(50):
-        state = L.step(state, 1e-4, stefan_short)
+        state = fresh_step(state, 1e-4, stefan_short)
     assert state.g + state.h == 0.0
     assert np.array_equal(state.values, state.values[::-1])
 
@@ -379,7 +395,7 @@ def test_step_preserves_symmetry_exactly(stefan_short):
 def test_step_one_step_boundary_growth(stefan_short):
     # |v0'(h0)| = 2V/h0, so h moves at mu*2V/h0 to leading order.
     dt = 1e-5
-    state = L.step(L.initial_state(stefan_short, 256), dt, stefan_short)
+    state = fresh_step(L.initial_state(stefan_short, 256), dt, stefan_short)
     assert state.h == pytest.approx(1.0 + dt * 2.0, abs=1e-7)
     assert state.g == pytest.approx(-1.0 - dt * 2.0, abs=1e-7)
 
@@ -387,7 +403,7 @@ def test_step_one_step_boundary_growth(stefan_short):
 def test_step_cfl_violation(stefan_short):
     state = L.initial_state(stefan_short, 128)
     with pytest.raises(CflViolation):
-        L.step(state, 0.1, stefan_short)
+        fresh_step(state, 0.1, stefan_short)
 
 
 def test_solve_reaction_step_guard():
@@ -425,7 +441,7 @@ def test_step_collapse_within_a_step_is_degenerate_domain(stefan_short, monkeypa
 
     monkeypatch.setattr(L, "boundary_velocities", inward)
     with pytest.raises(DegenerateDomain) as info:
-        L.step(state, COLLAPSE_WIDTH / 32, stefan_short)
+        fresh_step(state, COLLAPSE_WIDTH / 32, stefan_short)
     assert str(info.value) == "domain collapsed within a step"
     assert info.value.time_of_failure == 0.5
     assert len(asked) == calls
@@ -470,7 +486,7 @@ def test_step_positivity_loss(stefan_short, monkeypatch):
     with pytest.raises(PositivityLoss):
         st = state
         for _ in range(200):
-            st = L.step(st, 1e-3, stefan_short)
+            st = fresh_step(st, 1e-3, stefan_short)
 
 
 def test_step_negative_predictor_is_positivity_loss(stefan_short, monkeypatch):
@@ -480,7 +496,7 @@ def test_step_negative_predictor_is_positivity_loss(stefan_short, monkeypatch):
     freeze_fronts(monkeypatch, (0.0, 0.0))
     add_forcing(monkeypatch, lambda t, x: np.full_like(x, -100.0 if t == 0.0 else 100.0))
     with pytest.raises(PositivityLoss) as info:
-        L.step(state, 1e-3, stefan_short)
+        fresh_step(state, 1e-3, stefan_short)
     assert info.value.time_of_failure == pytest.approx(1e-3)
 
 
@@ -490,7 +506,7 @@ def test_step_nan_value_is_positivity_loss(stefan_short):
     state = L.initial_state(stefan_short, 64)
     state.values[32] = np.nan
     with pytest.raises(PositivityLoss):
-        L.step(state, 1e-4, stefan_short)
+        fresh_step(state, 1e-4, stefan_short)
 
 
 def test_manufactured_solution_convergence(stefan_short, monkeypatch):

@@ -1,4 +1,6 @@
 import pickle
+from dataclasses import asdict
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -154,7 +156,8 @@ def test_initial_dip_below_zero_is_negative_density():
     local = L.initial_state(vconf, 48).values
     local[13] = -0.5
     with pytest.raises(NegativeDensity):
-        L.step(L.FixedDomainState(t=0.0, g=-1.0, h=1.0, values=local), 1e-3, vconf)
+        L.step(L.FixedDomainState(t=0.0, g=-1.0, h=1.0, values=local), 1e-3, vconf,
+               L.INERT_KNOBS, L._Workspace(local.size - 2))
     nonlocal_ = NL.initial_state(vconf, 0.0125)
     values = nonlocal_.values.copy()
     values[37] = -0.5
@@ -444,3 +447,15 @@ def test_load_config_rejects_repeated_keys(tmp_path):
     path.write_text("d = 1\nmu = 1\nh0 = 1\nT = 1\nd = 2\n")
     with pytest.raises(ValueError, match="repeated config key 'd'"):
         P.load_config(path)
+
+
+@pytest.mark.parametrize("name, built_in", [
+    ("stefan.cfg", P.symmetric_stefan()),
+    ("fisher.cfg", P.fisher_kpp_config()),
+])
+def test_shipped_config_loads_to_the_built_in_one(name, built_in):
+    # The benchmark and the command-line recipes read configs/, the gate and
+    # the scripts build the configs in problem; both must name one problem.
+    # ProblemConfig has eq=False, so the fields are compared one by one.
+    path = Path(__file__).resolve().parent.parent / "configs" / name
+    assert asdict(P.load_config(path)) == asdict(built_in)
